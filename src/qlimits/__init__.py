@@ -33,9 +33,7 @@ from .qmodel import (
     tomography_estimate,
 )
 from .risk import (
-    LossFunction,
     RiskEstimate,
-    SQUARED_LOSS,
     empirical_risk,
     excess_risk,
     expected_risk_mc,
@@ -45,6 +43,7 @@ from .risk import (
 )
 from .rng import child_rng, derive_seed
 from .scaling import (
+    SOLVER_IDS,
     BenchReport,
     MatchingReport,
     MeasurementReport,
@@ -54,6 +53,7 @@ from .scaling import (
     SweepConfig,
     SweepTable,
     fit_scaling,
+    fit_solver,
     matching_experiment,
     measurement_experiment,
     runtime_benchmark,

@@ -22,12 +22,14 @@ from .errors import ConfigError, QlimitsError
 from .qmodel import CostModel, complexity_table, cost_log_error_solver, cost_matched_precision, cost_poly_error_solver
 from .risk import empirical_risk, expected_risk_mc
 from .scaling import (
+    BENCH_SOLVER_IDS,
     DESK_SCALE_CAP,
     SCHEMA_VERSION,
     NoiseSchedule,
     ProblemSpec,
     SweepConfig,
     bench_summary,
+    fit_solver,
     matching_experiment,
     matching_summary,
     measurement_experiment,
@@ -39,17 +41,7 @@ from .scaling import (
     write_csv,
     write_sweep_csv,
 )
-from .solvers import (
-    Kernel,
-    LINEAR_KERNEL,
-    SolverConfig,
-    divide_and_conquer,
-    early_stopping_gd,
-    exact_ls,
-    krr,
-    nystrom,
-    save_predictor,
-)
+from .solvers import LINEAR_KERNEL, Kernel, SolverConfig, save_predictor
 from .synth import make_problem, read_dataset_csv, sample_dataset, write_dataset_csv
 
 WORKERS_ENV = "QLIMITS_WORKERS"
@@ -125,11 +117,7 @@ def _parse_problem(obj, context: str = "problem") -> ProblemSpec:
     return ProblemSpec(
         dimension=_as_int(obj.get("d", 10), "d", minimum=1),
         noise_std=_as_float(obj.get("sigma", 0.5), "sigma", minimum=0.0),
-        input_law=_as_str(
-            obj.get("input_law", "unit_sphere_uniform"),
-            "input_law",
-            ("unit_sphere_uniform", "gaussian_clipped"),
-        ),
+        input_law=_as_str(obj.get("input_law", "unit_sphere_uniform"), "input_law"),
         seed=_as_int(obj.get("seed", 0), "seed"),
     )
 
@@ -138,7 +126,7 @@ def _parse_kernel(obj, context: str = "kernel") -> Kernel:
     if obj is None:
         return LINEAR_KERNEL
     _check_unknown(obj, ("kind", "bandwidth"), context)
-    kind = _as_str(obj.get("kind", "linear"), "kernel.kind", ("linear", "gaussian"))
+    kind = _as_str(obj.get("kind", "linear"), "kernel.kind")
     bandwidth = obj.get("bandwidth")
     if bandwidth is not None:
         bandwidth = _as_float(bandwidth, "kernel.bandwidth", minimum=0.0, strict=True)
@@ -165,11 +153,11 @@ def _parse_solver_config(obj, context: str = "solver_config") -> SolverConfig:
     )
 
 
-def _parse_rule(obj, field: str, kinds, default_kind: str, default_value) -> tuple[str, float]:
+def _parse_rule(obj, field: str, default_kind: str, default_value) -> tuple[str, float]:
     if obj is None:
         return default_kind, default_value
     _check_unknown(obj, ("kind", "value"), field)
-    kind = _as_str(_require(obj, "kind", field), f"{field}.kind", kinds)
+    kind = _as_str(_require(obj, "kind", field), f"{field}.kind")
     value = obj.get("value", default_value)
     return kind, value
 
@@ -179,18 +167,11 @@ def _parse_noise(obj, context: str = "noise") -> NoiseSchedule | None:
         return None
     _check_unknown(obj, ("regime", "gamma_rule", "m_rule", "a"), context)
     gamma_kind, gamma_value = _parse_rule(
-        obj.get("gamma_rule"), "noise.gamma_rule", ("constant", "matched"), "constant", 0.0
+        obj.get("gamma_rule"), "noise.gamma_rule", "constant", 0.0
     )
-    m_kind, m_value = _parse_rule(
-        obj.get("m_rule"),
-        "noise.m_rule",
-        ("fixed", "sqrt_n", "fourth_root_n", "linear_n"),
-        "fixed",
-        1,
-    )
+    m_kind, m_value = _parse_rule(obj.get("m_rule"), "noise.m_rule", "fixed", 1)
     return NoiseSchedule(
-        regime=_as_str(obj.get("regime", "exact"), "noise.regime",
-                       ("exact", "shot_noise", "heisenberg")),
+        regime=_as_str(obj.get("regime", "exact"), "noise.regime"),
         gamma_kind=gamma_kind,
         gamma_value=_as_float(gamma_value, "noise.gamma_rule.value", minimum=0.0),
         m_kind=m_kind,
@@ -260,8 +241,7 @@ def cmd_generate(cfg: dict) -> int:
     d = _as_int(_require(cfg, "d", "generate config"), "d", minimum=1)
     n = _as_int(_require(cfg, "n", "generate config"), "n", minimum=1)
     sigma = _as_float(cfg.get("sigma", 0.0), "sigma", minimum=0.0)
-    input_law = _as_str(cfg.get("input_law", "unit_sphere_uniform"), "input_law",
-                        ("unit_sphere_uniform", "gaussian_clipped"))
+    input_law = _as_str(cfg.get("input_law", "unit_sphere_uniform"), "input_law")
     seed = _as_int(cfg.get("seed", 0), "seed")
     out = _as_str(_require(cfg, "out", "generate config"), "out")
 
@@ -279,28 +259,13 @@ def cmd_generate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _fit_solver(solver: str, dataset, kernel: Kernel, solver_config: SolverConfig):
-    if solver == "exact_ls":
-        return exact_ls(dataset, solver_config.lam)
-    if solver == "krr":
-        return krr(dataset, kernel, solver_config.lam)
-    if solver == "early_stopping_gd":
-        return early_stopping_gd(dataset, kernel, solver_config)
-    if solver == "divide_and_conquer":
-        return divide_and_conquer(dataset, kernel, solver_config)
-    if solver == "nystrom":
-        return nystrom(dataset, kernel, solver_config)
-    raise ConfigError(f"unknown solver {solver!r}")
-
-
 def cmd_fit(cfg: dict) -> int:
     _check_unknown(cfg, ("dataset", "solver", "solver_config", "kernel", "problem",
                          "n_eval", "eval_seed", "out_predictor", "out_report"), "fit config")
     dataset_path = _as_str(_require(cfg, "dataset", "fit config"), "dataset")
     if not os.path.exists(dataset_path):
         raise ConfigError(f"dataset file not found: {dataset_path}")
-    solver = _as_str(_require(cfg, "solver", "fit config"), "solver",
-                     ("exact_ls", "krr", "early_stopping_gd", "divide_and_conquer", "nystrom"))
+    solver = _as_str(_require(cfg, "solver", "fit config"), "solver")
     out_predictor = _as_str(_require(cfg, "out_predictor", "fit config"), "out_predictor")
     out_report = _as_str(_require(cfg, "out_report", "fit config"), "out_report")
     kernel = _parse_kernel(cfg.get("kernel"))
@@ -309,7 +274,7 @@ def cmd_fit(cfg: dict) -> int:
     eval_seed = _as_int(cfg.get("eval_seed", 0), "eval_seed")
 
     dataset = read_dataset_csv(dataset_path)
-    predictor = _fit_solver(solver, dataset, kernel, solver_config)
+    predictor = fit_solver(solver, dataset, kernel, solver_config)
     save_predictor(predictor, out_predictor)
 
     report = {
@@ -344,8 +309,7 @@ def _sweep_config_from(cfg: dict, workers: int) -> SweepConfig:
     return SweepConfig(
         n_grid=_parse_n_grid(_require(cfg, "n_grid", "sweep config")),
         trials=_as_int(cfg.get("trials", 20), "trials", minimum=1),
-        solver=_as_str(cfg.get("solver", "exact_ls"), "solver",
-                       ("exact_ls", "krr", "early_stopping_gd", "divide_and_conquer", "nystrom")),
+        solver=_as_str(cfg.get("solver", "exact_ls"), "solver"),
         solver_config=_parse_solver_config(cfg.get("solver_config")),
         kernel=_parse_kernel(cfg.get("kernel")),
         problem=_parse_problem(cfg.get("problem")),
@@ -392,12 +356,9 @@ def cmd_sweep(cfg: dict, workers_flag=None) -> int:
         _check_unknown(opts, ("regime", "budget_rule", "degraded_rule"), "measurement options")
         report = measurement_experiment(
             config,
-            regime=_as_str(opts.get("regime", "heisenberg"), "regime",
-                           ("heisenberg", "shot_noise")),
-            budget_rule=_as_str(opts.get("budget_rule", "sqrt_n"), "budget_rule",
-                                ("fixed", "sqrt_n", "fourth_root_n", "linear_n")),
-            degraded_rule=_as_str(opts.get("degraded_rule", "fourth_root_n"), "degraded_rule",
-                                  ("fixed", "sqrt_n", "fourth_root_n", "linear_n")),
+            regime=_as_str(opts.get("regime", "heisenberg"), "regime"),
+            budget_rule=_as_str(opts.get("budget_rule", "sqrt_n"), "budget_rule"),
+            degraded_rule=_as_str(opts.get("degraded_rule", "fourth_root_n"), "degraded_rule"),
         )
         write_sweep_csv(out_csv, report.arm_tables().values())
         payload["summary"] = measurement_summary(report)
@@ -469,7 +430,7 @@ def cmd_bench(cfg: dict) -> int:
                          "timer_window", "out_csv", "out_json"), "bench config")
     out_csv = _as_str(_require(cfg, "out_csv", "bench config"), "out_csv")
     out_json = _as_str(_require(cfg, "out_json", "bench config"), "out_json")
-    solvers = cfg.get("solvers", ["exact_ls", "krr", "nystrom"])
+    solvers = cfg.get("solvers", list(BENCH_SOLVER_IDS))
     if not isinstance(solvers, list) or not solvers:
         raise ConfigError("field `solvers` must be a non-empty list")
     n_grid = _parse_n_grid(cfg.get("n_grid", [256, 512, 1024, 2048, 4096]))
@@ -489,9 +450,7 @@ def cmd_bench(cfg: dict) -> int:
     lam = cfg.get("lam")
 
     report = runtime_benchmark(
-        solver_ids=[_as_str(s, "solvers[]",
-                            ("exact_ls", "krr", "early_stopping_gd",
-                             "divide_and_conquer", "nystrom")) for s in solvers],
+        solver_ids=[_as_str(s, "solvers[]") for s in solvers],
         n_grid=n_grid,
         reps=reps,
         dimension=_as_int(cfg.get("d", 10), "d", minimum=1),

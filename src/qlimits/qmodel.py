@@ -30,8 +30,8 @@ import numpy as np
 from . import risk
 from .errors import ConfigError
 from .rng import child_rng
-from .solvers import Predictor, PrimalPredictor, exact_ls, predict_batch
-from .synth import Dataset
+from .solvers import Predictor, PrimalPredictor, ceil_sqrt, exact_ls, predict_batch
+from .synth import Dataset, unit_vector
 
 REGIMES = ("exact", "shot_noise", "heisenberg")
 
@@ -65,20 +65,12 @@ class NoiseModel:
         return self.precision_scale / self.measurements
 
 
-def _random_unit(rng: np.random.Generator, dimension: int) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(dimension)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
-
-
 def perturb_solution(weights: np.ndarray, magnitude: float, seed: int = 0) -> np.ndarray:
     """weights + magnitude * u for a seeded random unit direction u."""
     if not (np.isfinite(magnitude) and magnitude >= 0):
         raise ConfigError(f"magnitude must be >= 0, got {magnitude}")
     w = np.asarray(weights, dtype=np.float64)
-    u = _random_unit(child_rng(seed, "solver-perturbation"), w.shape[0])
+    u = unit_vector(child_rng(seed, "solver-perturbation"), w.shape[0])
     return w + magnitude * u
 
 
@@ -86,7 +78,7 @@ def tomography_estimate(weights: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """Classical readout of the state: shifts by exactly tau(m) in a random direction."""
     w = np.asarray(weights, dtype=np.float64)
     tau = noise.tomography_error()
-    u = _random_unit(child_rng(noise.seed, "tomography"), w.shape[0])
+    u = unit_vector(child_rng(noise.seed, "tomography"), w.shape[0])
     return w + tau * u
 
 
@@ -222,7 +214,7 @@ def required_measurements(n: int, regime: str) -> int:
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if regime == "heisenberg":
-        return math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+        return ceil_sqrt(n)
     if regime == "shot_noise":
         return n
     if regime == "exact":

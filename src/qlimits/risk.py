@@ -1,4 +1,4 @@
-"""Loss, empirical risk, Monte Carlo expected risk, and derived gap measures.
+"""Squared-loss empirical risk, Monte Carlo expected risk, and derived gaps.
 
 Risk averages use a fixed summation scheme (sort ascending, then pairwise
 tree sum) so they are exactly invariant under permutation of the data and
@@ -14,27 +14,6 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError
 from .solvers import Predictor, predict_batch
 from .synth import Dataset, SyntheticProblem, sample_dataset
-
-LOSS_KINDS = ("squared",)
-
-
-@dataclass(frozen=True)
-class LossFunction:
-    """Pointwise loss; only the squared loss (y_hat - y)^2 is implemented."""
-
-    kind: str = "squared"
-
-    def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
-
-    def values(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
-        diff = np.asarray(y_pred, dtype=np.float64) - np.asarray(y_true, dtype=np.float64)
-        return diff * diff
-
-
-SQUARED_LOSS = LossFunction("squared")
-
 
 def pairwise_sum(values: np.ndarray) -> float:
     """Tree summation: pad with zeros to a power of two, fold halves."""
@@ -85,28 +64,26 @@ def _check_dims(predictor: Predictor, dimension: int) -> None:
         )
 
 
-def empirical_risk(
-    predictor: Predictor, dataset: Dataset, loss: LossFunction = SQUARED_LOSS
-) -> float:
-    """Average loss over the dataset; deterministic and permutation-invariant."""
+def _squared_errors(predictor: Predictor, dataset: Dataset) -> np.ndarray:
+    diff = predict_batch(predictor, dataset.features) - dataset.labels
+    return diff * diff
+
+
+def empirical_risk(predictor: Predictor, dataset: Dataset) -> float:
+    """Average squared loss over the dataset; deterministic and permutation-invariant."""
     _check_dims(predictor, dataset.dimension)
-    preds = predict_batch(predictor, dataset.features)
-    return stable_mean(loss.values(dataset.labels, preds))
+    return stable_mean(_squared_errors(predictor, dataset))
 
 
 def expected_risk_mc(
-    predictor: Predictor,
-    problem: SyntheticProblem,
-    n_eval: int = 100_000,
-    seed: int = 0,
-    loss: LossFunction = SQUARED_LOSS,
+    predictor: Predictor, problem: SyntheticProblem, n_eval: int = 100_000, seed: int = 0
 ) -> RiskEstimate:
     """Unbiased risk estimate on a fresh sample of ``n_eval`` points."""
     if n_eval < 2:
         raise ConfigError(f"n_eval must be >= 2, got {n_eval}")
     _check_dims(predictor, problem.dimension)
     fresh = sample_dataset(problem, n_eval, seed)
-    losses = np.sort(loss.values(fresh.labels, predict_batch(predictor, fresh.features)))
+    losses = np.sort(_squared_errors(predictor, fresh))
     value = pairwise_sum(losses) / n_eval
     variance = pairwise_sum(np.sort((losses - value) ** 2)) / (n_eval - 1)
     return RiskEstimate(

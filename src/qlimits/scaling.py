@@ -11,7 +11,6 @@ cell so that ratios isolate the injected error.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -28,10 +27,12 @@ from .errors import ConfigError, QlimitsError
 from .qmodel import NoiseModel, quantum_ls_pipeline
 from .risk import expected_risk_mc
 from .rng import derive_seed
-from .solvers import (
+from .solvers import (  # the five solvers are called by name, through fit_solver
     LINEAR_KERNEL,
     Kernel,
+    Predictor,
     SolverConfig,
+    ceil_sqrt,
     divide_and_conquer,
     early_stopping_gd,
     exact_ls,
@@ -39,9 +40,10 @@ from .solvers import (
     nystrom,
     predict_batch,
 )
-from .synth import SyntheticProblem, make_problem, sample_dataset
+from .synth import Dataset, SyntheticProblem, make_problem, sample_dataset
 
 SOLVER_IDS = ("exact_ls", "krr", "early_stopping_gd", "divide_and_conquer", "nystrom")
+BENCH_SOLVER_IDS = ("exact_ls", "krr", "nystrom")  # the runtime ladder's default rows
 
 GAMMA_RULE_KINDS = ("constant", "matched")
 M_RULE_KINDS = ("fixed", "sqrt_n", "fourth_root_n", "linear_n")
@@ -70,6 +72,9 @@ class ProblemSpec:
     input_law: str = "unit_sphere_uniform"
     seed: int = 0
 
+    def __post_init__(self):
+        self.build()  # SyntheticProblem rejects a bad dimension, noise_std or input_law
+
     def build(self) -> SyntheticProblem:
         return make_problem(self.dimension, self.noise_std, self.input_law, self.seed)
 
@@ -92,13 +97,16 @@ class NoiseSchedule:
 
     def __post_init__(self):
         if self.gamma_kind not in GAMMA_RULE_KINDS:
-            raise ConfigError(f"unknown gamma rule {self.gamma_kind!r}")
+            raise ConfigError(
+                f"unknown gamma rule {self.gamma_kind!r}, expected one of {GAMMA_RULE_KINDS}"
+            )
         if self.m_kind not in M_RULE_KINDS:
-            raise ConfigError(f"unknown m rule {self.m_kind!r}")
-        if not (np.isfinite(self.gamma_value) and self.gamma_value >= 0):
-            raise ConfigError(f"gamma_value must be >= 0, got {self.gamma_value}")
+            raise ConfigError(f"unknown m rule {self.m_kind!r}, expected one of {M_RULE_KINDS}")
         if self.m_value < 1:
             raise ConfigError(f"m_value must be >= 1, got {self.m_value}")
+        # NoiseModel rejects a bad regime, precision_scale or gamma_value
+        # (gamma_at(1) is gamma_value under both rules).
+        self.noise_for(1, seed=0)
 
     def gamma_at(self, n: int) -> float:
         if self.gamma_kind == "constant":
@@ -109,9 +117,9 @@ class NoiseSchedule:
         if self.m_kind == "fixed":
             return self.m_value
         if self.m_kind == "sqrt_n":
-            return math.isqrt(n - 1) + 1
+            return ceil_sqrt(n)
         if self.m_kind == "fourth_root_n":
-            return math.isqrt(math.isqrt(n - 1)) + 1 if n > 1 else 1
+            return ceil_sqrt(ceil_sqrt(n))  # ceil(n^(1/4))
         return n
 
     def noise_for(self, n: int, seed: int) -> NoiseModel:
@@ -179,19 +187,25 @@ class SweepTable:
         return [(r.n, r.median_excess) for r in self.rows if r.trials_ok > 0]
 
 
-def _fit_predictor(config: SweepConfig, dataset, noise_model: NoiseModel | None):
-    cfg = config.solver_config
-    if noise_model is not None:
-        return quantum_ls_pipeline(dataset, cfg.lam, noise_model)
-    if config.solver == "exact_ls":
-        return exact_ls(dataset, cfg.lam)
-    if config.solver == "krr":
-        return krr(dataset, config.kernel, cfg.lam)
-    if config.solver == "early_stopping_gd":
-        return early_stopping_gd(dataset, config.kernel, cfg)
-    if config.solver == "divide_and_conquer":
-        return divide_and_conquer(dataset, config.kernel, cfg)
-    return nystrom(dataset, config.kernel, cfg)
+def fit_solver(
+    solver: str,
+    dataset: Dataset,
+    kernel: Kernel = LINEAR_KERNEL,
+    config: SolverConfig = SolverConfig(),
+) -> Predictor:
+    """Train ``solver``, one of SOLVER_IDS; exact_ls and krr read only ``config.lam``.
+
+    The solver is looked up among this module's names on every call, so a
+    wrapper swapped in for ``scaling.<id>`` (as a tracer does) is the one run.
+    """
+    if solver not in SOLVER_IDS:
+        raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVER_IDS}")
+    fit = globals()[solver]
+    if solver == "exact_ls":
+        return fit(dataset, config.lam)
+    if solver == "krr":
+        return fit(dataset, kernel, config.lam)
+    return fit(dataset, kernel, config)
 
 
 def _sweep_cell(task: tuple[SweepConfig, int, int]):
@@ -202,12 +216,11 @@ def _sweep_cell(task: tuple[SweepConfig, int, int]):
         dataset = sample_dataset(
             problem, n, derive_seed(config.master_seed, "data", n, trial)
         )
-        noise_model = None
-        if config.noise is not None:
-            noise_model = config.noise.noise_for(
-                n, seed=derive_seed(config.master_seed, "noise", n, trial)
-            )
-        predictor = _fit_predictor(config, dataset, noise_model)
+        if config.noise is None:
+            predictor = fit_solver(config.solver, dataset, config.kernel, config.solver_config)
+        else:
+            noise = config.noise.noise_for(n, derive_seed(config.master_seed, "noise", n, trial))
+            predictor = quantum_ls_pipeline(dataset, config.solver_config.lam, noise)
         estimate = expected_risk_mc(
             predictor, problem, config.n_eval,
             seed=derive_seed(config.master_seed, "eval", n, trial),
@@ -306,10 +319,13 @@ def fit_scaling(pairs) -> ScalingFit:
 # ---------------------------------------------------------------------------
 # paired experiments
 
-def _ratio(noisy: float, exact: float) -> float:
-    if noisy == exact:
-        return 1.0  # covers the degenerate zero-injection arm exactly
-    return noisy / exact
+def _ratios(exact: SweepTable, arm: SweepTable) -> list[tuple[int, float]]:
+    """Per-n median excess risk of ``arm`` over ``exact``; 1.0 where they are
+    equal, which covers the degenerate zero-injection arm exactly."""
+    return [
+        (e.n, 1.0 if a.median_excess == e.median_excess else a.median_excess / e.median_excess)
+        for e, a in zip(exact.rows, arm.rows)
+    ]
 
 
 @dataclass(frozen=True)
@@ -326,11 +342,7 @@ class MatchingReport:
         return {"exact": self.exact, "matched": self.matched, "constant": self.constant}
 
     def ratios(self, arm: str) -> list[tuple[int, float]]:
-        table = self.arm_tables()[arm]
-        return [
-            (er.n, _ratio(ar.median_excess, er.median_excess))
-            for er, ar in zip(self.exact.rows, table.rows)
-        ]
+        return _ratios(self.exact, self.arm_tables()[arm])
 
 
 def matching_experiment(
@@ -339,12 +351,8 @@ def matching_experiment(
     """Paired sweeps: exact solve vs solver-error schedules gamma = c0 * n^(-1/2)
     and gamma = constant, all sharing per-cell data/eval/direction streams."""
     base = replace(config, noise=None, solver="exact_ls")
-    matched_schedule = NoiseSchedule(
-        regime="exact", gamma_kind="matched", gamma_value=matched_c0
-    )
-    constant_schedule = NoiseSchedule(
-        regime="exact", gamma_kind="constant", gamma_value=constant_gamma
-    )
+    matched_schedule = NoiseSchedule(gamma_kind="matched", gamma_value=matched_c0)
+    constant_schedule = NoiseSchedule(gamma_value=constant_gamma)
     return MatchingReport(
         exact=sweep_excess_risk(base, "exact"),
         matched=sweep_excess_risk(replace(base, noise=matched_schedule), "matched"),
@@ -367,11 +375,7 @@ class MeasurementReport:
         return {"exact": self.exact, "budget": self.budget, "degraded": self.degraded}
 
     def ratios(self, arm: str) -> list[tuple[int, float]]:
-        table = self.arm_tables()[arm]
-        return [
-            (er.n, _ratio(ar.median_excess, er.median_excess))
-            for er, ar in zip(self.exact.rows, table.rows)
-        ]
+        return _ratios(self.exact, self.arm_tables()[arm])
 
     def arm_fit(self, arm: str) -> ScalingFit:
         return fit_scaling(self.arm_tables()[arm].medians())
@@ -384,13 +388,11 @@ def measurement_experiment(
     degraded_rule: str = "fourth_root_n",
 ) -> MeasurementReport:
     """Paired sweeps: exact solve vs tomography readout with m set by two rules."""
-    if regime not in ("heisenberg", "shot_noise"):
+    if regime == "exact":  # NoiseSchedule rejects unknown regimes
         raise ConfigError(f"measurement experiment needs a noisy regime, got {regime!r}")
     base = replace(config, noise=None, solver="exact_ls")
-    budget = NoiseSchedule(regime=regime, gamma_kind="constant", gamma_value=0.0, m_kind=budget_rule)
-    degraded = NoiseSchedule(
-        regime=regime, gamma_kind="constant", gamma_value=0.0, m_kind=degraded_rule
-    )
+    budget = NoiseSchedule(regime=regime, m_kind=budget_rule)
+    degraded = NoiseSchedule(regime=regime, m_kind=degraded_rule)
     return MeasurementReport(
         exact=sweep_excess_risk(base, "exact"),
         budget=sweep_excess_risk(replace(base, noise=budget), f"m_{budget_rule}"),
@@ -446,7 +448,7 @@ def _timed_call(fn, min_time: float = BENCH_TIMER_WINDOW):
 
 
 def runtime_benchmark(
-    solver_ids=("exact_ls", "krr", "nystrom"),
+    solver_ids=BENCH_SOLVER_IDS,
     n_grid=(256, 512, 1024, 2048, 4096),
     reps: int = 5,
     dimension: int = 10,
@@ -480,26 +482,15 @@ def runtime_benchmark(
         problem, test_points, derive_seed(master_seed, "bench-test")
     ).features
 
-    def make_fit(sid, dataset):
-        cfg = SolverConfig(lam=lam)
-        if sid == "exact_ls":
-            return lambda: exact_ls(dataset, cfg.lam)
-        if sid == "krr":
-            return lambda: krr(dataset, kernel, cfg.lam)
-        if sid == "early_stopping_gd":
-            return lambda: early_stopping_gd(dataset, kernel, cfg)
-        if sid == "divide_and_conquer":
-            return lambda: divide_and_conquer(dataset, kernel, cfg)
-        return lambda: nystrom(dataset, kernel, cfg)
-
+    solver_config = SolverConfig(lam=lam)
     rows = []
     single_lane = threadpool_limits(limits=1) if threadpool_limits is not None else nullcontext()
     with single_lane:
         for sid in ids:
             for n in grid:
                 rows.append(
-                    _bench_cell(sid, n, make_fit, problem, test_x, reps, timeout_s,
-                                master_seed, test_points, timer_window)
+                    _bench_cell(sid, n, kernel, solver_config, problem, test_x, reps,
+                                timeout_s, master_seed, timer_window)
                 )
 
     train_fits, test_fits = {}, {}
@@ -511,10 +502,10 @@ def runtime_benchmark(
     return BenchReport(rows=tuple(rows), train_fits=train_fits, test_fits=test_fits, reps=reps)
 
 
-def _bench_cell(sid, n, make_fit, problem, test_x, reps, timeout_s, master_seed,
-                test_points, timer_window) -> BenchRow:
+def _bench_cell(sid, n, kernel, solver_config, problem, test_x, reps, timeout_s,
+                master_seed, timer_window) -> BenchRow:
     dataset = sample_dataset(problem, n, derive_seed(master_seed, "bench-data", n))
-    fit_fn = make_fit(sid, dataset)
+    fit_fn = lambda: fit_solver(sid, dataset, kernel, solver_config)
     cell_start = time.perf_counter()
     try:
         _, predictor = _timed_call(fit_fn, timer_window)  # warm-up, discarded
@@ -537,7 +528,7 @@ def _bench_cell(sid, n, make_fit, problem, test_x, reps, timeout_s, master_seed,
         solver=sid,
         n=n,
         train_seconds=float(np.median(train_times)),
-        test_seconds_per_point=float(np.median(test_times)) / test_points,
+        test_seconds_per_point=float(np.median(test_times)) / len(test_x),
         timed_out=False,
     )
 

@@ -56,7 +56,7 @@ class Kernel:
             if self.bandwidth is None or not (self.bandwidth > 0):
                 raise ConfigError(f"gaussian kernel needs bandwidth > 0, got {self.bandwidth}")
         else:
-            raise ConfigError(f"unknown kernel kind {self.kind!r}")
+            raise ConfigError(f"unknown kernel kind {self.kind!r}, expected 'linear' or 'gaussian'")
 
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
@@ -169,6 +169,11 @@ def default_lam(n: int) -> float:
 
 def resolve_lam(lam: float | None, n: int) -> float:
     return default_lam(n) if lam is None else float(lam)
+
+
+def ceil_sqrt(n: int) -> int:
+    """ceil(sqrt(n)) in exact integer arithmetic, for n >= 1."""
+    return math.isqrt(n - 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,50 +328,32 @@ def early_stopping_gd(
     auto mode uses exactly 1/L, which makes the risk non-increasing.
     """
     n = dataset.n_samples
-    t = config.max_iters if config.max_iters is not None else math.isqrt(n - 1) + 1
+    t = config.max_iters if config.max_iters is not None else ceil_sqrt(n)
     a, y = dataset.features, dataset.labels
-
+    # One loop for both forms: residual design @ coef - y, step along back(residual).
+    # Primal: design a, back a.T @ r, curvature of the d x d Gram. Dual: design K.
     if kernel.kind == "linear":
-        gram = a.T @ a  # d x d
-        curvature = 2.0 * top_eigenvalue(gram, seed=config.seed) / n
-        step = config.step_size if config.step_size is not None else _safe_step(curvature)
-        w = np.zeros(dataset.dimension)
-        rises = 0
-        prev_risk = float(y @ y) / n
-        for _ in range(t):
-            resid = a @ w - y
-            w = w - step * (2.0 / n) * (a.T @ resid)
-            risk = float(resid @ resid) / n  # risk at the pre-update iterate
-            rises = _divergence_count(risk, prev_risk, rises, step)
-            prev_risk = risk
-        return PrimalPredictor(weights=w)
-
-    k = kernel.matrix(a, a)
-    curvature = 2.0 * top_eigenvalue(k, seed=config.seed) / n
-    step = config.step_size if config.step_size is not None else _safe_step(curvature)
-    alpha = np.zeros(n)
+        design, back, gram = a, lambda r: a.T @ r, a.T @ a
+    else:
+        design = gram = kernel.matrix(a, a)
+        back = lambda r: r
+    curvature = 2.0 * top_eigenvalue(gram, seed=config.seed) / n
+    auto_step = 1.0 / curvature if curvature > 0 else 1.0
+    step = config.step_size if config.step_size is not None else auto_step
+    coef = np.zeros(design.shape[1])
     rises = 0
     prev_risk = float(y @ y) / n
     for _ in range(t):
-        resid = k @ alpha - y
-        alpha = alpha - step * (2.0 / n) * resid
-        risk = float(resid @ resid) / n
-        rises = _divergence_count(risk, prev_risk, rises, step)
+        resid = design @ coef - y
+        coef = coef - step * (2.0 / n) * back(resid)
+        risk = float(resid @ resid) / n  # risk at the pre-update iterate
+        rises = rises + 1 if risk > prev_risk * (1.0 + 1e-12) else 0
+        if rises >= 5:
+            raise DivergenceError(step_size=step, n_increases=rises)
         prev_risk = risk
-    return DualPredictor(coefficients=alpha, landmarks=a, kernel=kernel)
-
-
-def _safe_step(curvature: float) -> float:
-    if curvature <= 0:
-        return 1.0
-    return 1.0 / curvature
-
-
-def _divergence_count(risk: float, prev_risk: float, rises: int, step: float) -> int:
-    rises = rises + 1 if risk > prev_risk * (1.0 + 1e-12) else 0
-    if rises >= 5:
-        raise DivergenceError(step_size=step, n_increases=rises)
-    return rises
+    if kernel.kind == "linear":
+        return PrimalPredictor(weights=coef)
+    return DualPredictor(coefficients=coef, landmarks=a, kernel=kernel)
 
 
 def divide_and_conquer(
@@ -414,7 +401,7 @@ def nystrom(
     of the predictions.
     """
     n = dataset.n_samples
-    m = config.landmarks if config.landmarks is not None else math.isqrt(n - 1) + 1
+    m = config.landmarks if config.landmarks is not None else ceil_sqrt(n)
     if m > n:
         raise ConfigError(f"landmarks={m} exceeds n={n}")
     lam = resolve_lam(config.lam, n)

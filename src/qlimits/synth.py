@@ -107,7 +107,7 @@ def make_problem(
     if dimension < 1:
         raise ConfigError(f"dimension must be >= 1, got {dimension}")
     rng = child_rng(seed, "target")
-    w = _unit_vector(rng, dimension)
+    w = unit_vector(rng, dimension)
     return SyntheticProblem(
         dimension=dimension, target_weights=w, noise_std=float(noise_std), input_law=input_law
     )
@@ -118,7 +118,8 @@ def bayes_risk(problem: SyntheticProblem) -> float:
     return problem.bayes_risk
 
 
-def _unit_vector(rng: np.random.Generator, dimension: int) -> np.ndarray:
+def unit_vector(rng: np.random.Generator, dimension: int) -> np.ndarray:
+    """A uniformly random direction in R^dimension."""
     while True:
         v = rng.standard_normal(dimension)
         norm = np.linalg.norm(v)

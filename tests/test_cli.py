@@ -1,12 +1,22 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qlimits import make_problem, read_dataset_csv, sample_dataset, write_dataset_csv
+from qlimits import (
+    LINEAR_KERNEL,
+    SOLVER_IDS,
+    SolverConfig,
+    fit_solver,
+    make_problem,
+    read_dataset_csv,
+    sample_dataset,
+    write_dataset_csv,
+)
 from qlimits.cli import main
 from qlimits.qmodel import complexity_table
-from qlimits.solvers import load_predictor
+from qlimits.solvers import load_predictor, predictor_to_json
 
 
 def _write_config(path, payload):
@@ -105,6 +115,44 @@ def test_fit_divide_and_conquer_single_block_matches_krr(tmp_path):
     assert a["excess_risk"] == pytest.approx(b["excess_risk"], abs=1e-10)
 
 
+@pytest.mark.parametrize("solver", SOLVER_IDS)
+def test_fit_every_solver(tmp_path, solver):
+    problem = make_problem(3, 0.3, seed=5)
+    data = tmp_path / "train.csv"
+    write_dataset_csv(sample_dataset(problem, 40, seed=6), data)
+    payload = {
+        "dataset": str(data),
+        "solver": solver,
+        "solver_config": {"lam": 0.05, "partitions": 2},
+        "problem": {"d": 3, "sigma": 0.3, "seed": 5},
+        "n_eval": 2000,
+        "out_predictor": str(tmp_path / "pred.json"),
+        "out_report": str(tmp_path / "report.json"),
+    }
+    assert _run(tmp_path, "fit", payload) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["solver"] == solver
+    assert math.isfinite(report["excess_risk"])
+    expected = fit_solver(
+        solver, read_dataset_csv(data), LINEAR_KERNEL, SolverConfig(lam=0.05, partitions=2)
+    )
+    assert predictor_to_json(load_predictor(tmp_path / "pred.json")) == predictor_to_json(expected)
+
+
+def test_fit_unknown_solver_exits_config(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    write_dataset_csv(sample_dataset(make_problem(2, 0.1, seed=1), 10, seed=2), data)
+    payload = {
+        "dataset": str(data),
+        "solver": "sgd",
+        "out_predictor": str(tmp_path / "p.json"),
+        "out_report": str(tmp_path / "r.json"),
+    }
+    assert _run(tmp_path, "fit", payload) == 2
+    assert "sgd" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_fit_missing_dataset(tmp_path, capsys):
     payload = {
         "dataset": str(tmp_path / "absent.csv"),
@@ -184,6 +232,25 @@ def test_sweep_empty_grid_rejected(tmp_path, capsys):
 def test_sweep_unknown_key_rejected(tmp_path, capsys):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path, gamma=0.1)) == 2
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"solver": "sgd"},
+        {"problem": {"input_law": "bogus"}},
+        {"kernel": {"kind": "poly"}},
+        {"noise": {"regime": "bogus"}},
+        {"noise": {"gamma_rule": {"kind": "cubic"}}},
+        {"noise": {"m_rule": {"kind": "cubic"}}},
+        {"mode": "measurement", "measurement": {"regime": "exact"}},
+        {"mode": "measurement", "measurement": {"regime": "bogus"}},
+        {"mode": "measurement", "measurement": {"degraded_rule": "cubic"}},
+    ],
+)
+def test_sweep_rejects_unknown_names(tmp_path, override):
+    assert _run(tmp_path, "sweep", _sweep_payload(tmp_path, **override)) == 2
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_set_override(tmp_path):
@@ -298,6 +365,17 @@ def test_bench_timeout_exit_code(tmp_path):
     assert _run(tmp_path, "bench", payload) == 4
     summary = json.loads((tmp_path / "b.json").read_text())
     assert summary["summary"]["timed_out"] is True
+
+
+def test_bench_rejects_unknown_solver(tmp_path, capsys):
+    payload = {
+        "solvers": ["exact_ls", "sgd"],
+        "n_grid": [64, 128, 256],
+        "out_csv": str(tmp_path / "b.csv"),
+        "out_json": str(tmp_path / "b.json"),
+    }
+    assert _run(tmp_path, "bench", payload) == 2
+    assert "sgd" in capsys.readouterr().err
 
 
 def test_bench_cap_env_override(tmp_path, monkeypatch, capsys):

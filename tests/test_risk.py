@@ -21,7 +21,6 @@ from qlimits import (
     sample_dataset,
     stable_mean,
 )
-from qlimits.risk import LossFunction
 
 
 def _ds(features, labels):
@@ -50,11 +49,6 @@ def test_dimension_mismatch_rejected():
     w = PrimalPredictor(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DimensionMismatchError):
         empirical_risk(w, _ds([[1.0, 2.0]], [0.0]))
-
-
-def test_loss_function_validation():
-    with pytest.raises(ConfigError):
-        LossFunction("absolute")
 
 
 def test_pairwise_sum_matches_fsum():

@@ -6,14 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlimits import (
+    SOLVER_IDS,
     ConfigError,
+    Kernel,
     NoiseSchedule,
+    PrimalPredictor,
     ProblemSpec,
+    SolverConfig,
     SweepConfig,
+    divide_and_conquer,
+    early_stopping_gd,
+    exact_ls,
     fit_scaling,
+    fit_solver,
+    krr,
+    make_problem,
     matching_experiment,
     measurement_experiment,
+    nystrom,
     runtime_benchmark,
+    sample_dataset,
     sweep_excess_risk,
 )
 from qlimits.scaling import (
@@ -114,6 +126,10 @@ def test_noise_schedule_validation():
         NoiseSchedule(m_kind="cubic")
     with pytest.raises(ConfigError):
         NoiseSchedule(gamma_value=-0.1)
+    with pytest.raises(ConfigError):
+        NoiseSchedule(regime="bogus")
+    with pytest.raises(ConfigError):
+        NoiseSchedule(precision_scale=-1)
 
 
 def test_sweep_config_validation():
@@ -127,6 +143,44 @@ def test_sweep_config_validation():
         SweepConfig(n_grid=(32, 64, 128), solver="krr", noise=NoiseSchedule())
     with pytest.raises(ConfigError):
         SweepConfig(n_grid=(32, 64, 128), solver="sgd")
+    with pytest.raises(ConfigError):
+        SweepConfig(n_grid=(32, 64, 128), problem=ProblemSpec(input_law="bogus"))
+    with pytest.raises(ConfigError):
+        SweepConfig(n_grid=(32, 64, 128), problem=ProblemSpec(dimension=0))
+    with pytest.raises(ConfigError):
+        SweepConfig(n_grid=(32, 64, 128), noise=NoiseSchedule(regime="bogus"))
+
+
+# ---------------------------------------------------------------------------
+# solver dispatch
+
+def _arrays(predictor) -> list[bytes]:
+    if isinstance(predictor, PrimalPredictor):
+        return [predictor.weights.tobytes()]
+    return [predictor.coefficients.tobytes(), predictor.landmarks.tobytes()]
+
+
+@pytest.mark.parametrize("kernel", [Kernel(), Kernel("gaussian", 1.5)])
+@pytest.mark.parametrize("solver", SOLVER_IDS)
+def test_fit_solver_is_bit_identical_to_direct_calls(solver, kernel):
+    data = sample_dataset(make_problem(3, 0.3, seed=4), 60, seed=5)
+    config = SolverConfig(lam=0.05, partitions=3, landmarks=12, seed=2)
+    direct = {
+        "exact_ls": lambda: exact_ls(data, config.lam),
+        "krr": lambda: krr(data, kernel, config.lam),
+        "early_stopping_gd": lambda: early_stopping_gd(data, kernel, config),
+        "divide_and_conquer": lambda: divide_and_conquer(data, kernel, config),
+        "nystrom": lambda: nystrom(data, kernel, config),
+    }[solver]()
+    fitted = fit_solver(solver, data, kernel, config)
+    assert type(fitted) is type(direct)
+    assert _arrays(fitted) == _arrays(direct)
+
+
+def test_fit_solver_rejects_unknown_id():
+    data = sample_dataset(make_problem(2, 0.1, seed=1), 10, seed=2)
+    with pytest.raises(ConfigError, match="sgd"):
+        fit_solver("sgd", data)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,31 @@ def test_gd_divergence_detected():
     assert excinfo.value.step_size == pytest.approx(bad_step)
 
 
+def _gd_separate_loops(ds, kernel, iters, seed=0):
+    """Primal and dual gradient descent as two hand-written loops (auto step)."""
+    n, a, y = ds.n_samples, ds.features, ds.labels
+    if kernel.kind == "linear":
+        step = 1.0 / (2.0 * top_eigenvalue(a.T @ a, seed=seed) / n)
+        w = np.zeros(ds.dimension)
+        for _ in range(iters):
+            w = w - step * (2.0 / n) * (a.T @ (a @ w - y))
+        return w
+    k = kernel.matrix(a, a)
+    step = 1.0 / (2.0 * top_eigenvalue(k, seed=seed) / n)
+    alpha = np.zeros(n)
+    for _ in range(iters):
+        alpha = alpha - step * (2.0 / n) * (k @ alpha - y)
+    return alpha
+
+
+@pytest.mark.parametrize("kernel", [LINEAR_KERNEL, GAUSS])
+def test_gd_matches_separate_primal_and_dual_loops_bit_for_bit(kernel):
+    _, ds = _random_ds(60, 4, sigma=0.3, seed=15)
+    fitted = early_stopping_gd(ds, kernel, SolverConfig(max_iters=12, seed=3))
+    coef = fitted.weights if kernel.kind == "linear" else fitted.coefficients
+    assert coef.tobytes() == _gd_separate_loops(ds, kernel, 12, seed=3).tobytes()
+
+
 def test_gd_default_budget_is_sqrt_n():
     _, ds = _random_ds(100, 2, sigma=0.1, seed=14)
     default = early_stopping_gd(ds, LINEAR_KERNEL, SolverConfig(seed=0))

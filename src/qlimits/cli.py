@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: generate | fit | sweep | cost | bench. Each reads a JSON config
-file (strict: unknown keys are rejected) plus optional ``--set key=value``
-overrides with dotted paths. All numeric output is written with 17
-significant digits so downstream fits reproduce exactly.
+file plus optional ``--set key=value`` overrides with dotted paths. Config
+keys are the parameter names of the command, or of the library dataclass or
+function a block feeds (``ALIASES`` lists the few that differ); ``_build``
+rejects unknown keys and checks JSON types, and the library supplies every
+default and range check. All numeric output is written with 17 significant
+digits so downstream fits reproduce exactly.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical/solver error,
 4 benchmark timeout.
@@ -13,19 +16,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
 import sys
+import types
+import typing
+from typing import Literal
 
 from .errors import ConfigError, QlimitsError
 from .qmodel import CostModel, complexity_table, cost_log_error_solver, cost_matched_precision, cost_poly_error_solver
 from .risk import empirical_risk, expected_risk_mc
 from .scaling import (
-    BENCH_SOLVER_IDS,
-    DESK_SCALE_CAP,
     SCHEMA_VERSION,
-    NoiseSchedule,
     ProblemSpec,
     SweepConfig,
     bench_summary,
@@ -54,130 +58,122 @@ EXIT_TIMEOUT = 4
 
 
 # ---------------------------------------------------------------------------
-# strict config parsing
+# strict config reading
 
-def _check_unknown(obj: dict, allowed, context: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
+# The config key of each parameter whose key differs from its name. The
+# dotted keys are the noise block's rule objects, spread out by _flatten_rules.
+ALIASES = {
+    "dimension": "d",
+    "noise_std": "sigma",
+    "precision_scale": "a",
+    "solver_ids": "solvers",
+    "gamma_kind": "gamma_rule.kind",
+    "gamma_value": "gamma_rule.value",
+    "m_kind": "m_rule.kind",
+    "m_value": "m_rule.value",
+}
+_NAMES = {int: "an integer", float: "a finite number", str: "a string", type(None): "null"}
+
+
+def _matches(value, kind) -> bool:
+    """Whether a JSON value has the type of annotation ``kind`` (no unions)."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, list) and len(value) > 0
+    if typing.get_origin(kind) is Literal:
+        return value in typing.get_args(kind)
+    return isinstance(value, dict if dataclasses.is_dataclass(kind) else kind)
+
+
+def _describe(kind) -> str:
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(map(_describe, args))
+    if origin is tuple:
+        return f"a non-empty list, each {_describe(args[0])}"
+    if origin is Literal:
+        return f"one of {args}"
+    return _NAMES.get(kind, "an object")
+
+
+def _typed(value, kind, key: str, context: str):
+    """``value`` checked against the annotation ``kind``: ints become floats
+    for float parameters, lists become tuples, and objects (or null, for the
+    defaults) become the annotated dataclass."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        for alternative in args:
+            if _matches(value, alternative):
+                return _typed(value, alternative, key, context)
+    elif dataclasses.is_dataclass(kind) and (value is None or isinstance(value, dict)):
+        return _build(kind, value, key)
+    elif _matches(value, kind):
+        if origin is tuple:
+            return tuple(_typed(v, args[0], f"{key}[{i}]", context) for i, v in enumerate(value))
+        return float(value) if kind is float else value
+    raise ConfigError(f"field `{key}` in {context} must be {_describe(kind)}, got {value!r}")
+
+
+def _build(target, obj, context: str, **given):
+    """Call ``target``, a dataclass or function, with the JSON object ``obj``.
+
+    The keys are the target's parameter names (or their ALIASES key), less
+    the parameters that ``given`` supplies; unknown keys are rejected, unless
+    the target takes ``**kwargs``, which receives them unchecked. Each value
+    is checked against its parameter's annotation. Absent keys (or a null
+    ``obj``) take the target's defaults, and the target checks the ranges.
+    """
+    obj = {} if obj is None else obj
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be an object, got {obj!r}")
+    params = inspect.signature(target).parameters
+    hints = typing.get_type_hints(target)
+    keys = {
+        ALIASES.get(name, name): name
+        for name, p in params.items()
+        if name not in given and p.kind is not p.VAR_KEYWORD
+    }
+    rest = {k: v for k, v in obj.items() if k not in keys}
+    takes_rest = any(p.kind is p.VAR_KEYWORD for p in params.values())
+    unknown = sorted(k for k in rest if k in given or not takes_rest)
     if unknown:
         raise ConfigError(f"unknown field(s) {unknown} in {context}")
+    missing = [k for k, name in keys.items() if k not in obj and params[name].default is params[name].empty]
+    if missing:
+        raise ConfigError(f"missing required field(s) {missing} in {context}")
+    typed = {keys[k]: _typed(v, hints[keys[k]], k, context) for k, v in obj.items() if k in keys}
+    return target(**typed, **rest, **given)
 
 
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise ConfigError(f"missing required field `{key}` in {context}")
-    return obj[key]
+def _flatten_rules(noise):
+    """Spread the noise block's rule objects ``{"kind", "value"}`` (``kind``
+    required) into the dotted keys that ALIASES maps to NoiseSchedule."""
+    if not isinstance(noise, dict):
+        return noise  # null means no noise; _build rejects anything else
+    flat = {}
+    for key, value in noise.items():
+        if key not in ("gamma_rule", "m_rule"):
+            if "." in key:  # only a rule object may produce a dotted key
+                raise ConfigError(f"unknown field(s) [{key!r}] in noise")
+            flat[key] = value
+        elif value is not None:
+            if not isinstance(value, dict) or "kind" not in value:
+                raise ConfigError(f"noise.{key} must be an object with a `kind`, got {value!r}")
+            flat.update((f"{key}.{k}", v) for k, v in value.items())
+    return flat
 
 
-def _as_int(value, field: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field `{field}` must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"field `{field}` must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_float(value, field: str, minimum: float | None = None, strict: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field `{field}` must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"field `{field}` must be finite, got {value!r}")
-    if minimum is not None and (v < minimum or (strict and v == minimum)):
-        op = ">" if strict else ">="
-        raise ConfigError(f"field `{field}` must be {op} {minimum}, got {value}")
-    return v
-
-
-def _as_str(value, field: str, choices=None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"field `{field}` must be a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"field `{field}` must be one of {tuple(choices)}, got {value!r}")
-    return value
-
-
-def _as_number_list(value, field: str) -> list[float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
-    if isinstance(value, list) and value:
-        return [_as_float(v, f"{field}[{i}]") for i, v in enumerate(value)]
-    raise ConfigError(f"field `{field}` must be a number or non-empty list, got {value!r}")
-
-
-def _parse_n_grid(value, field: str = "n_grid") -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"field `{field}` must be a non-empty list of integers")
-    return tuple(_as_int(v, f"{field}[{i}]", minimum=1) for i, v in enumerate(value))
-
-
-def _parse_problem(obj, context: str = "problem") -> ProblemSpec:
-    if obj is None:
-        return ProblemSpec()
-    _check_unknown(obj, ("d", "sigma", "input_law", "seed"), context)
-    return ProblemSpec(
-        dimension=_as_int(obj.get("d", 10), "d", minimum=1),
-        noise_std=_as_float(obj.get("sigma", 0.5), "sigma", minimum=0.0),
-        input_law=_as_str(obj.get("input_law", "unit_sphere_uniform"), "input_law"),
-        seed=_as_int(obj.get("seed", 0), "seed"),
-    )
-
-
-def _parse_kernel(obj, context: str = "kernel") -> Kernel:
-    if obj is None:
-        return LINEAR_KERNEL
-    _check_unknown(obj, ("kind", "bandwidth"), context)
-    kind = _as_str(obj.get("kind", "linear"), "kernel.kind")
-    bandwidth = obj.get("bandwidth")
-    if bandwidth is not None:
-        bandwidth = _as_float(bandwidth, "kernel.bandwidth", minimum=0.0, strict=True)
-    return Kernel(kind=kind, bandwidth=bandwidth)
-
-
-def _parse_solver_config(obj, context: str = "solver_config") -> SolverConfig:
-    if obj is None:
-        return SolverConfig()
-    _check_unknown(
-        obj, ("lam", "step_size", "max_iters", "partitions", "landmarks", "seed"), context
-    )
-    lam = obj.get("lam")
-    step = obj.get("step_size")
-    iters = obj.get("max_iters")
-    landmarks = obj.get("landmarks")
-    return SolverConfig(
-        lam=None if lam is None else _as_float(lam, "lam", minimum=0.0),
-        step_size=None if step is None else _as_float(step, "step_size", minimum=0.0, strict=True),
-        max_iters=None if iters is None else _as_int(iters, "max_iters", minimum=0),
-        partitions=_as_int(obj.get("partitions", 1), "partitions", minimum=1),
-        landmarks=None if landmarks is None else _as_int(landmarks, "landmarks", minimum=1),
-        seed=_as_int(obj.get("seed", 0), "seed"),
-    )
-
-
-def _parse_rule(obj, field: str, default_kind: str, default_value) -> tuple[str, float]:
-    if obj is None:
-        return default_kind, default_value
-    _check_unknown(obj, ("kind", "value"), field)
-    kind = _as_str(_require(obj, "kind", field), f"{field}.kind")
-    value = obj.get("value", default_value)
-    return kind, value
-
-
-def _parse_noise(obj, context: str = "noise") -> NoiseSchedule | None:
-    if obj is None:
+def _env_int(name: str) -> int | None:
+    raw = os.environ.get(name)
+    if raw is None:
         return None
-    _check_unknown(obj, ("regime", "gamma_rule", "m_rule", "a"), context)
-    gamma_kind, gamma_value = _parse_rule(
-        obj.get("gamma_rule"), "noise.gamma_rule", "constant", 0.0
-    )
-    m_kind, m_value = _parse_rule(obj.get("m_rule"), "noise.m_rule", "fixed", 1)
-    return NoiseSchedule(
-        regime=_as_str(obj.get("regime", "exact"), "noise.regime"),
-        gamma_kind=gamma_kind,
-        gamma_value=_as_float(gamma_value, "noise.gamma_rule.value", minimum=0.0),
-        m_kind=m_kind,
-        m_value=_as_int(m_value, "noise.m_rule.value", minimum=1),
-        precision_scale=_as_float(obj.get("a", 1.0), "noise.a", minimum=0.0, strict=True),
-    )
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
@@ -219,32 +215,26 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _resolve_workers(cfg_value, flag_value) -> int:
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    if cfg_value is not None:
-        return _as_int(cfg_value, "workers", minimum=1)
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+def _resolve_workers(config_value, flag_value) -> int:
+    """--workers, then the config's ``workers``, then QLIMITS_WORKERS, then all cores."""
+    for value in (flag_value, config_value):
+        if value is not None:
+            return value
+    env = _env_int(WORKERS_ENV)
+    return (os.cpu_count() or 1) if env is None else env
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands; each one's parameters are its config keys
 
-def cmd_generate(cfg: dict) -> int:
-    _check_unknown(cfg, ("d", "n", "sigma", "input_law", "seed", "out"), "generate config")
-    d = _as_int(_require(cfg, "d", "generate config"), "d", minimum=1)
-    n = _as_int(_require(cfg, "n", "generate config"), "n", minimum=1)
-    sigma = _as_float(cfg.get("sigma", 0.0), "sigma", minimum=0.0)
-    input_law = _as_str(cfg.get("input_law", "unit_sphere_uniform"), "input_law")
-    seed = _as_int(cfg.get("seed", 0), "seed")
-    out = _as_str(_require(cfg, "out", "generate config"), "out")
-
+def cmd_generate(
+    d: int,
+    n: int,
+    out: str,
+    sigma: float = 0.0,
+    input_law: str = ProblemSpec.input_law,
+    seed: int = 0,
+) -> int:
     problem = make_problem(d, sigma, input_law, seed)
     dataset = sample_dataset(problem, n, seed)
     write_dataset_csv(dataset, out)
@@ -259,125 +249,97 @@ def cmd_generate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_fit(cfg: dict) -> int:
-    _check_unknown(cfg, ("dataset", "solver", "solver_config", "kernel", "problem",
-                         "n_eval", "eval_seed", "out_predictor", "out_report"), "fit config")
-    dataset_path = _as_str(_require(cfg, "dataset", "fit config"), "dataset")
-    if not os.path.exists(dataset_path):
-        raise ConfigError(f"dataset file not found: {dataset_path}")
-    solver = _as_str(_require(cfg, "solver", "fit config"), "solver")
-    out_predictor = _as_str(_require(cfg, "out_predictor", "fit config"), "out_predictor")
-    out_report = _as_str(_require(cfg, "out_report", "fit config"), "out_report")
-    kernel = _parse_kernel(cfg.get("kernel"))
-    solver_config = _parse_solver_config(cfg.get("solver_config"))
-    n_eval = _as_int(cfg.get("n_eval", 100_000), "n_eval", minimum=2)
-    eval_seed = _as_int(cfg.get("eval_seed", 0), "eval_seed")
-
-    dataset = read_dataset_csv(dataset_path)
-    predictor = fit_solver(solver, dataset, kernel, solver_config)
-    save_predictor(predictor, out_predictor)
-
+def cmd_fit(
+    dataset: str,
+    solver: str,
+    out_predictor: str,
+    out_report: str,
+    kernel: Kernel = LINEAR_KERNEL,
+    solver_config: SolverConfig = SolverConfig(),
+    problem: ProblemSpec | None = None,
+    n_eval: int = SweepConfig.n_eval,
+    eval_seed: int = 0,
+) -> int:
+    data = read_dataset_csv(dataset)
+    if problem is not None and problem.dimension != data.dimension:
+        raise ConfigError(f"problem dimension {problem.dimension} != dataset dimension {data.dimension}")
+    predictor = fit_solver(solver, data, kernel, solver_config)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
         "solver": solver,
-        "n": dataset.n_samples,
-        "d": dataset.dimension,
-        "empirical_risk": empirical_risk(predictor, dataset),
+        "n": data.n_samples,
+        "d": data.dimension,
+        "empirical_risk": empirical_risk(predictor, data),
         "expected_risk": None,
         "excess_risk": None,
         "bayes_risk": None,
     }
-    if cfg.get("problem") is not None:
-        problem_spec = _parse_problem(cfg["problem"])
-        if problem_spec.dimension != dataset.dimension:
-            raise ConfigError(
-                f"problem dimension {problem_spec.dimension} != dataset dimension "
-                f"{dataset.dimension}"
-            )
-        problem = problem_spec.build()
-        estimate = expected_risk_mc(predictor, problem, n_eval, eval_seed)
+    if problem is not None:
+        truth = problem.build()
+        estimate = expected_risk_mc(predictor, truth, n_eval, eval_seed)
         report["expected_risk"] = estimate.to_json()
-        report["excess_risk"] = estimate.value - problem.bayes_risk
-        report["bayes_risk"] = problem.bayes_risk
+        report["excess_risk"] = estimate.value - truth.bayes_risk
+        report["bayes_risk"] = truth.bayes_risk
+    save_predictor(predictor, out_predictor)
     _write_json(out_report, report)
     print(f"wrote predictor to {out_predictor} and report to {out_report}")
     return EXIT_OK
 
 
-def _sweep_config_from(cfg: dict, workers: int) -> SweepConfig:
-    return SweepConfig(
-        n_grid=_parse_n_grid(_require(cfg, "n_grid", "sweep config")),
-        trials=_as_int(cfg.get("trials", 20), "trials", minimum=1),
-        solver=_as_str(cfg.get("solver", "exact_ls"), "solver"),
-        solver_config=_parse_solver_config(cfg.get("solver_config")),
-        kernel=_parse_kernel(cfg.get("kernel")),
-        problem=_parse_problem(cfg.get("problem")),
-        noise=_parse_noise(cfg.get("noise")),
-        n_eval=_as_int(cfg.get("n_eval", 100_000), "n_eval", minimum=2),
-        master_seed=_as_int(cfg.get("master_seed", 0), "master_seed"),
-        workers=workers,
-    )
-
-
-def cmd_sweep(cfg: dict, workers_flag=None) -> int:
-    _check_unknown(cfg, ("mode", "n_grid", "trials", "solver", "solver_config", "kernel",
-                         "problem", "noise", "n_eval", "master_seed", "workers",
-                         "matching", "measurement", "out_csv", "out_json"), "sweep config")
-    mode = _as_str(cfg.get("mode", "rate"), "mode", ("rate", "matching", "measurement"))
-    out_csv = _as_str(_require(cfg, "out_csv", "sweep config"), "out_csv")
-    out_json = _as_str(_require(cfg, "out_json", "sweep config"), "out_json")
-    workers = _resolve_workers(cfg.get("workers"), workers_flag)
-    config = _sweep_config_from(cfg, workers)
-
-    echo = dataclasses.asdict(config)
-    payload = {"schema_version": SCHEMA_VERSION, "command": "sweep", "mode": mode, "config": echo}
+def cmd_sweep(
+    out_csv: str,
+    out_json: str,
+    mode: Literal["rate", "matching", "measurement"] = "rate",
+    matching: dict | None = None,
+    measurement: dict | None = None,
+    workers: int | None = None,
+    workers_flag: int | None = None,
+    **sweep,
+) -> int:
+    """The remaining keys are SweepConfig's; ``matching`` and ``measurement``
+    hold the options of matching_experiment and measurement_experiment."""
+    if "noise" in sweep:
+        sweep["noise"] = _flatten_rules(sweep["noise"])
+    config = _build(SweepConfig, sweep, "sweep config", workers=_resolve_workers(workers, workers_flag))
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "sweep",
+        "mode": mode,
+        "config": dataclasses.asdict(config),
+    }
 
     if mode == "rate":
         table = sweep_excess_risk(config, label=config.solver)
         write_sweep_csv(out_csv, [table])
         payload["summary"] = rate_summary(table)
-    elif mode == "matching":
-        opts = cfg.get("matching") or {}
-        _check_unknown(opts, ("matched_c0", "constant_gamma"), "matching options")
-        report = matching_experiment(
-            config,
-            matched_c0=_as_float(opts.get("matched_c0", 0.1), "matched_c0", minimum=0.0),
-            constant_gamma=_as_float(opts.get("constant_gamma", 0.3), "constant_gamma", minimum=0.0),
-        )
-        write_sweep_csv(out_csv, report.arm_tables().values())
-        payload["summary"] = matching_summary(report)
-        payload["ratios"] = {
-            "matched": report.ratios("matched"),
-            "constant": report.ratios("constant"),
-        }
     else:
-        opts = cfg.get("measurement") or {}
-        _check_unknown(opts, ("regime", "budget_rule", "degraded_rule"), "measurement options")
-        report = measurement_experiment(
-            config,
-            regime=_as_str(opts.get("regime", "heisenberg"), "regime"),
-            budget_rule=_as_str(opts.get("budget_rule", "sqrt_n"), "budget_rule"),
-            degraded_rule=_as_str(opts.get("degraded_rule", "fourth_root_n"), "degraded_rule"),
-        )
+        experiment, options, summary, arms = {
+            "matching": (matching_experiment, matching, matching_summary, ("matched", "constant")),
+            "measurement": (measurement_experiment, measurement, measurement_summary,
+                            ("budget", "degraded")),
+        }[mode]
+        report = _build(experiment, options, f"{mode} options", config=config)
         write_sweep_csv(out_csv, report.arm_tables().values())
-        payload["summary"] = measurement_summary(report)
-        payload["ratios"] = {
-            "budget": report.ratios("budget"),
-            "degraded": report.ratios("degraded"),
-        }
+        payload["summary"] = summary(report)
+        payload["ratios"] = {arm: report.ratios(arm) for arm in arms}
     _write_json(out_json, payload)
     print(f"wrote {out_csv} and {out_json}")
     return EXIT_OK
 
 
-def cmd_cost(cfg: dict) -> int:
-    _check_unknown(cfg, ("algorithm", "kappa", "gamma", "n", "frobenius",
-                         "beta", "c", "out"), "cost config")
-    algorithm = _as_str(_require(cfg, "algorithm", "cost config"), "algorithm",
-                        ("table", "log_error", "poly_error", "matched"))
-    out = _as_str(_require(cfg, "out", "cost config"), "out")
-
+def cmd_cost(
+    algorithm: Literal["table", "log_error", "poly_error", "matched"],
+    out: str,
+    kappa: float | tuple[float, ...] = CostModel.condition_number,
+    gamma: float | tuple[float, ...] = CostModel.solver_error,
+    n: int | tuple[int, ...] = CostModel.n,
+    frobenius: float | Literal["sqrt_n"] = "sqrt_n",
+    beta: float | None = None,
+    c: float | None = None,
+) -> int:
+    """``kappa``, ``gamma`` and ``n`` are a value or a list; the rows run over
+    every combination. ``matched`` reads ``beta`` and ``c`` and pins gamma."""
     if algorithm == "table":
         rows = [
             (e.algorithm, str(e.train_exponent), str(e.test_exponent),
@@ -389,85 +351,43 @@ def cmd_cost(cfg: dict) -> int:
         print(f"wrote {len(rows)} ladder rows to {out}")
         return EXIT_OK
 
-    kappas = _as_number_list(cfg.get("kappa", 1.0), "kappa")
-    ns = [int(v) for v in _as_number_list(cfg.get("n", 2), "n")]
+    def listed(value) -> tuple:
+        return value if isinstance(value, tuple) else (value,)
+
     rows = []
-    if algorithm == "matched":
-        beta = _as_float(_require(cfg, "beta", "cost config"), "beta", minimum=0.0, strict=True)
-        c = _as_float(_require(cfg, "c", "cost config"), "c", minimum=0.0, strict=True)
-        for n in ns:
-            for kappa in kappas:
-                model = CostModel(condition_number=kappa, n=n,
+    for size in listed(n):
+        for k in listed(kappa):
+            if algorithm == "matched":
+                model = CostModel(condition_number=k, n=size,
                                   error_exponent=beta, condition_exponent=c)
-                rows.append(("matched", n, kappa, float(n) ** -0.5,
+                rows.append(("matched", size, k, float(size) ** -0.5,
                              cost_matched_precision(model)))
-    else:
-        gammas = _as_number_list(cfg.get("gamma", 0.5), "gamma")
-        for g in gammas:
-            if not 0.0 < g < 1.0:
-                raise ConfigError(f"field `gamma` must lie in (0, 1), got {g}")
-        frob = cfg.get("frobenius", "sqrt_n")
-        for n in ns:
-            if frob == "sqrt_n":
-                frob_value = math.sqrt(n)
-            else:
-                frob_value = _as_float(frob, "frobenius", minimum=0.0, strict=True)
-            for kappa in kappas:
-                for g in gammas:
-                    model = CostModel(condition_number=kappa, frobenius_norm=frob_value,
-                                      n=n, solver_error=g)
-                    cost = (cost_log_error_solver(model) if algorithm == "log_error"
-                            else cost_poly_error_solver(model))
-                    rows.append((algorithm, n, kappa, g, cost))
+                continue
+            frob = math.sqrt(size) if frobenius == "sqrt_n" else frobenius
+            for g in listed(gamma):
+                model = CostModel(condition_number=k, frobenius_norm=frob, n=size, solver_error=g)
+                cost = (cost_log_error_solver(model) if algorithm == "log_error"
+                        else cost_poly_error_solver(model))
+                rows.append((algorithm, size, k, g, cost))
     write_csv(out, ("algorithm", "n", "kappa", "gamma", "cost_units"), rows)
     print(f"wrote {len(rows)} cost rows to {out}")
     return EXIT_OK
 
 
-def cmd_bench(cfg: dict) -> int:
-    _check_unknown(cfg, ("solvers", "n_grid", "reps", "d", "sigma", "kernel", "lam",
-                         "test_points", "timeout_s", "cap", "master_seed",
-                         "timer_window", "out_csv", "out_json"), "bench config")
-    out_csv = _as_str(_require(cfg, "out_csv", "bench config"), "out_csv")
-    out_json = _as_str(_require(cfg, "out_json", "bench config"), "out_json")
-    solvers = cfg.get("solvers", list(BENCH_SOLVER_IDS))
-    if not isinstance(solvers, list) or not solvers:
-        raise ConfigError("field `solvers` must be a non-empty list")
-    n_grid = _parse_n_grid(cfg.get("n_grid", [256, 512, 1024, 2048, 4096]))
-    cap_default = DESK_SCALE_CAP
-    env_cap = os.environ.get(BENCH_CAP_ENV)
+def cmd_bench(out_csv: str, out_json: str, **options) -> int:
+    """The remaining keys are runtime_benchmark's; QLIMITS_BENCH_CAP sets the
+    default ``cap``."""
+    env_cap = _env_int(BENCH_CAP_ENV)
     if env_cap is not None:
-        try:
-            cap_default = int(env_cap)
-        except ValueError as exc:
-            raise ConfigError(f"{BENCH_CAP_ENV} must be an integer, got {env_cap!r}") from exc
-    cap = _as_int(cfg.get("cap", cap_default), "cap", minimum=1)
-    if max(n_grid) > cap:
-        raise ConfigError(f"n_grid maximum {max(n_grid)} exceeds desk-scale cap {cap}")
-    reps = _as_int(cfg.get("reps", 5), "reps", minimum=1)
-    if reps == 1:
+        options.setdefault("cap", env_cap)
+    report = _build(runtime_benchmark, options, "bench config")
+    if report.reps == 1:
         print("warning: reps=1 gives a single timing sample per cell", file=sys.stderr)
-    lam = cfg.get("lam")
-
-    report = runtime_benchmark(
-        solver_ids=[_as_str(s, "solvers[]") for s in solvers],
-        n_grid=n_grid,
-        reps=reps,
-        dimension=_as_int(cfg.get("d", 10), "d", minimum=1),
-        noise_std=_as_float(cfg.get("sigma", 0.5), "sigma", minimum=0.0),
-        kernel=_parse_kernel(cfg.get("kernel")),
-        test_points=_as_int(cfg.get("test_points", 1000), "test_points", minimum=1),
-        timeout_s=_as_float(cfg.get("timeout_s", 120.0), "timeout_s", minimum=0.0, strict=True),
-        master_seed=_as_int(cfg.get("master_seed", 0), "master_seed"),
-        lam=None if lam is None else _as_float(lam, "lam", minimum=0.0),
-        timer_window=_as_float(cfg.get("timer_window", 0.2), "timer_window",
-                               minimum=0.0, strict=True),
-    )
     write_bench_csv(out_csv, report)
     _write_json(out_json, {
         "schema_version": SCHEMA_VERSION,
         "command": "bench",
-        "reps": reps,
+        "reps": report.reps,
         "summary": bench_summary(report),
         "train_fits": {sid: fit.to_json() for sid, fit in report.train_fits.items()},
         "test_fits": {sid: fit.to_json() for sid, fit in report.test_fits.items()},
@@ -477,6 +397,15 @@ def cmd_bench(cfg: dict) -> int:
         print("warning: one or more benchmark cells timed out", file=sys.stderr)
         return EXIT_TIMEOUT
     return EXIT_OK
+
+
+COMMANDS = {
+    "generate": cmd_generate,
+    "fit": cmd_fit,
+    "sweep": cmd_sweep,
+    "cost": cmd_cost,
+    "bench": cmd_bench,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +437,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    given = {"workers_flag": args.workers} if args.command == "sweep" else {}
     try:
         cfg = _load_config(args.config, args.set)
-        if args.command == "generate":
-            return cmd_generate(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, workers_flag=args.workers)
-        if args.command == "cost":
-            return cmd_cost(cfg)
-        return cmd_bench(cfg)
+        return _build(COMMANDS[args.command], cfg, f"{args.command} config", **given)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -156,7 +156,7 @@ class CostModel:
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if not (np.isfinite(self.solver_error) and self.solver_error > 0):
-            raise ConfigError(f"solver_error must be > 0, got {self.solver_error}")
+            raise ConfigError(f"solver_error (gamma) must be > 0, got {self.solver_error}")
 
 
 def _log_factor(x: float) -> float:
@@ -167,7 +167,7 @@ def _log_factor(x: float) -> float:
 def _require_error_below_one(model: CostModel) -> None:
     if model.solver_error >= 1.0:
         raise ConfigError(
-            f"solver_error must be < 1 for cost evaluation, got {model.solver_error}"
+            f"solver_error (gamma) must be < 1 for cost evaluation, got {model.solver_error}"
         )
 
 

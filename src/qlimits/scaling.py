@@ -452,8 +452,8 @@ def _timed_call(fn, min_time: float = BENCH_TIMER_WINDOW):
 
 
 def runtime_benchmark(
-    solver_ids=BENCH_SOLVER_IDS,
-    n_grid=(256, 512, 1024, 2048, 4096),
+    solver_ids: tuple[str, ...] = BENCH_SOLVER_IDS,
+    n_grid: tuple[int, ...] = (256, 512, 1024, 2048, 4096),
     reps: int = 5,
     dimension: int = 10,
     noise_std: float = 0.5,
@@ -463,6 +463,7 @@ def runtime_benchmark(
     master_seed: int = 0,
     lam: float | None = None,
     timer_window: float = BENCH_TIMER_WINDOW,
+    cap: int = DESK_SCALE_CAP,
 ) -> BenchReport:
     """Median wall-clock train/test times and fitted growth exponents.
 
@@ -471,17 +472,22 @@ def runtime_benchmark(
     by contention or thread spin-up. It raises QlimitsError, naming the
     library, when one thread cannot be set and verified. The per-cell
     timeout is enforced between repetitions, not preemptively: a cell whose
-    budget is exhausted is flagged and excluded from the fits.
+    budget is exhausted is flagged and excluded from the fits. ``cap`` bounds
+    the largest n, keeping the ladder at desk scale.
     """
     ids = tuple(solver_ids)
     for sid in ids:
         if sid not in SOLVER_IDS:
             raise ConfigError(f"unknown solver {sid!r}, expected one of {SOLVER_IDS}")
     grid = tuple(int(n) for n in n_grid)
-    if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"n_grid must be >= 3 strictly increasing sizes, got {grid}")
+    if len(grid) < 3 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"n_grid must be >= 3 strictly increasing positive sizes, got {grid}")
+    if grid[-1] > cap:
+        raise ConfigError(f"n_grid maximum {grid[-1]} exceeds desk-scale cap {cap}")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
+    if not (timeout_s > 0 and timer_window > 0):
+        raise ConfigError(f"timeout_s and timer_window must be > 0, got {timeout_s}, {timer_window}")
     problem = make_problem(dimension, noise_std, seed=master_seed)
     test_x = sample_dataset(
         problem, test_points, derive_seed(master_seed, "bench-test")

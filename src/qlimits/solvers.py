@@ -74,10 +74,15 @@ class Kernel:
 
     @staticmethod
     def from_json(obj: dict) -> "Kernel":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"kernel must be an object, got {obj!r}")
         extra = set(obj) - {"kind", "bandwidth"}
         if extra:
             raise ConfigError(f"unknown kernel fields: {sorted(extra)}")
-        return Kernel(kind=obj.get("kind", "linear"), bandwidth=obj.get("bandwidth"))
+        bandwidth = obj.get("bandwidth")
+        if bandwidth is not None and type(bandwidth) not in (int, float):
+            raise ConfigError(f"kernel field `bandwidth` must be a number, got {bandwidth!r}")
+        return Kernel(kind=obj.get("kind", "linear"), bandwidth=bandwidth)
 
 
 LINEAR_KERNEL = Kernel("linear")
@@ -434,23 +439,30 @@ def predictor_to_json(predictor: Predictor) -> dict:
     }
 
 
+_PREDICTOR_FIELDS = {"primal": ("weights",), "dual": ("coefficients", "landmarks", "kernel")}
+
+
 def predictor_from_json(obj: dict) -> Predictor:
-    form = obj.get("form")
+    form = obj.get("form") if isinstance(obj, dict) else None
+    if form not in _PREDICTOR_FIELDS:
+        raise ConfigError(f"unknown predictor form {form!r}")
+    fields = _PREDICTOR_FIELDS[form]
+    if set(obj) != {"form", *fields}:
+        raise ConfigError(f"{form} predictor needs fields {list(fields)}, got {sorted(set(obj) - {'form'})}")
+
+    def array(field: str) -> np.ndarray:
+        try:
+            return np.asarray(obj[field], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"predictor field `{field}` must be numbers, got {obj[field]!r}") from exc
+
     if form == "primal":
-        extra = set(obj) - {"form", "weights"}
-        if extra:
-            raise ConfigError(f"unknown predictor fields: {sorted(extra)}")
-        return PrimalPredictor(weights=np.asarray(obj["weights"], dtype=np.float64))
-    if form == "dual":
-        extra = set(obj) - {"form", "coefficients", "landmarks", "kernel"}
-        if extra:
-            raise ConfigError(f"unknown predictor fields: {sorted(extra)}")
-        return DualPredictor(
-            coefficients=np.asarray(obj["coefficients"], dtype=np.float64),
-            landmarks=np.asarray(obj["landmarks"], dtype=np.float64),
-            kernel=Kernel.from_json(obj["kernel"]),
-        )
-    raise ConfigError(f"unknown predictor form {form!r}")
+        return PrimalPredictor(weights=array("weights"))
+    return DualPredictor(
+        coefficients=array("coefficients"),
+        landmarks=array("landmarks"),
+        kernel=Kernel.from_json(obj["kernel"]),
+    )
 
 
 def save_predictor(predictor: Predictor, path) -> None:

@@ -145,7 +145,7 @@ def _sample_inputs(problem: SyntheticProblem, n: int, rng: np.random.Generator) 
 def sample_dataset(problem: SyntheticProblem, n: int, seed: int = 0) -> Dataset:
     """n i.i.d. samples; bit-identical for a fixed (problem, n, seed)."""
     if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"sample size `n` must be >= 1, got {n}")
     rng = child_rng(seed, "dataset")
     x = _sample_inputs(problem, n, rng)
     clean = x @ problem.target_weights

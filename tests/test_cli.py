@@ -156,6 +156,22 @@ def test_fit_unknown_solver_exits_config(tmp_path, capsys):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("problem", [{"d": 0}, {"bogus": 1}, {"d": 2}])
+def test_fit_rejected_config_writes_no_file(tmp_path, problem):
+    data = tmp_path / "train.csv"
+    write_dataset_csv(sample_dataset(make_problem(3, 0.1, seed=1), 10, seed=2), data)
+    payload = {
+        "dataset": str(data),
+        "solver": "exact_ls",
+        "problem": problem,
+        "out_predictor": str(tmp_path / "p.json"),
+        "out_report": str(tmp_path / "r.json"),
+    }
+    assert _run(tmp_path, "fit", payload) == 2
+    assert not (tmp_path / "p.json").exists()
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_fit_missing_dataset(tmp_path, capsys):
     payload = {
         "dataset": str(tmp_path / "absent.csv"),
@@ -249,10 +265,39 @@ def test_sweep_unknown_key_rejected(tmp_path, capsys):
         {"mode": "measurement", "measurement": {"regime": "exact"}},
         {"mode": "measurement", "measurement": {"regime": "bogus"}},
         {"mode": "measurement", "measurement": {"degraded_rule": "cubic"}},
+        {"workers_flag": 2},
     ],
 )
 def test_sweep_rejects_unknown_names(tmp_path, override):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path, **override)) == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"problem": []},
+        {"solver_config": 5},
+        {"noise": 3},
+        {"noise": {"gamma_rule": 2}},
+    ],
+)
+def test_sweep_rejects_non_object_blocks(tmp_path, override, capsys):
+    assert _run(tmp_path, "sweep", _sweep_payload(tmp_path, **override)) == 2
+    assert "object" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, env", [(["--workers", "0"], None), (["--workers", "-3"], None), ([], "0")]
+)
+def test_sweep_rejects_workers_below_one(tmp_path, monkeypatch, capsys, flag, env):
+    payload = _sweep_payload(tmp_path)
+    del payload["workers"]
+    if env is not None:
+        monkeypatch.setenv("QLIMITS_WORKERS", env)
+    assert _run(tmp_path, "sweep", payload, *flag) == 2
+    assert "workers" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -316,6 +361,15 @@ def test_cost_rejects_error_of_one(tmp_path, capsys):
     payload = {"algorithm": "log_error", "gamma": 1.0, "n": [64], "out": str(tmp_path / "c.csv")}
     assert _run(tmp_path, "cost", payload) == 2
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [[1024.5], 0.5, 2.0])
+def test_cost_rejects_non_integer_n(tmp_path, n, capsys):
+    out = tmp_path / "c.csv"
+    payload = {"algorithm": "poly_error", "gamma": 0.1, "n": n, "out": str(out)}
+    assert _run(tmp_path, "cost", payload) == 2
+    assert "`n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cost_matched_grid(tmp_path):

@@ -346,6 +346,22 @@ def test_runtime_benchmark_validation():
         runtime_benchmark(n_grid=(64, 128, 256), reps=0)
 
 
+@pytest.mark.parametrize(
+    "options, match",
+    [
+        ({"n_grid": (256, 512, 16384)}, "cap 8192"),
+        ({"n_grid": (64, 128, 256), "cap": 128}, "cap 128"),
+        ({"n_grid": (0, 64, 128)}, "positive"),
+        ({"n_grid": (64, 128, 256), "timeout_s": 0.0}, "timeout_s"),
+        ({"n_grid": (64, 128, 256), "timer_window": 0.0}, "timer_window"),
+    ],
+)
+def test_runtime_benchmark_rejects_before_timing(monkeypatch, options, match):
+    monkeypatch.setattr("qlimits.scaling.single_blas_thread", None)  # never reached
+    with pytest.raises(ConfigError, match=match):
+        runtime_benchmark(solver_ids=("exact_ls",), **options)
+
+
 # ---------------------------------------------------------------------------
 # report files
 

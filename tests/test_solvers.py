@@ -402,6 +402,18 @@ def test_predictor_json_roundtrip():
         predictor_from_json({"form": "sparse"})
     with pytest.raises(ConfigError):
         predictor_from_json({"form": "primal", "weights": [1.0], "bias": 0.5})
+    dual_json = predictor_to_json(dual)
+    for bad, field in (
+        ({"form": "primal"}, "weights"),
+        ({"form": "primal", "weights": ["a"]}, "weights"),
+        ({"form": "primal", "weights": [[1.0], [2.0, 3.0]]}, "weights"),
+        ({k: v for k, v in dual_json.items() if k != "kernel"}, "kernel"),
+        ({**dual_json, "landmarks": "x"}, "landmarks"),
+        ({**dual_json, "kernel": {"kind": "gaussian", "bandwidth": "1"}}, "bandwidth"),
+        ({**dual_json, "kernel": ["gaussian"]}, "kernel"),
+    ):
+        with pytest.raises(ConfigError, match=field):
+            predictor_from_json(bad)
 
 
 def test_solver_config_validation():

@@ -22,6 +22,7 @@ from .qmodel import (
     CostModel,
     NoiseModel,
     algorithmic_error_bound_check,
+    apply_channels,
     complexity_entry,
     complexity_table,
     cost_log_error_solver,
@@ -37,6 +38,7 @@ from .risk import (
     empirical_risk,
     excess_risk,
     expected_risk_mc,
+    expected_risks_mc,
     generalization_gap,
     pairwise_sum,
     stable_mean,

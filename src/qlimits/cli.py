@@ -287,6 +287,19 @@ def cmd_fit(
     return EXIT_OK
 
 
+def _write_tables(out_csv: str, tables) -> None:
+    """Write the sweep CSV, then one stderr line per arm and n with failed cells."""
+    write_sweep_csv(out_csv, tables)
+    for table in tables:
+        for row in table.rows:
+            if row.trials_failed:
+                causes = "; ".join(
+                    f"{kind} x{count}: {message}" for kind, count, message in row.failures
+                )
+                print(f"warning: {table.label} n={row.n}: {row.trials_failed} of "
+                      f"{row.trials_ok + row.trials_failed} cells failed; {causes}", file=sys.stderr)
+
+
 def cmd_sweep(
     out_csv: str,
     out_json: str,
@@ -311,7 +324,7 @@ def cmd_sweep(
 
     if mode == "rate":
         table = sweep_excess_risk(config, label=config.solver)
-        write_sweep_csv(out_csv, [table])
+        _write_tables(out_csv, [table])
         payload["summary"] = rate_summary(table)
     else:
         experiment, options, summary, arms = {
@@ -320,7 +333,7 @@ def cmd_sweep(
                             ("budget", "degraded")),
         }[mode]
         report = _build(experiment, options, f"{mode} options", config=config)
-        write_sweep_csv(out_csv, report.arm_tables().values())
+        _write_tables(out_csv, report.arm_tables().values())
         payload["summary"] = summary(report)
         payload["ratios"] = {arm: report.ratios(arm) for arm in arms}
     _write_json(out_json, payload)
@@ -363,6 +376,8 @@ def cmd_cost(
                 rows.append(("matched", size, k, float(size) ** -0.5,
                              cost_matched_precision(model)))
                 continue
+            if frobenius == "sqrt_n" and size < 1:
+                raise ConfigError(f"`n` must be >= 1 for frobenius \"sqrt_n\", got {size}")
             frob = math.sqrt(size) if frobenius == "sqrt_n" else frobenius
             for g in listed(gamma):
                 model = CostModel(condition_number=k, frobenius_norm=frob, n=size, solver_error=g)

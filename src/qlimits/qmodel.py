@@ -82,14 +82,17 @@ def tomography_estimate(weights: np.ndarray, noise: NoiseModel) -> np.ndarray:
     return w + tau * u
 
 
+def apply_channels(weights: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Solver perturbation, then tomography readout, of exact solve weights."""
+    w = perturb_solution(weights, noise.solver_error, seed=noise.seed)
+    return tomography_estimate(w, noise)
+
+
 def quantum_ls_pipeline(
     dataset: Dataset, lam: float | None, noise: NoiseModel
 ) -> PrimalPredictor:
-    """Exact Tikhonov solve, then solver perturbation, then tomography readout."""
-    w = exact_ls(dataset, lam).weights
-    w = perturb_solution(w, noise.solver_error, seed=noise.seed)
-    w = tomography_estimate(w, noise)
-    return PrimalPredictor(weights=w)
+    """Exact Tikhonov solve, then the two error channels."""
+    return PrimalPredictor(weights=apply_channels(exact_ls(dataset, lam).weights, noise))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ reproducible across platforms.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,20 +76,36 @@ def empirical_risk(predictor: Predictor, dataset: Dataset) -> float:
     return stable_mean(_squared_errors(predictor, dataset))
 
 
+def expected_risks_mc(
+    predictors: Sequence[Predictor],
+    problem: SyntheticProblem,
+    n_eval: int = 100_000,
+    seed: int = 0,
+) -> tuple[RiskEstimate, ...]:
+    """Unbiased risk estimates of every predictor, all on one fresh sample of
+    ``n_eval`` points; each equals ``expected_risk_mc`` of that predictor."""
+    if n_eval < 2:
+        raise ConfigError(f"n_eval must be >= 2, got {n_eval}")
+    for predictor in predictors:
+        _check_dims(predictor, problem.dimension)
+    fresh = sample_dataset(problem, n_eval, seed)
+    estimates = []
+    for predictor in predictors:
+        losses = np.sort(_squared_errors(predictor, fresh))
+        value = pairwise_sum(losses) / n_eval
+        variance = pairwise_sum(np.sort((losses - value) ** 2)) / (n_eval - 1)
+        estimates.append(
+            RiskEstimate(value=value, std_error=float(np.sqrt(variance / n_eval)), n_eval=n_eval)
+        )
+    return tuple(estimates)
+
+
 def expected_risk_mc(
     predictor: Predictor, problem: SyntheticProblem, n_eval: int = 100_000, seed: int = 0
 ) -> RiskEstimate:
     """Unbiased risk estimate on a fresh sample of ``n_eval`` points."""
-    if n_eval < 2:
-        raise ConfigError(f"n_eval must be >= 2, got {n_eval}")
-    _check_dims(predictor, problem.dimension)
-    fresh = sample_dataset(problem, n_eval, seed)
-    losses = np.sort(_squared_errors(predictor, fresh))
-    value = pairwise_sum(losses) / n_eval
-    variance = pairwise_sum(np.sort((losses - value) ** 2)) / (n_eval - 1)
-    return RiskEstimate(
-        value=value, std_error=float(np.sqrt(variance / n_eval)), n_eval=n_eval
-    )
+    (estimate,) = expected_risks_mc((predictor,), problem, n_eval, seed)
+    return estimate
 
 
 def excess_risk(

@@ -4,9 +4,14 @@ Sweeps evaluate a solver over a grid of training sizes, many seeded trials
 per size, and aggregate excess risk by median and interquartile range.
 All per-cell randomness is derived from the master seed and the cell's
 (n, trial) coordinates, so results are bit-identical across reruns and
-independent of serial vs parallel execution. Paired experiments (noisy vs
-exact solver) share dataset, evaluation, and noise-direction streams per
-cell so that ratios isolate the injected error.
+independent of serial vs parallel execution.
+
+A sweep scores one or more arms, and all of them share each (n, trial)
+cell: one training draw, one solve, one evaluation sample. The exact arm
+scores the solve itself; a noisy arm passes its weights through the error
+channels, seeded by the cell's one noise stream. The paired experiments
+(exact vs noisy solver) are three-arm sweeps, so their ratios isolate the
+injected error, and each arm's table equals that of a sweep of the arm alone.
 """
 
 from __future__ import annotations
@@ -18,14 +23,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .blas import single_blas_thread
-from .errors import ConfigError, QlimitsError
-from .qmodel import NoiseModel, quantum_ls_pipeline
-from .risk import expected_risk_mc
+from .errors import ConfigError, NumericalError, QlimitsError
+# quantum_ls_pipeline and expected_risk_mc are not called here since arms
+# share cells; they stay importable from this module, whose names
+# perfbench's tracer wraps.
+from .qmodel import NoiseModel, apply_channels, quantum_ls_pipeline
+from .risk import expected_risk_mc, expected_risks_mc
 from .rng import derive_seed
 from .solvers import (  # the five solvers are called by name, through fit_solver
     LINEAR_KERNEL,
     Kernel,
     Predictor,
+    PrimalPredictor,
     SolverConfig,
     ceil_sqrt,
     divide_and_conquer,
@@ -174,6 +183,9 @@ class SweepRow:
     median_std_error: float
     trials_ok: int
     trials_failed: int
+    # (exception type, cells it failed, its first message) in order of first
+    # failure; the CLI prints it to stderr, it is never written to CSV or JSON
+    failures: tuple[tuple[str, int, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -206,60 +218,102 @@ def fit_solver(
     return fit(dataset, kernel, config)
 
 
-def _sweep_cell(task: tuple[SweepConfig, int, int]):
-    """One (n, trial) cell; returns (ok, excess, std_error, message)."""
-    config, n, trial = task
+def _failed(exc: QlimitsError) -> tuple:
+    return float("nan"), float("nan"), (type(exc).__name__, str(exc))
+
+
+def _sweep_cell(task: tuple[SweepConfig, tuple[NoiseSchedule | None, ...], int, int]) -> tuple:
+    """One (n, trial) cell scored for every arm; ``config.noise`` is not read.
+
+    The cell draws its training set, fits ``config.solver`` and draws its
+    evaluation sample once. An arm of None scores the fit; a NoiseSchedule
+    arm scores the fit's weights after the error channels, so it needs
+    exact_ls. Returns one (excess, std_error, error) per arm, ``error`` being
+    None or (exception type, message). A failed draw, fit or evaluation fails
+    every arm; a failed channel fails its own arm only.
+    """
+    config, arms, n, trial = task
+    seed = config.master_seed
     try:
         problem = config.problem.build()
-        dataset = sample_dataset(
-            problem, n, derive_seed(config.master_seed, "data", n, trial)
-        )
-        if config.noise is None:
-            predictor = fit_solver(config.solver, dataset, config.kernel, config.solver_config)
-        else:
-            noise = config.noise.noise_for(n, derive_seed(config.master_seed, "noise", n, trial))
-            predictor = quantum_ls_pipeline(dataset, config.solver_config.lam, noise)
-        estimate = expected_risk_mc(
-            predictor, problem, config.n_eval,
-            seed=derive_seed(config.master_seed, "eval", n, trial),
-        )
-        return True, estimate.value - problem.bayes_risk, estimate.std_error, ""
+        dataset = sample_dataset(problem, n, derive_seed(seed, "data", n, trial))
+        fitted = fit_solver(config.solver, dataset, config.kernel, config.solver_config)
     except QlimitsError as exc:
-        return False, float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
+        return (_failed(exc),) * len(arms)
+    noisy = any(arm is not None for arm in arms)
+    noise_seed = derive_seed(seed, "noise", n, trial) if noisy else None  # shared by the arms
+    outcomes, predictors = {}, {}
+    for i, arm in enumerate(arms):
+        try:
+            predictors[i] = fitted if arm is None else PrimalPredictor(
+                weights=apply_channels(fitted.weights, arm.noise_for(n, noise_seed))
+            )
+        except QlimitsError as exc:
+            outcomes[i] = _failed(exc)
+    if predictors:
+        try:
+            estimates = expected_risks_mc(
+                tuple(predictors.values()), problem, config.n_eval,
+                seed=derive_seed(seed, "eval", n, trial),
+            )
+            scored = [(e.value - problem.bayes_risk, e.std_error, None) for e in estimates]
+        except QlimitsError as exc:
+            scored = [_failed(exc)] * len(predictors)
+        outcomes.update(zip(predictors, scored))
+    return tuple(outcomes[i] for i in range(len(arms)))
+
+
+def _sweep_row(n: int, outcomes: list[tuple]) -> SweepRow:
+    ok = [(v, se) for v, se, error in outcomes if error is None]
+    errors = [error for _, _, error in outcomes if error is not None]
+    by_kind = {}  # exception type -> (count, first message)
+    for kind, message in errors:
+        count, first = by_kind.get(kind, (0, message))
+        by_kind[kind] = (count + 1, first)
+    failures = tuple((kind, count, first) for kind, (count, first) in by_kind.items())
+    if not ok:
+        return SweepRow(n, float("nan"), float("nan"), float("nan"), 0, len(errors), failures)
+    values = np.array([v for v, _ in ok])
+    return SweepRow(
+        n=n,
+        median_excess=float(np.median(values)),
+        iqr_excess=float(np.percentile(values, 75) - np.percentile(values, 25)),
+        median_std_error=float(np.median(np.array([se for _, se in ok]))),
+        trials_ok=len(ok),
+        trials_failed=len(errors),
+        failures=failures,
+    )
+
+
+def _sweep_arms(
+    config: SweepConfig, arms: tuple[tuple[str, NoiseSchedule | None], ...]
+) -> tuple[SweepTable, ...]:
+    """One pass over the cells of ``config``, scoring every (label, arm) pair
+    (see _sweep_cell); one table per arm, failed cells flagged, not fatal."""
+    schedules = tuple(arm for _, arm in arms)
+    tasks = [(config, schedules, n, t) for n in config.n_grid for t in range(config.trials)]
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            cells = list(pool.map(_sweep_cell, tasks, chunksize=4))
+    else:
+        cells = [_sweep_cell(t) for t in tasks]
+    t = config.trials
+    return tuple(
+        SweepTable(
+            label=label,
+            rows=tuple(
+                _sweep_row(n, [cell[i] for cell in cells[k * t:(k + 1) * t]])
+                for k, n in enumerate(config.n_grid)
+            ),
+        )
+        for i, (label, _) in enumerate(arms)
+    )
 
 
 def sweep_excess_risk(config: SweepConfig, label: str = "sweep") -> SweepTable:
     """Median/IQR excess risk per grid size; failed cells flagged, not fatal."""
-    tasks = [(config, n, t) for n in config.n_grid for t in range(config.trials)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_sweep_cell, tasks, chunksize=4))
-    else:
-        outcomes = [_sweep_cell(t) for t in tasks]
-
-    rows = []
-    per_n = {n: [] for n in config.n_grid}
-    for (_, n, _t), outcome in zip(tasks, outcomes):
-        per_n[n].append(outcome)
-    for n in config.n_grid:
-        ok = [(v, se) for good, v, se, _ in per_n[n] if good]
-        failed = config.trials - len(ok)
-        if ok:
-            values = np.array([v for v, _ in ok])
-            errors = np.array([se for _, se in ok])
-            rows.append(
-                SweepRow(
-                    n=n,
-                    median_excess=float(np.median(values)),
-                    iqr_excess=float(np.percentile(values, 75) - np.percentile(values, 25)),
-                    median_std_error=float(np.median(errors)),
-                    trials_ok=len(ok),
-                    trials_failed=failed,
-                )
-            )
-        else:
-            rows.append(SweepRow(n, float("nan"), float("nan"), float("nan"), 0, failed))
-    return SweepTable(label=label, rows=tuple(rows))
+    (table,) = _sweep_arms(config, ((label, config.noise),))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +371,23 @@ def fit_scaling(pairs) -> ScalingFit:
 # ---------------------------------------------------------------------------
 # paired experiments
 
+def _require_resolved(label: str, row: SweepRow) -> None:
+    """A median excess risk <= 0 means the Monte Carlo error of the
+    evaluation exceeds the excess risk: a numerical outcome, not a bad config."""
+    if not row.median_excess > 0:
+        raise NumericalError(
+            f"{label}: median excess risk {row.median_excess!r} at n={row.n} is not positive, "
+            "so the evaluation sample cannot resolve it; use a larger n_eval"
+        )
+
+
+def _resolved_medians(table: SweepTable) -> list[tuple[int, float]]:
+    for row in table.rows:
+        if row.trials_ok:
+            _require_resolved(table.label, row)
+    return table.medians()
+
+
 def _ratios(exact: SweepTable, arm: SweepTable) -> list[tuple[int, float]]:
     """Per-n median excess risk of ``arm`` over ``exact``; 1.0 where they are
     equal, which covers the degenerate zero-injection arm exactly."""
@@ -346,18 +417,17 @@ class MatchingReport:
 def matching_experiment(
     config: SweepConfig, matched_c0: float = 0.1, constant_gamma: float = 0.3
 ) -> MatchingReport:
-    """Paired sweeps: exact solve vs solver-error schedules gamma = c0 * n^(-1/2)
-    and gamma = constant, all sharing per-cell data/eval/direction streams."""
-    base = replace(config, noise=None, solver="exact_ls")
-    matched_schedule = NoiseSchedule(gamma_kind="matched", gamma_value=matched_c0)
-    constant_schedule = NoiseSchedule(gamma_value=constant_gamma)
-    return MatchingReport(
-        exact=sweep_excess_risk(base, "exact"),
-        matched=sweep_excess_risk(replace(base, noise=matched_schedule), "matched"),
-        constant=sweep_excess_risk(replace(base, noise=constant_schedule), "constant"),
-        matched_c0=matched_c0,
-        constant_gamma=constant_gamma,
+    """Exact solve vs solver-error schedules gamma = c0 * n^(-1/2) and
+    gamma = constant: one three-arm sweep, so the arms share every cell."""
+    exact, matched, constant = _sweep_arms(
+        replace(config, noise=None, solver="exact_ls"),
+        (
+            ("exact", None),
+            ("matched", NoiseSchedule(gamma_kind="matched", gamma_value=matched_c0)),
+            ("constant", NoiseSchedule(gamma_value=constant_gamma)),
+        ),
     )
+    return MatchingReport(exact, matched, constant, matched_c0, constant_gamma)
 
 
 @dataclass(frozen=True)
@@ -376,13 +446,18 @@ class MeasurementReport:
         return _ratios(self.exact, self.arm_tables()[arm])
 
     def arm_fit(self, arm: str) -> ScalingFit:
-        return fit_scaling(self.arm_tables()[arm].medians())
+        return fit_scaling(_resolved_medians(self.arm_tables()[arm]))
 
     def ratio_fit(self, arm: str) -> ScalingFit:
         """Fit of ``ratios(arm)`` over the n where both arms have ok trials;
         its exponent is the arm's exponent minus the exact arm's."""
-        rows = zip(self.exact.rows, self.arm_tables()[arm].rows, self.ratios(arm))
-        return fit_scaling(pair for e, a, pair in rows if e.trials_ok and a.trials_ok)
+        table = self.arm_tables()[arm]
+        rows = zip(self.exact.rows, table.rows, self.ratios(arm))
+        used = [(e, a, pair) for e, a, pair in rows if e.trials_ok and a.trials_ok]
+        for e, a, _ in used:
+            _require_resolved(self.exact.label, e)
+            _require_resolved(table.label, a)
+        return fit_scaling(pair for _, _, pair in used)
 
 
 def measurement_experiment(
@@ -391,18 +466,19 @@ def measurement_experiment(
     budget_rule: str = "sqrt_n",
     degraded_rule: str = "fourth_root_n",
 ) -> MeasurementReport:
-    """Paired sweeps: exact solve vs tomography readout with m set by two rules."""
+    """Exact solve vs tomography readout with m set by two rules: one
+    three-arm sweep, so the arms share every cell."""
     if regime == "exact":  # NoiseSchedule rejects unknown regimes
         raise ConfigError(f"measurement experiment needs a noisy regime, got {regime!r}")
-    base = replace(config, noise=None, solver="exact_ls")
-    budget = NoiseSchedule(regime=regime, m_kind=budget_rule)
-    degraded = NoiseSchedule(regime=regime, m_kind=degraded_rule)
-    return MeasurementReport(
-        exact=sweep_excess_risk(base, "exact"),
-        budget=sweep_excess_risk(replace(base, noise=budget), f"m_{budget_rule}"),
-        degraded=sweep_excess_risk(replace(base, noise=degraded), f"m_{degraded_rule}"),
-        regime=regime,
+    exact, budget, degraded = _sweep_arms(
+        replace(config, noise=None, solver="exact_ls"),
+        (
+            ("exact", None),
+            (f"m_{budget_rule}", NoiseSchedule(regime=regime, m_kind=budget_rule)),
+            (f"m_{degraded_rule}", NoiseSchedule(regime=regime, m_kind=degraded_rule)),
+        ),
     )
+    return MeasurementReport(exact, budget, degraded, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +623,7 @@ def _bench_cell(sid, n, kernel, solver_config, problem, test_x, reps, timeout_s,
 # summaries against the pinned thresholds
 
 def rate_summary(table: SweepTable) -> dict:
-    fit = fit_scaling(table.medians())
+    fit = fit_scaling(_resolved_medians(table))
     lo, hi = RATE_EXPONENT_RANGE
     return {
         "fit": fit.to_json(),

@@ -332,6 +332,32 @@ def test_sweep_measurement_mode(tmp_path):
     assert "degraded_exponent" in summary["summary"]
 
 
+def test_sweep_reports_failed_cells_on_stderr(tmp_path, capsys):
+    # lam=0 with n < d: every cell at n=3 is singular; the other sizes fit
+    payload = _sweep_payload(
+        tmp_path, n_grid=[3, 64, 128, 256], n_eval=20000, master_seed=6,
+        problem={"d": 5, "sigma": 0.1}, solver_config={"lam": 0.0},
+    )
+    assert _run(tmp_path, "sweep", payload) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "exact_ls n=3: 3 of 3 cells failed; SingularSystemError x3: " in warnings[0]
+    assert json.loads((tmp_path / "sweep.json").read_text())["summary"]["failed_cells"] == 3
+    assert "failures" not in (tmp_path / "sweep.json").read_text()
+
+
+@pytest.mark.parametrize("mode", ["rate", "measurement"])
+def test_sweep_unresolved_median_exits_numerical(tmp_path, mode, capsys):
+    # ten evaluation points cannot resolve the excess risk; at this seed the
+    # exact median at n=8 is negative
+    payload = _sweep_payload(tmp_path, mode=mode, n_grid=[8, 16, 32], trials=1, n_eval=10,
+                             master_seed=1)
+    assert _run(tmp_path, "sweep", payload) == 3
+    err = capsys.readouterr().err
+    assert "n=8" in err and "n_eval" in err
+    assert (tmp_path / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # cost
 
@@ -369,6 +395,16 @@ def test_cost_rejects_non_integer_n(tmp_path, n, capsys):
     payload = {"algorithm": "poly_error", "gamma": 0.1, "n": n, "out": str(out)}
     assert _run(tmp_path, "cost", payload) == 2
     assert "`n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["log_error", "poly_error"])
+@pytest.mark.parametrize("n", [-1, 0])
+def test_cost_rejects_size_below_one_before_sqrt(tmp_path, algorithm, n, capsys):
+    out = tmp_path / "c.csv"
+    payload = {"algorithm": algorithm, "gamma": 0.1, "n": n, "out": str(out)}
+    assert _run(tmp_path, "cost", payload) == 2
+    assert "`n` must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from qlimits import (
     NoiseModel,
     PrimalPredictor,
     algorithmic_error_bound_check,
+    apply_channels,
     complexity_entry,
     complexity_table,
     cost_log_error_solver,
@@ -100,6 +101,15 @@ def test_pipeline_noiseless_equals_exact_solver():
     np.testing.assert_array_equal(
         quantum_ls_pipeline(ds, 0.1, noiseless).weights, exact_ls(ds, 0.1).weights
     )
+
+
+def test_pipeline_is_exact_solve_then_both_channels():
+    ds = sample_dataset(make_problem(6, 0.4, seed=1), 100, seed=2)
+    noise = NoiseModel(solver_error=0.05, regime="heisenberg", measurements=9, seed=6)
+    w = exact_ls(ds, 0.1).weights
+    staged = tomography_estimate(perturb_solution(w, 0.05, seed=6), noise)
+    np.testing.assert_array_equal(apply_channels(w, noise), staged)
+    np.testing.assert_array_equal(quantum_ls_pipeline(ds, 0.1, noise).weights, staged)
 
 
 def test_pipeline_empirical_risk_gap_within_lipschitz_bound():

@@ -15,6 +15,7 @@ from qlimits import (
     empirical_risk,
     excess_risk,
     expected_risk_mc,
+    expected_risks_mc,
     generalization_gap,
     make_problem,
     pairwise_sum,
@@ -183,6 +184,15 @@ def test_std_error_is_sample_std_over_sqrt_n():
     losses = (fresh.features @ w.weights - fresh.labels) ** 2
     assert est.std_error == pytest.approx(np.std(losses, ddof=1) / np.sqrt(5000), rel=1e-10)
     assert est.value == pytest.approx(losses.mean(), rel=1e-12)
+
+
+def test_expected_risks_mc_equals_one_estimate_per_predictor():
+    problem = make_problem(3, 0.5, seed=20)
+    predictors = [PrimalPredictor(problem.target_weights * s) for s in (0.0, 0.5, 1.0)]
+    together = expected_risks_mc(predictors, problem, n_eval=5000, seed=21)
+    assert together == tuple(expected_risk_mc(p, problem, n_eval=5000, seed=21) for p in predictors)
+    with pytest.raises(DimensionMismatchError):
+        expected_risks_mc([predictors[0], PrimalPredictor(np.zeros(2))], problem, n_eval=100)
 
 
 def test_risk_estimate_json_roundtrip():

@@ -10,6 +10,7 @@ from qlimits import (
     ConfigError,
     Kernel,
     NoiseSchedule,
+    NumericalError,
     PrimalPredictor,
     ProblemSpec,
     SolverConfig,
@@ -17,6 +18,7 @@ from qlimits import (
     divide_and_conquer,
     early_stopping_gd,
     exact_ls,
+    expected_risk_mc,
     fit_scaling,
     fit_solver,
     krr,
@@ -24,10 +26,13 @@ from qlimits import (
     matching_experiment,
     measurement_experiment,
     nystrom,
+    quantum_ls_pipeline,
     runtime_benchmark,
     sample_dataset,
     sweep_excess_risk,
 )
+from qlimits import scaling
+from qlimits.rng import derive_seed
 from qlimits.scaling import (
     bench_summary,
     matching_summary,
@@ -298,6 +303,105 @@ def test_measurement_experiment_budget_stays_close_to_exact():
     assert isinstance(summary["degraded_exponent"], float)
     assert isinstance(summary["degraded_ratio_exponent"], float)
     assert isinstance(summary["budget_ratio_exponent"], float)
+
+
+MATCHING_ARMS = (
+    ("exact", None),
+    ("matched", NoiseSchedule(gamma_kind="matched", gamma_value=0.1)),
+    ("constant", NoiseSchedule(gamma_value=0.3)),
+)
+MEASUREMENT_ARMS = (
+    ("exact", None),
+    ("m_sqrt_n", NoiseSchedule(regime="heisenberg", m_kind="sqrt_n")),
+    ("m_fourth_root_n", NoiseSchedule(regime="heisenberg", m_kind="fourth_root_n")),
+)
+
+
+def _separate_sweeps(config, arms):
+    """The paired experiments as they were: one full sweep per arm."""
+    base = dataclasses.replace(config, noise=None, solver="exact_ls")
+    return [sweep_excess_risk(dataclasses.replace(base, noise=noise), label) for label, noise in arms]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_paired_experiments_equal_separate_sweeps_bit_for_bit(workers):
+    config = dataclasses.replace(FAST_CONFIG, workers=workers)
+    matching = matching_experiment(config, matched_c0=0.1, constant_gamma=0.3)
+    measurement = measurement_experiment(config, regime="heisenberg")
+    assert sweep_csv_rows(matching.arm_tables().values()) == sweep_csv_rows(
+        _separate_sweeps(config, MATCHING_ARMS)
+    )
+    assert sweep_csv_rows(measurement.arm_tables().values()) == sweep_csv_rows(
+        _separate_sweeps(config, MEASUREMENT_ARMS)
+    )
+
+
+def test_noisy_sweep_cell_equals_pipeline_then_one_estimate():
+    # one trial per n, so each median is the cell's own value
+    config = dataclasses.replace(FAST_CONFIG, trials=1)
+    problem = config.problem.build()
+    for _, noise in MATCHING_ARMS[1:] + MEASUREMENT_ARMS[1:]:
+        table = sweep_excess_risk(dataclasses.replace(config, noise=noise))
+        for row in table.rows:
+            seed = lambda stream: derive_seed(config.master_seed, stream, row.n, 0)
+            data = sample_dataset(problem, row.n, seed("data"))
+            predictor = quantum_ls_pipeline(data, None, noise.noise_for(row.n, seed("noise")))
+            estimate = expected_risk_mc(predictor, problem, config.n_eval, seed("eval"))
+            assert row.median_excess == estimate.value - problem.bayes_risk
+            assert row.median_std_error == estimate.std_error
+
+
+def test_failing_channel_fails_its_arm_alone(monkeypatch):
+    clean = matching_experiment(FAST_CONFIG)
+    channels = scaling.apply_channels
+
+    def lossy(weights, noise):  # the constant arm loses its readout in odd-seeded cells
+        if noise.solver_error == 0.3 and noise.seed % 2:
+            raise NumericalError("readout lost")
+        return channels(weights, noise)
+
+    monkeypatch.setattr(scaling, "apply_channels", lossy)
+    report = matching_experiment(FAST_CONFIG)
+    assert report.exact == clean.exact and report.matched == clean.matched
+    assert sum(row.trials_failed for row in report.constant.rows) > 0
+    for row in report.constant.rows:
+        lost = sum(
+            derive_seed(FAST_CONFIG.master_seed, "noise", row.n, t) % 2
+            for t in range(FAST_CONFIG.trials)
+        )
+        assert (row.trials_ok, row.trials_failed) == (FAST_CONFIG.trials - lost, lost)
+        assert row.failures == ((("NumericalError", lost, "readout lost"),) if lost else ())
+
+
+def test_failed_solve_fails_every_arm_with_its_reason():
+    # lam=0 with n < d: the one shared solve is singular at the smallest size
+    config = SweepConfig(
+        n_grid=(3, 64, 128),
+        trials=3,
+        n_eval=2000,
+        problem=ProblemSpec(dimension=5, noise_std=0.1),
+        solver_config=SolverConfig(lam=0.0),
+        master_seed=6,
+    )
+    for table in matching_experiment(config).arm_tables().values():
+        first, *rest = table.rows
+        assert (first.trials_ok, first.trials_failed) == (0, 3)
+        ((kind, count, message),) = first.failures
+        assert (kind, count) == ("SingularSystemError", 3) and message
+        assert all(row.trials_failed == 0 and row.failures == () for row in rest)
+
+
+def test_unresolved_medians_are_numerical_errors():
+    # ten evaluation points cannot resolve the excess risk: at this seed the
+    # median at n=8 is negative
+    config = SweepConfig(n_grid=(8, 16, 32), trials=1, n_eval=10, master_seed=1)
+    with pytest.raises(NumericalError, match=r"n=8 .*n_eval"):
+        rate_summary(sweep_excess_risk(config))
+    report = measurement_experiment(config)
+    with pytest.raises(NumericalError, match=r"n=8 .*n_eval"):
+        report.ratio_fit("degraded")
+    with pytest.raises(NumericalError, match="n_eval"):
+        measurement_summary(report)
 
 
 def test_measurement_experiment_rejects_exact_regime():

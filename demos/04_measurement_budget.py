@@ -14,7 +14,6 @@ from qlimits import SweepConfig, measurement_experiment, required_measurements
 config = SweepConfig(
     n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
     trials=10,
-    n_eval=50_000,
     master_seed=0,
 )
 

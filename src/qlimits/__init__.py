@@ -34,12 +34,16 @@ from .qmodel import (
     tomography_estimate,
 )
 from .risk import (
+    RISK_ESTIMATORS,
     RiskEstimate,
     empirical_risk,
     excess_risk,
+    excess_risks,
     expected_risk_mc,
     expected_risks_mc,
     generalization_gap,
+    input_second_moment,
+    linear_weights,
     pairwise_sum,
     stable_mean,
 )

@@ -41,6 +41,7 @@ from .scaling import (
     rate_summary,
     runtime_benchmark,
     sweep_excess_risk,
+    sweep_failures,
     write_bench_csv,
     write_csv,
     write_sweep_csv,
@@ -325,6 +326,7 @@ def cmd_sweep(
     if mode == "rate":
         table = sweep_excess_risk(config, label=config.solver)
         _write_tables(out_csv, [table])
+        payload["failures"] = sweep_failures([table])
         payload["summary"] = rate_summary(table)
     else:
         experiment, options, summary, arms = {
@@ -334,6 +336,7 @@ def cmd_sweep(
         }[mode]
         report = _build(experiment, options, f"{mode} options", config=config)
         _write_tables(out_csv, report.arm_tables().values())
+        payload["failures"] = sweep_failures(report.arm_tables().values())
         payload["summary"] = summary(report)
         payload["ratios"] = {arm: report.ratios(arm) for arm in arms}
     _write_json(out_json, payload)

@@ -7,11 +7,17 @@ All per-cell randomness is derived from the master seed and the cell's
 independent of serial vs parallel execution.
 
 A sweep scores one or more arms, and all of them share each (n, trial)
-cell: one training draw, one solve, one evaluation sample. The exact arm
-scores the solve itself; a noisy arm passes its weights through the error
-channels, seeded by the cell's one noise stream. The paired experiments
-(exact vs noisy solver) are three-arm sweeps, so their ratios isolate the
-injected error, and each arm's table equals that of a sweep of the arm alone.
+cell: one training draw, one solve, one scoring. The exact arm scores the
+solve itself; a noisy arm passes its weights through the error channels,
+seeded by the cell's one noise stream. The paired experiments (exact vs
+noisy solver) are three-arm sweeps, so their ratios isolate the injected
+error, and each arm's table equals that of a sweep of the arm alone.
+
+``SweepConfig.risk_estimator`` picks the scoring (see ``risk.excess_risks``).
+Under ``"closed_form"``, the default, a linear predictor's excess risk is
+exact, ``s |w - w*|^2`` with standard error 0, and nothing is drawn; only
+Gaussian-kernel predictors are scored by Monte Carlo on ``n_eval`` points.
+Under ``"mc"`` every predictor is scored by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ import numpy as np
 from .blas import single_blas_thread
 from .errors import ConfigError, NumericalError, QlimitsError
 # quantum_ls_pipeline and expected_risk_mc are not called here since arms
-# share cells; they stay importable from this module, whose names
-# perfbench's tracer wraps.
+# share cells and score through excess_risks; they stay importable from this
+# module, whose names perfbench's tracer wraps.
 from .qmodel import NoiseModel, apply_channels, quantum_ls_pipeline
-from .risk import expected_risk_mc, expected_risks_mc
+from .risk import RISK_ESTIMATORS, RiskEstimator, expected_risk_mc, excess_risks
 from .rng import derive_seed
 from .solvers import (  # the five solvers are called by name, through fit_solver
     LINEAR_KERNEL,
@@ -66,7 +72,7 @@ KRR_TRAIN_EXPONENT_RANGE = (2.3, 3.5)
 NYSTROM_EXPONENT_GAP_MIN = 0.7
 PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DESK_SCALE_CAP = 8192
 
 
@@ -153,6 +159,7 @@ class SweepConfig:
     n_eval: int = 100_000
     master_seed: int = 0
     workers: int = 1
+    risk_estimator: RiskEstimator = "closed_form"  # "mc": Monte Carlo for every predictor
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -173,6 +180,10 @@ class SweepConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.noise is not None and self.solver != "exact_ls":
             raise ConfigError("the noisy pipeline composes with exact_ls only")
+        if self.risk_estimator not in RISK_ESTIMATORS:
+            raise ConfigError(
+                f"unknown risk_estimator {self.risk_estimator!r}, expected one of {RISK_ESTIMATORS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -184,7 +195,7 @@ class SweepRow:
     trials_ok: int
     trials_failed: int
     # (exception type, cells it failed, its first message) in order of first
-    # failure; the CLI prints it to stderr, it is never written to CSV or JSON
+    # failure; the CLI prints it to stderr and writes it to the JSON, not the CSV
     failures: tuple[tuple[str, int, str], ...] = ()
 
 
@@ -225,12 +236,14 @@ def _failed(exc: QlimitsError) -> tuple:
 def _sweep_cell(task: tuple[SweepConfig, tuple[NoiseSchedule | None, ...], int, int]) -> tuple:
     """One (n, trial) cell scored for every arm; ``config.noise`` is not read.
 
-    The cell draws its training set, fits ``config.solver`` and draws its
-    evaluation sample once. An arm of None scores the fit; a NoiseSchedule
-    arm scores the fit's weights after the error channels, so it needs
-    exact_ls. Returns one (excess, std_error, error) per arm, ``error`` being
-    None or (exception type, message). A failed draw, fit or evaluation fails
-    every arm; a failed channel fails its own arm only.
+    The cell draws its training set, fits ``config.solver`` and scores every
+    arm's predictor once, with ``config.risk_estimator`` (a Monte Carlo
+    evaluation sample, where one is drawn, is shared). An arm of None scores
+    the fit; a NoiseSchedule arm scores the fit's weights after the error
+    channels, so it needs exact_ls. Returns one (excess, std_error, error)
+    per arm, ``error`` being None or (exception type, message). A failed
+    draw, fit or evaluation fails every arm; a failed channel fails its own
+    arm only.
     """
     config, arms, n, trial = task
     seed = config.master_seed
@@ -252,11 +265,12 @@ def _sweep_cell(task: tuple[SweepConfig, tuple[NoiseSchedule | None, ...], int, 
             outcomes[i] = _failed(exc)
     if predictors:
         try:
-            estimates = expected_risks_mc(
-                tuple(predictors.values()), problem, config.n_eval,
-                seed=derive_seed(seed, "eval", n, trial),
-            )
-            scored = [(e.value - problem.bayes_risk, e.std_error, None) for e in estimates]
+            scored = [
+                (*pair, None) for pair in excess_risks(
+                    tuple(predictors.values()), problem, config.n_eval,
+                    seed=derive_seed(seed, "eval", n, trial), estimator=config.risk_estimator,
+                )
+            ]
         except QlimitsError as exc:
             scored = [_failed(exc)] * len(predictors)
         outcomes.update(zip(predictors, scored))
@@ -373,7 +387,8 @@ def fit_scaling(pairs) -> ScalingFit:
 
 def _require_resolved(label: str, row: SweepRow) -> None:
     """A median excess risk <= 0 means the Monte Carlo error of the
-    evaluation exceeds the excess risk: a numerical outcome, not a bad config."""
+    evaluation exceeds the excess risk: a numerical outcome, not a bad config.
+    (A closed-form excess risk is >= 0, and 0 only for the target itself.)"""
     if not row.median_excess > 0:
         raise NumericalError(
             f"{label}: median excess risk {row.median_excess!r} at n={row.n} is not positive, "
@@ -386,6 +401,15 @@ def _resolved_medians(table: SweepTable) -> list[tuple[int, float]]:
         if row.trials_ok:
             _require_resolved(table.label, row)
     return table.medians()
+
+
+def _require_resolved_pairs(exact: SweepTable, arm: SweepTable) -> None:
+    """Both medians resolved wherever both arms have ok trials, so the ratio
+    of ``arm`` to ``exact`` is over positive values there."""
+    for e, a in zip(exact.rows, arm.rows):
+        if e.trials_ok and a.trials_ok:
+            _require_resolved(exact.label, e)
+            _require_resolved(arm.label, a)
 
 
 def _ratios(exact: SweepTable, arm: SweepTable) -> list[tuple[int, float]]:
@@ -452,12 +476,9 @@ class MeasurementReport:
         """Fit of ``ratios(arm)`` over the n where both arms have ok trials;
         its exponent is the arm's exponent minus the exact arm's."""
         table = self.arm_tables()[arm]
+        _require_resolved_pairs(self.exact, table)
         rows = zip(self.exact.rows, table.rows, self.ratios(arm))
-        used = [(e, a, pair) for e, a, pair in rows if e.trials_ok and a.trials_ok]
-        for e, a, _ in used:
-            _require_resolved(self.exact.label, e)
-            _require_resolved(table.label, a)
-        return fit_scaling(pair for _, _, pair in used)
+        return fit_scaling(pair for e, a, pair in rows if e.trials_ok and a.trials_ok)
 
 
 def measurement_experiment(
@@ -635,6 +656,8 @@ def rate_summary(table: SweepTable) -> dict:
 
 
 def matching_summary(report: MatchingReport) -> dict:
+    _require_resolved_pairs(report.exact, report.matched)
+    _require_resolved_pairs(report.exact, report.constant)
     matched = report.ratios("matched")
     constant = report.ratios("constant")
     return {
@@ -715,6 +738,15 @@ def sweep_csv_rows(tables) -> list[tuple]:
             rows.append((table.label, r.n, "trials_ok", r.trials_ok))
             rows.append((table.label, r.n, "trials_failed", r.trials_failed))
     return rows
+
+
+def sweep_failures(tables) -> dict:
+    """Per arm label, each n with failed cells: its [exception type, cells
+    failed, first message] per type (the JSON form of ``SweepRow.failures``)."""
+    return {
+        table.label: {r.n: [list(f) for f in r.failures] for r in table.rows if r.failures}
+        for table in tables
+    }
 
 
 def write_sweep_csv(path, tables) -> None:

@@ -16,9 +16,10 @@ from qlimits import (
     sample_dataset,
     write_dataset_csv,
 )
-from qlimits import blas
+from qlimits import NumericalError, blas, scaling
 from qlimits.cli import main
 from qlimits.qmodel import complexity_table
+from qlimits.rng import derive_seed
 from qlimits.solvers import load_predictor, predictor_to_json
 
 
@@ -43,7 +44,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     problem = make_problem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 2
+    assert echo["schema_version"] == 3
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -223,7 +224,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 2
+    assert summary["schema_version"] == 3
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]
@@ -342,8 +343,11 @@ def test_sweep_reports_failed_cells_on_stderr(tmp_path, capsys):
     warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
     assert len(warnings) == 1
     assert "exact_ls n=3: 3 of 3 cells failed; SingularSystemError x3: " in warnings[0]
-    assert json.loads((tmp_path / "sweep.json").read_text())["summary"]["failed_cells"] == 3
-    assert "failures" not in (tmp_path / "sweep.json").read_text()
+    written = json.loads((tmp_path / "sweep.json").read_text())
+    assert written["summary"]["failed_cells"] == 3
+    ((kind, count, message),) = written["failures"]["exact_ls"].pop("3")
+    assert (kind, count) == ("SingularSystemError", 3) and message in warnings[0]
+    assert written["failures"] == {"exact_ls": {}}
 
 
 @pytest.mark.parametrize("mode", ["rate", "measurement"])
@@ -351,11 +355,46 @@ def test_sweep_unresolved_median_exits_numerical(tmp_path, mode, capsys):
     # ten evaluation points cannot resolve the excess risk; at this seed the
     # exact median at n=8 is negative
     payload = _sweep_payload(tmp_path, mode=mode, n_grid=[8, 16, 32], trials=1, n_eval=10,
-                             master_seed=1)
+                             master_seed=1, risk_estimator="mc")
     assert _run(tmp_path, "sweep", payload) == 3
     err = capsys.readouterr().err
     assert "n=8" in err and "n_eval" in err
     assert (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_matching_unresolved_median_exits_numerical(tmp_path, capsys):
+    # the exact medians at this seed are -0.050 (n=8) and -0.011, so every
+    # ratio to them is over a negative value
+    payload = _sweep_payload(tmp_path, mode="matching", n_grid=[8, 16, 32], trials=1, n_eval=10,
+                             master_seed=1, risk_estimator="mc")
+    assert _run(tmp_path, "sweep", payload) == 3
+    err = capsys.readouterr().err
+    assert "exact: median excess risk" in err and "n=8" in err and "n_eval" in err
+    assert (tmp_path / "sweep.csv").exists()
+    assert not (tmp_path / "sweep.json").exists()
+
+
+def test_sweep_json_lists_failed_cells_per_arm(tmp_path, monkeypatch):
+    channels = scaling.apply_channels
+
+    def lossy(weights, noise):  # the constant arm loses its readout in odd-seeded cells
+        if noise.solver_error == 0.3 and noise.seed % 2:
+            raise NumericalError("readout lost")
+        return channels(weights, noise)
+
+    monkeypatch.setattr(scaling, "apply_channels", lossy)
+    payload = _sweep_payload(tmp_path, mode="matching", n_grid=[32, 64, 128], trials=4,
+                             master_seed=11, matching={"constant_gamma": 0.3})
+    assert _run(tmp_path, "sweep", payload) == 0
+    lost = {
+        n: sum(derive_seed(11, "noise", n, t) % 2 for t in range(4)) for n in (32, 64, 128)
+    }
+    assert sum(lost.values()) > 0
+    assert json.loads((tmp_path / "sweep.json").read_text())["failures"] == {
+        "exact": {},
+        "matched": {},
+        "constant": {str(n): [["NumericalError", k, "readout lost"]] for n, k in lost.items() if k},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,22 +9,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import qlimits
 from qlimits import (
+    LINEAR_KERNEL,
     ConfigError,
     Dataset,
     DimensionMismatchError,
+    DualPredictor,
+    Kernel,
+    NoiseModel,
     PrimalPredictor,
     RiskEstimate,
+    apply_channels,
     empirical_risk,
+    exact_ls,
     excess_risk,
+    excess_risks,
     expected_risk_mc,
     expected_risks_mc,
     generalization_gap,
+    input_second_moment,
+    krr,
     make_problem,
     pairwise_sum,
     sample_dataset,
     stable_mean,
 )
+from qlimits.synth import INPUT_LAWS
 
 
 def _ds(features, labels):
@@ -206,3 +220,81 @@ def test_expected_risk_mc_validation():
     problem = make_problem(2, 0.1)
     with pytest.raises(ConfigError):
         expected_risk_mc(PrimalPredictor(np.zeros(2)), problem, n_eval=1)
+
+
+# ---------------------------------------------------------------------------
+# closed-form excess risk
+
+def _clipped_gaussian_moment_by_quadrature(d: int) -> float:
+    """E|x|^2 / d for x ~ N(0, I_d) clipped to radius 3 sqrt(d), from the
+    chi-square density: E min(|x|^2, R^2) / d."""
+    log_norm = (d / 2) * math.log(2.0) + math.lgamma(d / 2)
+    density = lambda t: math.exp((d / 2 - 1) * math.log(t) - t / 2 - log_norm)
+    r2 = 9.0 * d
+    inside = quad(lambda t: t * density(t), 0, r2, epsabs=1e-14, epsrel=1e-13)[0]
+    outside = quad(density, r2, np.inf, epsabs=1e-16, epsrel=1e-13)[0]
+    return (inside + r2 * outside) / d
+
+
+@pytest.mark.parametrize("law", INPUT_LAWS)
+@pytest.mark.parametrize("d", [3, 10])
+def test_input_second_moment_matches_a_direct_draw(law, d):
+    problem = make_problem(d, 0.0, law, seed=40)
+    moment = input_second_moment(problem)
+    scaled = np.sum(sample_dataset(problem, 200_000, seed=41).features ** 2, axis=1) / d
+    budget = 4 * scaled.std(ddof=1) / math.sqrt(scaled.size) + 1e-12
+    assert abs(moment - scaled.mean()) <= budget
+    oracle = 1.0 / d if law == "unit_sphere_uniform" else _clipped_gaussian_moment_by_quadrature(d)
+    assert moment == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("law", INPUT_LAWS)
+def test_closed_form_agrees_with_monte_carlo(law):
+    problem = make_problem(10, 0.5, law, seed=30)
+    data = sample_dataset(problem, 64, seed=31)
+    exact = exact_ls(data)
+    noise = NoiseModel(solver_error=0.05, regime="heisenberg", measurements=4, seed=32)
+    predictors = (exact, krr(data, LINEAR_KERNEL), PrimalPredictor(apply_channels(exact.weights, noise)))
+    assert isinstance(predictors[1], DualPredictor)
+    closed = excess_risks(predictors, problem, n_eval=100_000, seed=33)
+    mc = excess_risks(predictors, problem, n_eval=100_000, seed=33, estimator="mc")
+    for (value, zero), (estimate, std_error) in zip(closed, mc):
+        assert zero == 0.0 and value > 0 and std_error > 0
+        assert abs(value - estimate) <= 4 * std_error
+    # the noisy arm's excess is the exact arm's plus the injected shift's
+    assert closed[2][0] > closed[0][0]
+
+
+def test_excess_risks_monte_carlo_path_is_the_old_estimate():
+    problem = make_problem(3, 0.5, seed=20)
+    data = sample_dataset(problem, 16, seed=22)
+    linear = (PrimalPredictor(problem.target_weights * 0.5), exact_ls(data))
+    gaussian = krr(data, Kernel("gaussian", 1.0))
+    estimates = expected_risks_mc(linear + (gaussian,), problem, n_eval=5000, seed=21)
+    scored = [(e.value - problem.bayes_risk, e.std_error) for e in estimates]
+    assert excess_risks(linear + (gaussian,), problem, 5000, 21, "mc") == tuple(scored)
+    # one Gaussian-kernel predictor sends the whole call to Monte Carlo
+    assert excess_risks(linear + (gaussian,), problem, 5000, 21) == tuple(scored)
+    closed = excess_risks(linear, problem, 5000, 21)
+    assert closed[0][0] == pytest.approx(0.25 / 3, rel=1e-15)  # |w - w*|^2 = 1/4, s = 1/d
+    assert closed[0][1] == 0.0
+    assert closed == excess_risks(linear, problem, 2, 99)  # n_eval and seed unread
+
+
+def test_excess_risks_validation():
+    problem = make_problem(3, 0.5, seed=20)
+    wrong = (PrimalPredictor(problem.target_weights), PrimalPredictor(np.zeros(2)))
+    for estimator in ("closed_form", "mc"):
+        with pytest.raises(DimensionMismatchError):
+            excess_risks(wrong, problem, 100, 0, estimator)
+    with pytest.raises(ConfigError, match="estimator"):
+        excess_risks(wrong[:1], problem, 100, 0, "exact")
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone costs about as much to import as the whole package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qlimits.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qlimits; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -34,7 +34,6 @@ from .qmodel import (
     tomography_estimate,
 )
 from .risk import (
-    RISK_ESTIMATORS,
     RiskEstimate,
     empirical_risk,
     excess_risk,

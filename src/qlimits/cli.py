@@ -288,8 +288,9 @@ def cmd_fit(
     return EXIT_OK
 
 
-def _write_tables(out_csv: str, tables) -> None:
-    """Write the sweep CSV, then one stderr line per arm and n with failed cells."""
+def _write_tables(out_csv: str, tables) -> dict:
+    """Write the sweep CSV, then one stderr line per arm and n with failed
+    cells; return the failures' JSON form."""
     write_sweep_csv(out_csv, tables)
     for table in tables:
         for row in table.rows:
@@ -299,6 +300,7 @@ def _write_tables(out_csv: str, tables) -> None:
                 )
                 print(f"warning: {table.label} n={row.n}: {row.trials_failed} of "
                       f"{row.trials_ok + row.trials_failed} cells failed; {causes}", file=sys.stderr)
+    return sweep_failures(tables)
 
 
 def cmd_sweep(
@@ -325,8 +327,7 @@ def cmd_sweep(
 
     if mode == "rate":
         table = sweep_excess_risk(config, label=config.solver)
-        _write_tables(out_csv, [table])
-        payload["failures"] = sweep_failures([table])
+        payload["failures"] = _write_tables(out_csv, [table])
         payload["summary"] = rate_summary(table)
     else:
         experiment, options, summary, arms = {
@@ -335,8 +336,7 @@ def cmd_sweep(
                             ("budget", "degraded")),
         }[mode]
         report = _build(experiment, options, f"{mode} options", config=config)
-        _write_tables(out_csv, report.arm_tables().values())
-        payload["failures"] = sweep_failures(report.arm_tables().values())
+        payload["failures"] = _write_tables(out_csv, report.arm_tables().values())
         payload["summary"] = summary(report)
         payload["ratios"] = {arm: report.ratios(arm) for arm in arms}
     _write_json(out_json, payload)

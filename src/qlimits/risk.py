@@ -4,9 +4,9 @@ Expected risk is estimated by Monte Carlo on a fresh sample. Excess risk of
 a linear predictor ``w`` also has a closed form: the label noise is
 independent and zero-mean, and every input law here is isotropic with
 ``E[x x^T] = s I``, so the excess risk is exactly ``s |w - w*|^2``
-(``input_second_moment`` gives ``s``). ``excess_risks`` uses it for linear
-predictors and Monte Carlo for the rest (Gaussian kernels), or Monte Carlo
-for all when asked to.
+(``input_second_moment`` gives ``s``). ``excess_risks`` and ``excess_risk``
+use it when every predictor is linear and Monte Carlo otherwise (Gaussian
+kernels).
 
 Risk averages and the closed form's sum of squares use a fixed summation
 scheme (sort ascending, then pairwise tree sum) so they are exactly
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Literal, get_args
 
 import numpy as np
 # scipy.special, not scipy.stats: importing scipy.stats costs about as much
@@ -27,10 +26,6 @@ from scipy.special import gammainc, gammaincc
 from .errors import ConfigError, DimensionMismatchError
 from .solvers import Predictor, PrimalPredictor, predict_batch
 from .synth import Dataset, SyntheticProblem, sample_dataset
-
-RiskEstimator = Literal["closed_form", "mc"]
-RISK_ESTIMATORS = get_args(RiskEstimator)
-
 
 def pairwise_sum(values: np.ndarray) -> float:
     """Tree summation: pad with zeros to a power of two, fold halves."""
@@ -153,22 +148,19 @@ def excess_risks(
     problem: SyntheticProblem,
     n_eval: int,
     seed: int,
-    estimator: RiskEstimator = "closed_form",
 ) -> tuple[tuple[float, float], ...]:
     """(excess risk, standard error) of every predictor.
 
-    With ``"closed_form"`` and every predictor linear, each is
-    ``s * |w - w*|^2`` with standard error 0.0, and ``n_eval`` and ``seed``
-    are not read. Otherwise each is the ``expected_risks_mc`` estimate on
-    the one sample of ``n_eval`` points drawn from ``seed``, less the Bayes
-    risk, with that estimate's standard error.
+    With every predictor linear, each is ``s * |w - w*|^2`` with standard
+    error 0.0, and ``n_eval`` and ``seed`` are not read. Otherwise each is
+    the ``expected_risks_mc`` estimate on the one sample of ``n_eval`` points
+    drawn from ``seed``, less the Bayes risk, with that estimate's standard
+    error.
     """
-    if estimator not in RISK_ESTIMATORS:
-        raise ConfigError(f"unknown risk estimator {estimator!r}, expected one of {RISK_ESTIMATORS}")
     for predictor in predictors:
         _check_dims(predictor, problem.dimension)
     weights = [linear_weights(p) for p in predictors]
-    if estimator == "closed_form" and all(w is not None for w in weights):
+    if all(w is not None for w in weights):
         s = input_second_moment(problem)
         return tuple(
             (s * pairwise_sum(np.sort((w - problem.target_weights) ** 2)), 0.0) for w in weights
@@ -180,8 +172,10 @@ def excess_risks(
 def excess_risk(
     predictor: Predictor, problem: SyntheticProblem, n_eval: int = 100_000, seed: int = 0
 ) -> float:
-    """Estimated expected risk minus the problem's Bayes risk."""
-    return expected_risk_mc(predictor, problem, n_eval, seed).value - problem.bayes_risk
+    """Expected risk minus the problem's Bayes risk: exact for a linear
+    predictor, else estimated on ``n_eval`` points (see ``excess_risks``)."""
+    ((excess, _),) = excess_risks((predictor,), problem, n_eval, seed)
+    return excess
 
 
 def generalization_gap(

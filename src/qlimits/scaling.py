@@ -13,11 +13,9 @@ seeded by the cell's one noise stream. The paired experiments (exact vs
 noisy solver) are three-arm sweeps, so their ratios isolate the injected
 error, and each arm's table equals that of a sweep of the arm alone.
 
-``SweepConfig.risk_estimator`` picks the scoring (see ``risk.excess_risks``).
-Under ``"closed_form"``, the default, a linear predictor's excess risk is
-exact, ``s |w - w*|^2`` with standard error 0, and nothing is drawn; only
+Cells are scored by ``risk.excess_risks``: a linear predictor's excess risk
+is exact, ``s |w - w*|^2`` with standard error 0, and nothing is drawn; only
 Gaussian-kernel predictors are scored by Monte Carlo on ``n_eval`` points.
-Under ``"mc"`` every predictor is scored by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .errors import ConfigError, NumericalError, QlimitsError
 # share cells and score through excess_risks; they stay importable from this
 # module, whose names perfbench's tracer wraps.
 from .qmodel import NoiseModel, apply_channels, quantum_ls_pipeline
-from .risk import RISK_ESTIMATORS, RiskEstimator, expected_risk_mc, excess_risks
+from .risk import expected_risk_mc, excess_risks
 from .rng import derive_seed
 from .solvers import (  # the five solvers are called by name, through fit_solver
     LINEAR_KERNEL,
@@ -159,7 +157,6 @@ class SweepConfig:
     n_eval: int = 100_000
     master_seed: int = 0
     workers: int = 1
-    risk_estimator: RiskEstimator = "closed_form"  # "mc": Monte Carlo for every predictor
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -180,10 +177,6 @@ class SweepConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.noise is not None and self.solver != "exact_ls":
             raise ConfigError("the noisy pipeline composes with exact_ls only")
-        if self.risk_estimator not in RISK_ESTIMATORS:
-            raise ConfigError(
-                f"unknown risk_estimator {self.risk_estimator!r}, expected one of {RISK_ESTIMATORS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -237,13 +230,12 @@ def _sweep_cell(task: tuple[SweepConfig, tuple[NoiseSchedule | None, ...], int, 
     """One (n, trial) cell scored for every arm; ``config.noise`` is not read.
 
     The cell draws its training set, fits ``config.solver`` and scores every
-    arm's predictor once, with ``config.risk_estimator`` (a Monte Carlo
-    evaluation sample, where one is drawn, is shared). An arm of None scores
-    the fit; a NoiseSchedule arm scores the fit's weights after the error
-    channels, so it needs exact_ls. Returns one (excess, std_error, error)
-    per arm, ``error`` being None or (exception type, message). A failed
-    draw, fit or evaluation fails every arm; a failed channel fails its own
-    arm only.
+    arm's predictor in one ``excess_risks`` call (which shares its Monte
+    Carlo sample, where it draws one). An arm of None scores the fit; a
+    NoiseSchedule arm scores the fit's weights after the error channels, so
+    it needs exact_ls. Returns one (excess, std_error, error) per arm,
+    ``error`` being None or (exception type, message). A failed draw, fit or
+    evaluation fails every arm; a failed channel fails its own arm only.
     """
     config, arms, n, trial = task
     seed = config.master_seed
@@ -268,7 +260,7 @@ def _sweep_cell(task: tuple[SweepConfig, tuple[NoiseSchedule | None, ...], int, 
             scored = [
                 (*pair, None) for pair in excess_risks(
                     tuple(predictors.values()), problem, config.n_eval,
-                    seed=derive_seed(seed, "eval", n, trial), estimator=config.risk_estimator,
+                    seed=derive_seed(seed, "eval", n, trial),
                 )
             ]
         except QlimitsError as exc:
@@ -388,7 +380,8 @@ def fit_scaling(pairs) -> ScalingFit:
 def _require_resolved(label: str, row: SweepRow) -> None:
     """A median excess risk <= 0 means the Monte Carlo error of the
     evaluation exceeds the excess risk: a numerical outcome, not a bad config.
-    (A closed-form excess risk is >= 0, and 0 only for the target itself.)"""
+    Only Monte Carlo scores (Gaussian kernels) can be unresolved: a
+    closed-form excess risk is >= 0, and 0 only for the target itself."""
     if not row.median_excess > 0:
         raise NumericalError(
             f"{label}: median excess risk {row.median_excess!r} at n={row.n} is not positive, "
@@ -401,15 +394,6 @@ def _resolved_medians(table: SweepTable) -> list[tuple[int, float]]:
         if row.trials_ok:
             _require_resolved(table.label, row)
     return table.medians()
-
-
-def _require_resolved_pairs(exact: SweepTable, arm: SweepTable) -> None:
-    """Both medians resolved wherever both arms have ok trials, so the ratio
-    of ``arm`` to ``exact`` is over positive values there."""
-    for e, a in zip(exact.rows, arm.rows):
-        if e.trials_ok and a.trials_ok:
-            _require_resolved(exact.label, e)
-            _require_resolved(arm.label, a)
 
 
 def _ratios(exact: SweepTable, arm: SweepTable) -> list[tuple[int, float]]:
@@ -476,9 +460,12 @@ class MeasurementReport:
         """Fit of ``ratios(arm)`` over the n where both arms have ok trials;
         its exponent is the arm's exponent minus the exact arm's."""
         table = self.arm_tables()[arm]
-        _require_resolved_pairs(self.exact, table)
         rows = zip(self.exact.rows, table.rows, self.ratios(arm))
-        return fit_scaling(pair for e, a, pair in rows if e.trials_ok and a.trials_ok)
+        used = [(e, a, pair) for e, a, pair in rows if e.trials_ok and a.trials_ok]
+        for e, a, _ in used:
+            _require_resolved(self.exact.label, e)
+            _require_resolved(table.label, a)
+        return fit_scaling(pair for _, _, pair in used)
 
 
 def measurement_experiment(
@@ -656,8 +643,6 @@ def rate_summary(table: SweepTable) -> dict:
 
 
 def matching_summary(report: MatchingReport) -> dict:
-    _require_resolved_pairs(report.exact, report.matched)
-    _require_resolved_pairs(report.exact, report.constant)
     matched = report.ratios("matched")
     constant = report.ratios("constant")
     return {

@@ -10,6 +10,7 @@ from qlimits import (
     LINEAR_KERNEL,
     SOLVER_IDS,
     SolverConfig,
+    expected_risks_mc,
     fit_solver,
     make_problem,
     read_dataset_csv,
@@ -351,27 +352,23 @@ def test_sweep_reports_failed_cells_on_stderr(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["rate", "measurement"])
-def test_sweep_unresolved_median_exits_numerical(tmp_path, mode, capsys):
+def test_sweep_unresolved_median_exits_numerical(tmp_path, mode, capsys, monkeypatch):
     # ten evaluation points cannot resolve the excess risk; at this seed the
-    # exact median at n=8 is negative
+    # median at n=8 is negative
     payload = _sweep_payload(tmp_path, mode=mode, n_grid=[8, 16, 32], trials=1, n_eval=10,
-                             master_seed=1, risk_estimator="mc")
+                             master_seed=1)
+    if mode == "rate":  # a Gaussian kernel is scored by Monte Carlo
+        payload.update(solver="krr", kernel={"kind": "gaussian", "bandwidth": 1.0})
+    else:  # the paired arms are linear, so scored exactly: stand a ten-point scorer in
+        def monte_carlo(predictors, problem, n_eval, seed):
+            estimates = expected_risks_mc(predictors, problem, n_eval, seed)
+            return tuple((e.value - problem.bayes_risk, e.std_error) for e in estimates)
+
+        monkeypatch.setattr(scaling, "excess_risks", monte_carlo)
     assert _run(tmp_path, "sweep", payload) == 3
     err = capsys.readouterr().err
     assert "n=8" in err and "n_eval" in err
     assert (tmp_path / "sweep.csv").exists()
-
-
-def test_sweep_matching_unresolved_median_exits_numerical(tmp_path, capsys):
-    # the exact medians at this seed are -0.050 (n=8) and -0.011, so every
-    # ratio to them is over a negative value
-    payload = _sweep_payload(tmp_path, mode="matching", n_grid=[8, 16, 32], trials=1, n_eval=10,
-                             master_seed=1, risk_estimator="mc")
-    assert _run(tmp_path, "sweep", payload) == 3
-    err = capsys.readouterr().err
-    assert "exact: median excess risk" in err and "n=8" in err and "n_eval" in err
-    assert (tmp_path / "sweep.csv").exists()
-    assert not (tmp_path / "sweep.json").exists()
 
 
 def test_sweep_json_lists_failed_cells_per_arm(tmp_path, monkeypatch):

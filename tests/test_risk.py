@@ -257,10 +257,10 @@ def test_closed_form_agrees_with_monte_carlo(law):
     predictors = (exact, krr(data, LINEAR_KERNEL), PrimalPredictor(apply_channels(exact.weights, noise)))
     assert isinstance(predictors[1], DualPredictor)
     closed = excess_risks(predictors, problem, n_eval=100_000, seed=33)
-    mc = excess_risks(predictors, problem, n_eval=100_000, seed=33, estimator="mc")
-    for (value, zero), (estimate, std_error) in zip(closed, mc):
-        assert zero == 0.0 and value > 0 and std_error > 0
-        assert abs(value - estimate) <= 4 * std_error
+    mc = expected_risks_mc(predictors, problem, n_eval=100_000, seed=33)
+    for (value, zero), estimate in zip(closed, mc):
+        assert zero == 0.0 and value > 0 and estimate.std_error > 0
+        assert abs(value - (estimate.value - problem.bayes_risk)) <= 4 * estimate.std_error
     # the noisy arm's excess is the exact arm's plus the injected shift's
     assert closed[2][0] > closed[0][0]
 
@@ -272,23 +272,24 @@ def test_excess_risks_monte_carlo_path_is_the_old_estimate():
     gaussian = krr(data, Kernel("gaussian", 1.0))
     estimates = expected_risks_mc(linear + (gaussian,), problem, n_eval=5000, seed=21)
     scored = [(e.value - problem.bayes_risk, e.std_error) for e in estimates]
-    assert excess_risks(linear + (gaussian,), problem, 5000, 21, "mc") == tuple(scored)
     # one Gaussian-kernel predictor sends the whole call to Monte Carlo
     assert excess_risks(linear + (gaussian,), problem, 5000, 21) == tuple(scored)
     closed = excess_risks(linear, problem, 5000, 21)
     assert closed[0][0] == pytest.approx(0.25 / 3, rel=1e-15)  # |w - w*|^2 = 1/4, s = 1/d
     assert closed[0][1] == 0.0
     assert closed == excess_risks(linear, problem, 2, 99)  # n_eval and seed unread
+    # excess_risk is the one-predictor case, on either path
+    for predictor, (value, _) in zip(linear + (gaussian,), closed + (scored[2],)):
+        assert excess_risk(predictor, problem, 5000, 21) == value
 
 
-def test_excess_risks_validation():
+def test_excess_risks_checks_dimensions_on_both_paths():
     problem = make_problem(3, 0.5, seed=20)
-    wrong = (PrimalPredictor(problem.target_weights), PrimalPredictor(np.zeros(2)))
-    for estimator in ("closed_form", "mc"):
+    wrong = PrimalPredictor(np.zeros(2))
+    gaussian = krr(sample_dataset(problem, 8, seed=22), Kernel("gaussian", 1.0))
+    for predictors in ((wrong,), (gaussian, wrong)):
         with pytest.raises(DimensionMismatchError):
-            excess_risks(wrong, problem, 100, 0, estimator)
-    with pytest.raises(ConfigError, match="estimator"):
-        excess_risks(wrong[:1], problem, 100, 0, "exact")
+            excess_risks(predictors, problem, 100, 0)
 
 
 def test_import_does_not_load_scipy_stats():

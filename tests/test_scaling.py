@@ -20,6 +20,7 @@ from qlimits import (
     early_stopping_gd,
     exact_ls,
     expected_risk_mc,
+    expected_risks_mc,
     fit_scaling,
     fit_solver,
     input_second_moment,
@@ -157,8 +158,6 @@ def test_sweep_config_validation():
         SweepConfig(n_grid=(32, 64, 128), problem=ProblemSpec(dimension=0))
     with pytest.raises(ConfigError):
         SweepConfig(n_grid=(32, 64, 128), noise=NoiseSchedule(regime="bogus"))
-    with pytest.raises(ConfigError, match="risk_estimator"):
-        SweepConfig(n_grid=(32, 64, 128), risk_estimator="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +341,8 @@ def test_paired_experiments_equal_separate_sweeps_bit_for_bit(workers):
 
 
 def test_noisy_sweep_cell_equals_pipeline_then_one_estimate():
-    # one trial per n, so each median is the cell's own value
-    config = dataclasses.replace(FAST_CONFIG, trials=1, risk_estimator="mc")
-    problem = config.problem.build()
-    for _, noise in MATCHING_ARMS[1:] + MEASUREMENT_ARMS[1:]:
-        table = sweep_excess_risk(dataclasses.replace(config, noise=noise))
-        for row in table.rows:
-            seed = lambda stream: derive_seed(config.master_seed, stream, row.n, 0)
-            data = sample_dataset(problem, row.n, seed("data"))
-            predictor = quantum_ls_pipeline(data, None, noise.noise_for(row.n, seed("noise")))
-            estimate = expected_risk_mc(predictor, problem, config.n_eval, seed("eval"))
-            assert row.median_excess == estimate.value - problem.bayes_risk
-            assert row.median_std_error == estimate.std_error
-
-
-def test_noisy_sweep_cell_equals_pipeline_then_closed_form():
-    # the closed-form twin of the test above: same seed paths, no evaluation draw
+    # one trial per n, so each median is the cell's own value; the noisy
+    # weights are linear, so the estimate is the closed form, with no draw
     config = dataclasses.replace(FAST_CONFIG, trials=1)
     problem = config.problem.build()
     for _, noise in MATCHING_ARMS[1:] + MEASUREMENT_ARMS[1:]:
@@ -412,12 +397,22 @@ def test_failed_solve_fails_every_arm_with_its_reason():
         assert all(row.trials_failed == 0 and row.failures == () for row in rest)
 
 
-def test_unresolved_medians_are_numerical_errors():
+def _monte_carlo_scores(predictors, problem, n_eval, seed):
+    """Every predictor scored by Monte Carlo, as Gaussian kernels are."""
+    estimates = expected_risks_mc(predictors, problem, n_eval, seed)
+    return tuple((e.value - problem.bayes_risk, e.std_error) for e in estimates)
+
+
+def test_unresolved_medians_are_numerical_errors(monkeypatch):
     # ten evaluation points cannot resolve the excess risk: at this seed the
-    # median at n=8 is negative
-    config = SweepConfig(n_grid=(8, 16, 32), trials=1, n_eval=10, master_seed=1, risk_estimator="mc")
+    # Gaussian-kernel median at n=8 is negative
+    config = SweepConfig(n_grid=(8, 16, 32), trials=1, n_eval=10, master_seed=1)
+    gaussian = dataclasses.replace(config, solver="krr", kernel=Kernel("gaussian", 1.0))
     with pytest.raises(NumericalError, match=r"n=8 .*n_eval"):
-        rate_summary(sweep_excess_risk(config))
+        rate_summary(sweep_excess_risk(gaussian))
+    # the paired arms are linear, so scored exactly; a ten-point Monte Carlo
+    # scorer stands in to reach their check
+    monkeypatch.setattr(scaling, "excess_risks", _monte_carlo_scores)
     report = measurement_experiment(config)
     with pytest.raises(NumericalError, match=r"n=8 .*n_eval"):
         report.ratio_fit("degraded")
@@ -425,17 +420,8 @@ def test_unresolved_medians_are_numerical_errors():
         measurement_summary(report)
 
 
-def test_matching_summary_requires_resolved_medians():
-    # the exact medians at this seed are negative at n=8 and n=16
-    config = SweepConfig(n_grid=(8, 16, 32), trials=1, n_eval=10, master_seed=1, risk_estimator="mc")
-    report = matching_experiment(config)
-    assert [m <= 0 for _, m in report.exact.medians()] == [True, True, False]
-    with pytest.raises(NumericalError, match=r"exact: .*n=8 .*n_eval"):
-        matching_summary(report)
-
-
 def test_closed_form_resolves_what_ten_monte_carlo_points_cannot():
-    # the config above under the default estimator: no draw, nothing unresolved
+    # the linear config above: no draw, nothing unresolved
     config = SweepConfig(n_grid=(8, 16, 32), trials=1, n_eval=10, master_seed=1)
     assert rate_summary(sweep_excess_risk(config))["fit"]["exponent"] < 0
     assert matching_summary(matching_experiment(config))["matched_ok"]
@@ -444,16 +430,19 @@ def test_closed_form_resolves_what_ten_monte_carlo_points_cannot():
 
 
 @pytest.mark.parametrize("solver", ["krr", "nystrom"])
-def test_gaussian_kernel_sweep_is_identical_under_both_estimators(solver):
+def test_gaussian_kernel_cell_is_fit_then_one_monte_carlo_estimate(solver):
     config = SweepConfig(
-        n_grid=(32, 64, 128), trials=2, solver=solver, kernel=Kernel("gaussian", 1.0),
+        n_grid=(32, 64, 128), trials=1, solver=solver, kernel=Kernel("gaussian", 1.0),
         n_eval=2000, master_seed=3,
     )
-    closed = sweep_excess_risk(config)
-    assert all(row.median_std_error > 0 for row in closed.rows)  # scored by Monte Carlo
-    assert sweep_csv_rows([closed]) == sweep_csv_rows(
-        [sweep_excess_risk(dataclasses.replace(config, risk_estimator="mc"))]
-    )
+    problem = config.problem.build()
+    for row in sweep_excess_risk(config).rows:
+        seed = lambda stream: derive_seed(config.master_seed, stream, row.n, 0)
+        data = sample_dataset(problem, row.n, seed("data"))
+        predictor = fit_solver(solver, data, config.kernel, config.solver_config)
+        estimate = expected_risk_mc(predictor, problem, config.n_eval, seed("eval"))
+        assert row.median_excess == estimate.value - problem.bayes_risk
+        assert row.median_std_error == estimate.std_error > 0
 
 
 def test_measurement_experiment_rejects_exact_regime():

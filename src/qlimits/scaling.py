@@ -4,7 +4,11 @@ Sweeps evaluate a solver over a grid of training sizes, many seeded trials
 per size, and aggregate excess risk by median and interquartile range.
 All per-cell randomness is derived from the master seed and the cell's
 (n, trial) coordinates, so results are bit-identical across reruns and
-independent of serial vs parallel execution.
+independent of serial vs parallel execution. Both paths run every loaded
+BLAS at one thread (the serial one for the sweep's duration, each pool worker
+for its lifetime), so N workers never start N BLAS threads each and a
+kernel solve rounds the same whatever the core count; where BLAS cannot be
+pinned, the sweep warns and runs with the default threads.
 
 A sweep scores one or more arms, and all of them share each (n, trial)
 cell: one training draw, one solve, one scoring. The exact arm scores the
@@ -21,12 +25,14 @@ Gaussian-kernel predictors are scored by Monte Carlo on ``n_eval`` points.
 from __future__ import annotations
 
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blas import single_blas_thread
+from .blas import pin_single_thread, single_blas_thread
 from .errors import ConfigError, NumericalError, QlimitsError
 # quantum_ls_pipeline and expected_risk_mc are not called here since arms
 # share cells and score through excess_risks; they stay importable from this
@@ -291,6 +297,18 @@ def _sweep_row(n: int, outcomes: list[tuple]) -> SweepRow:
     )
 
 
+def _warn_unpinned(exc: QlimitsError) -> None:
+    warnings.warn(f"sweep runs with the default BLAS threads: {exc}", RuntimeWarning, stacklevel=3)
+
+
+def _pin_worker() -> None:
+    """Pool initializer: every loaded BLAS at one thread for the worker's lifetime."""
+    try:
+        pin_single_thread()
+    except QlimitsError as exc:
+        _warn_unpinned(exc)
+
+
 def _sweep_arms(
     config: SweepConfig, arms: tuple[tuple[str, NoiseSchedule | None], ...]
 ) -> tuple[SweepTable, ...]:
@@ -299,10 +317,15 @@ def _sweep_arms(
     schedules = tuple(arm for _, arm in arms)
     tasks = [(config, schedules, n, t) for n in config.n_grid for t in range(config.trials)]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers, initializer=_pin_worker) as pool:
             cells = list(pool.map(_sweep_cell, tasks, chunksize=4))
     else:
-        cells = [_sweep_cell(t) for t in tasks]
+        with ExitStack() as stack:
+            try:
+                stack.enter_context(single_blas_thread())
+            except QlimitsError as exc:
+                _warn_unpinned(exc)
+            cells = [_sweep_cell(t) for t in tasks]
     t = config.trials
     return tuple(
         SweepTable(

@@ -11,6 +11,24 @@ Five training routes over the same dual/primal predictor types:
 Regularized systems are solved by Cholesky factorization; on breakdown the
 solver falls back to an eigendecomposition with eigenvalues floored at 1e-12.
 Every direct solve is residual-checked to 1e-10 relative.
+
+Kernel evaluation is the test-time cost of a dual predictor (n_eval x n
+entries), so it allocates as little as it can. ``Kernel.matrix`` scales and
+exponentiates the Gaussian kernel in place on ``cdist``'s output, one n_a x n_b
+array in all; dividing by ``-2 h^2`` is bit-identical to ``-sq / (2 h^2)``
+because negation is exact (multiplying by a reciprocal would not be).
+``predict_batch`` streams a Gaussian predictor's kernel rows through blocks
+of about ``PREDICT_BLOCK_ENTRIES`` entries, so prediction never holds the
+whole n_eval x n matrix. At one BLAS thread the outputs are bit-identical to
+the unblocked product: every block starts at a multiple of 64 rows, which
+keeps OpenBLAS gemv's row-tail alignment, and a trailing one-row block joins
+the block before it, since numpy sends a (1, n) @ (n,) product to its dot
+path, which rounds differently. With up to a few thousand landmarks a block
+is also below the size at which OpenBLAS threads a gemv (about 4.6e5
+entries), so such a prediction is the same at any BLAS thread count; the
+whole product was not. The linear kernel's product is evaluated whole: the
+rounding of its gemm's edge tiles depends on how the row count splits into
+panels, so row blocks would change its last bits.
 """
 
 from __future__ import annotations
@@ -39,6 +57,8 @@ EIG_FLOOR = 1e-12
 KERNEL_PSD_RTOL = 1e-8
 POWER_ITER_TOL = 1e-6
 POWER_ITER_MAX = 500
+PREDICT_BLOCK_ENTRIES = 2**17  # kernel entries per prediction block (1 MiB)
+PREDICT_ROW_ALIGN = 64  # blocks start at multiples of this many rows
 
 
 @dataclass(frozen=True)
@@ -63,8 +83,9 @@ class Kernel:
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
         if self.kind == "linear":
             return a @ b.T
-        sq = cdist(a, b, "sqeuclidean")
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
+        k = cdist(a, b, "sqeuclidean")
+        np.divide(k, -2.0 * self.bandwidth**2, out=k)
+        return np.exp(k, out=k)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -199,7 +220,19 @@ def predict_batch(predictor: Predictor, x: np.ndarray) -> np.ndarray:
         )
     if isinstance(predictor, PrimalPredictor):
         return x @ predictor.weights
-    return predictor.kernel.matrix(x, predictor.landmarks) @ predictor.coefficients
+    m = x.shape[0]
+    if predictor.kernel.kind == "linear":
+        rows = max(m, 1)  # evaluated whole (see the module docstring)
+    else:
+        rows = PREDICT_BLOCK_ENTRIES // max(predictor.landmarks.shape[0], 1)
+        rows = max(rows - rows % PREDICT_ROW_ALIGN, PREDICT_ROW_ALIGN)
+    starts = list(range(0, m, rows))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()  # a one-row tail joins the block before it
+    out = np.empty(m)
+    for i, j in zip(starts, [*starts[1:], m]):
+        out[i:j] = predictor.kernel.matrix(x[i:j], predictor.landmarks) @ predictor.coefficients
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from qlimits import (
     sample_dataset,
     sweep_excess_risk,
 )
-from qlimits import scaling
+from qlimits import blas, scaling
 from qlimits.rng import derive_seed
 from qlimits.scaling import (
     bench_summary,
@@ -205,6 +205,25 @@ def test_sweep_deterministic_and_parallel_invariant(tmp_path):
     write_sweep_csv(a, [serial])
     write_sweep_csv(b, [parallel])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parallel_gaussian_krr_sweep_writes_the_serial_csv_bytes(tmp_path):
+    config = SweepConfig(
+        n_grid=(64, 128, 256), trials=3, solver="krr", kernel=Kernel("gaussian", bandwidth=1.0),
+        n_eval=3000, master_seed=5,
+    )
+    paths = []
+    for workers in (1, 2):
+        paths.append(tmp_path / f"workers{workers}.csv")
+        write_sweep_csv(paths[-1], [sweep_excess_risk(dataclasses.replace(config, workers=workers))])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_serial_sweep_that_cannot_pin_blas_warns_and_runs(monkeypatch):
+    pinned = sweep_excess_risk(FAST_CONFIG)
+    monkeypatch.setattr(blas, "loaded_blas_paths", lambda: [])
+    with pytest.warns(RuntimeWarning, match="no BLAS"):
+        assert sweep_excess_risk(FAST_CONFIG) == pinned
 
 
 def test_noiseless_interpolation_has_negligible_excess():

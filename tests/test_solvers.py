@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from qlimits import (
     ConfigError,
@@ -8,6 +11,7 @@ from qlimits import (
     Kernel,
     LINEAR_KERNEL,
     PrimalPredictor,
+    QlimitsError,
     SingularSystemError,
     SolverConfig,
     divide_and_conquer,
@@ -22,6 +26,7 @@ from qlimits import (
     predict_batch,
     sample_dataset,
 )
+from qlimits import blas
 from qlimits.errors import KernelNotPSDError
 from qlimits.rng import child_rng, derive_seed
 from qlimits.solvers import (
@@ -374,6 +379,96 @@ def test_predict_hand_cases():
         coefficients=np.array([1.0]), landmarks=np.array([[2.0, 0.0]]), kernel=LINEAR_KERNEL
     )
     assert predict(dual, np.array([3.0, 0.0])) == 6.0
+
+
+@pytest.fixture
+def one_blas_thread():
+    """The unblocked reference products are defined at one BLAS thread: above
+    about 4.6e5 entries OpenBLAS threads a gemv, and its rounding then depends
+    on the thread count."""
+    try:
+        pinned = blas.single_blas_thread()
+        pinned.__enter__()
+    except QlimitsError as exc:
+        pytest.skip(f"cannot pin BLAS to one thread: {exc}")
+    yield
+    pinned.__exit__(None, None, None)
+
+
+def _whole_gaussian(x, landmarks, coefficients, bandwidth):
+    """The unblocked, out-of-place prediction that predict_batch replaced."""
+    return np.exp(-cdist(x, landmarks, "sqeuclidean") / (2.0 * bandwidth**2)) @ coefficients
+
+
+def _points(rng, rows, dim=10):
+    return rng.standard_normal((rows, dim)) / np.sqrt(dim)
+
+
+@pytest.mark.parametrize("n_landmarks", [1, 7, 257, 2048])
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 640, 4001])
+def test_blocked_prediction_equals_the_whole_kernel_product(rows, n_landmarks, one_blas_thread):
+    rng = child_rng(rows * 10_000 + n_landmarks, "blocked-prediction")
+    x, landmarks = _points(rng, rows), _points(rng, n_landmarks)
+    coefficients = rng.standard_normal(n_landmarks)
+    for bandwidth in (0.7, 1.0, 1.5):
+        dual = DualPredictor(coefficients, landmarks, Kernel("gaussian", bandwidth=bandwidth))
+        assert np.array_equal(
+            predict_batch(dual, x), _whole_gaussian(x, landmarks, coefficients, bandwidth)
+        )
+    # 640 x 257 is a shape where row blocks would change the linear gemm's last bits
+    linear = DualPredictor(coefficients, landmarks, LINEAR_KERNEL)
+    assert np.array_equal(predict_batch(linear, x), (x @ landmarks.T) @ coefficients)
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_blocked_gaussian_prediction_does_not_depend_on_blas_threads(threads, one_blas_thread):
+    rng = child_rng(threads, "blocked-prediction-threads")
+    cases = []
+    for rows, n_landmarks in ((4001, 2048), (641, 1000)):
+        x, landmarks = _points(rng, rows), _points(rng, n_landmarks)
+        coefficients = rng.standard_normal(n_landmarks)
+        cases.append((x, landmarks, coefficients, _whole_gaussian(x, landmarks, coefficients, 1.3)))
+    controls = [blas._thread_controls(path) for path in blas.loaded_blas_paths()]
+    for _, set_threads in controls:
+        set_threads(threads)  # the fixture restores the original counts
+    for x, landmarks, coefficients, reference in cases:
+        dual = DualPredictor(coefficients, landmarks, Kernel("gaussian", bandwidth=1.3))
+        assert np.array_equal(predict_batch(dual, x), reference)
+
+
+@pytest.mark.parametrize("bandwidth", [0.3, 0.7, 1.3, 2.9, 10.0 / 3.0])
+def test_in_place_gaussian_matrix_equals_the_old_expression(bandwidth):
+    rng = child_rng(0, "in-place-kernel")
+    a, b = _points(rng, 300), _points(rng, 200)
+    expected = np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * bandwidth**2))
+    assert np.array_equal(Kernel("gaussian", bandwidth=bandwidth).matrix(a, b), expected)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+def test_blocked_prediction_peaks_under_4_mb_beyond_its_output():
+    rng = child_rng(0, "prediction-memory")
+    x, landmarks = _points(rng, 4000), _points(rng, 2048)
+    dual = DualPredictor(rng.standard_normal(2048), landmarks, GAUSS)
+    output_bytes = 4000 * 8
+    assert _peak_bytes(lambda: predict_batch(dual, x)) - output_bytes < 4 * 2**20
+
+
+def test_gaussian_matrix_allocates_one_full_size_array():
+    rng = child_rng(1, "prediction-memory")
+    a = _points(rng, 2048)
+    full = 2048 * 2048 * 8
+    assert full <= _peak_bytes(lambda: GAUSS.matrix(a, a)) < 1.5 * full
 
 
 def test_predict_dimension_mismatch():

@@ -19,9 +19,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.special, not scipy.stats: importing scipy.stats costs about as much
-# as importing all of qlimits
-from scipy.special import gammainc, gammaincc
 
 from .errors import ConfigError, DimensionMismatchError
 from .solvers import Predictor, PrimalPredictor, predict_batch
@@ -129,6 +126,12 @@ def input_second_moment(problem: SyntheticProblem) -> float:
     d = problem.dimension
     if problem.input_law == "unit_sphere_uniform":
         return 1.0 / d
+    # `import qlimits` loads numpy and scipy.linalg, which exact_ls needs in
+    # every run, and nothing else from scipy: scipy.special loads here, on the
+    # clipped-Gaussian path alone, and scipy.stats, which costs about as much
+    # to import as all of qlimits, never loads.
+    from scipy.special import gammainc, gammaincc
+
     r2 = problem.input_radius**2
     # P(chi2_k <= x) = gammainc(k/2, x/2), its complement gammaincc
     return float(gammainc((d + 2) / 2, r2 / 2) + (r2 / d) * gammaincc(d / 2, r2 / 2))

@@ -318,7 +318,7 @@ def _sweep_arms(
     tasks = [(config, schedules, n, t) for n in config.n_grid for t in range(config.trials)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers, initializer=_pin_worker) as pool:
-            cells = list(pool.map(_sweep_cell, tasks, chunksize=4))
+            cells = list(pool.map(_sweep_cell, tasks))
     else:
         with ExitStack() as stack:
             try:

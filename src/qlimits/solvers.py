@@ -29,6 +29,9 @@ entries), so such a prediction is the same at any BLAS thread count; the
 whole product was not. The linear kernel's product is evaluated whole: the
 rounding of its gemm's edge tiles depends on how the row count splits into
 panels, so row blocks would change its last bits.
+
+``cdist`` is imported at the first Gaussian evaluation, so linear runs never
+load ``scipy.spatial``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import cdist
 
 from .errors import (
     ConfigError,
@@ -83,6 +85,8 @@ class Kernel:
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
         if self.kind == "linear":
             return a @ b.T
+        from scipy.spatial.distance import cdist
+
         k = cdist(a, b, "sqeuclidean")
         np.divide(k, -2.0 * self.bandwidth**2, out=k)
         return np.exp(k, out=k)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
+from scipy.special import gammainc, gammaincc
 
 import qlimits
 from qlimits import (
@@ -292,10 +294,34 @@ def test_excess_risks_checks_dimensions_on_both_paths():
             excess_risks(predictors, problem, 100, 0)
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats alone costs about as much to import as the whole package
+_LAZY_IMPORT_PROBE = """
+import sys, numpy as np, qlimits
+from qlimits import blas
+heavy = ("scipy.stats", "scipy.spatial", "scipy.special")
+print(sorted(m for m in sys.modules if m.startswith(heavy)))
+before = sorted(blas.thread_counts())
+a = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+print(qlimits.Kernel("gaussian", 0.7).matrix(a, a[::-1]).tobytes().hex())
+print(qlimits.input_second_moment(qlimits.make_problem(3, 0.1, "gaussian_clipped")).hex())
+print(before == sorted(blas.thread_counts()))
+"""
+
+
+def test_import_loads_no_scipy_stats_spatial_or_special():
+    # scipy.stats alone costs about as much to import as the whole package, and
+    # scipy.spatial and scipy.special are most of what is left after numpy and
+    # scipy.linalg; only Gaussian kernels and clipped-Gaussian inputs use them.
     src = os.path.dirname(os.path.dirname(os.path.abspath(qlimits.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, qlimits; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    loaded, kernel_hex, moment_hex, same_blas = done.stdout.splitlines()
+    assert loaded == "[]"
+    # the lazily imported functions give the values of the module-level imports
+    a = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    assert kernel_hex == np.exp(-cdist(a, a[::-1], "sqeuclidean") / (2.0 * 0.7**2)).tobytes().hex()
+    r2 = make_problem(3, 0.1, "gaussian_clipped").input_radius ** 2
+    assert moment_hex == float(gammainc(2.5, r2 / 2) + (r2 / 3) * gammaincc(1.5, r2 / 2)).hex()
+    # loading them maps no new BLAS, so a sweep's earlier pin still covers every library
+    assert same_blas == "True"

@@ -40,6 +40,7 @@ from .scaling import (
     measurement_summary,
     rate_summary,
     runtime_benchmark,
+    single_blas_thread_or_warn,
     sweep_excess_risk,
     sweep_failures,
     write_bench_csv,
@@ -264,24 +265,25 @@ def cmd_fit(
     data = read_dataset_csv(dataset)
     if problem is not None and problem.dimension != data.dimension:
         raise ConfigError(f"problem dimension {problem.dimension} != dataset dimension {data.dimension}")
-    predictor = fit_solver(solver, data, kernel, solver_config)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fit",
-        "solver": solver,
-        "n": data.n_samples,
-        "d": data.dimension,
-        "empirical_risk": empirical_risk(predictor, data),
-        "expected_risk": None,
-        "excess_risk": None,
-        "bayes_risk": None,
-    }
-    if problem is not None:
-        truth = problem.build()
-        estimate = expected_risk_mc(predictor, truth, n_eval, eval_seed)
-        report["expected_risk"] = estimate.to_json()
-        report["excess_risk"] = estimate.value - truth.bayes_risk
-        report["bayes_risk"] = truth.bayes_risk
+    with single_blas_thread_or_warn():  # the report does not depend on the core count
+        predictor = fit_solver(solver, data, kernel, solver_config)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "fit",
+            "solver": solver,
+            "n": data.n_samples,
+            "d": data.dimension,
+            "empirical_risk": empirical_risk(predictor, data),
+            "expected_risk": None,
+            "excess_risk": None,
+            "bayes_risk": None,
+        }
+        if problem is not None:
+            truth = problem.build()
+            estimate = expected_risk_mc(predictor, truth, n_eval, eval_seed)
+            report["expected_risk"] = estimate.to_json()
+            report["excess_risk"] = estimate.value - truth.bayes_risk
+            report["bayes_risk"] = truth.bayes_risk
     save_predictor(predictor, out_predictor)
     _write_json(out_report, report)
     print(f"wrote predictor to {out_predictor} and report to {out_report}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,7 +76,7 @@ KRR_TRAIN_EXPONENT_RANGE = (2.3, 3.5)
 NYSTROM_EXPONENT_GAP_MIN = 0.7
 PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 DESK_SCALE_CAP = 8192
 
 
@@ -298,7 +298,20 @@ def _sweep_row(n: int, outcomes: list[tuple]) -> SweepRow:
 
 
 def _warn_unpinned(exc: QlimitsError) -> None:
-    warnings.warn(f"sweep runs with the default BLAS threads: {exc}", RuntimeWarning, stacklevel=3)
+    warnings.warn(f"running with the default BLAS threads: {exc}", RuntimeWarning, stacklevel=3)
+
+
+@contextmanager
+def single_blas_thread_or_warn():
+    """Run the body inside ``single_blas_thread``; where BLAS cannot be pinned,
+    warn and run it with the default threads. Sweeps and ``qlimits fit`` use it,
+    so their outputs do not depend on the core count."""
+    with ExitStack() as stack:
+        try:
+            stack.enter_context(single_blas_thread())
+        except QlimitsError as exc:
+            _warn_unpinned(exc)
+        yield
 
 
 def _pin_worker() -> None:
@@ -320,11 +333,7 @@ def _sweep_arms(
         with ProcessPoolExecutor(max_workers=config.workers, initializer=_pin_worker) as pool:
             cells = list(pool.map(_sweep_cell, tasks))
     else:
-        with ExitStack() as stack:
-            try:
-                stack.enter_context(single_blas_thread())
-            except QlimitsError as exc:
-                _warn_unpinned(exc)
+        with single_blas_thread_or_warn():
             cells = [_sweep_cell(t) for t in tasks]
     t = config.trials
     return tuple(

@@ -16,15 +16,9 @@ LIBC = ctypes.util.find_library("c")
 
 
 @pytest.fixture
-def two_threads():
+def two_threads(preset_blas_threads):
     """Every loaded OpenBLAS at two threads, so a restore to the old count shows."""
-    controls = [blas._thread_controls(path) for path in blas.loaded_blas_paths()]
-    original = [get_threads() for get_threads, _ in controls]
-    for _, set_threads in controls:
-        set_threads(2)
-    yield
-    for (_, set_threads), threads in zip(controls, original):
-        set_threads(threads)
+    preset_blas_threads(2)
 
 
 def test_single_blas_thread_pins_every_openblas_and_restores(two_threads):

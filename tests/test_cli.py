@@ -45,7 +45,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     problem = make_problem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 3
+    assert echo["schema_version"] == 4
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -144,6 +144,37 @@ def test_fit_every_solver(tmp_path, solver):
     assert predictor_to_json(load_predictor(tmp_path / "pred.json")) == predictor_to_json(expected)
 
 
+def _gaussian_krr_fit(tmp_path):
+    """A fit large enough that an unpinned BLAS rounds it differently at 2 threads."""
+    data = tmp_path / "train.csv"
+    write_dataset_csv(sample_dataset(make_problem(10, 0.5, seed=3), 600, seed=4), data)
+    payload = {
+        "dataset": str(data),
+        "solver": "krr",
+        "kernel": {"kind": "gaussian", "bandwidth": 1.0},
+        "problem": {"d": 10, "sigma": 0.5, "seed": 3},
+        "n_eval": 3000,
+        "out_predictor": str(tmp_path / "pred.json"),
+        "out_report": str(tmp_path / "report.json"),
+    }
+    assert _run(tmp_path, "fit", payload) == 0
+    return (tmp_path / "pred.json").read_bytes(), (tmp_path / "report.json").read_bytes()
+
+
+def test_fit_output_does_not_depend_on_preset_blas_threads(tmp_path, preset_blas_threads):
+    preset_blas_threads(1)
+    single = _gaussian_krr_fit(tmp_path)
+    preset_blas_threads(2)
+    assert _gaussian_krr_fit(tmp_path) == single
+
+
+def test_fit_that_cannot_pin_blas_warns_and_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(blas, "loaded_blas_paths", lambda: [])
+    with pytest.warns(RuntimeWarning, match="no BLAS"):
+        _, report = _gaussian_krr_fit(tmp_path)
+    assert math.isfinite(json.loads(report)["excess_risk"])
+
+
 def test_fit_unknown_solver_exits_config(tmp_path, capsys):
     data = tmp_path / "train.csv"
     write_dataset_csv(sample_dataset(make_problem(2, 0.1, seed=1), 10, seed=2), data)
@@ -225,7 +256,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 3
+    assert summary["schema_version"] == 4
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.spatial.distance import cdist
 from scipy.special import gammainc, gammaincc
 
 import qlimits
@@ -302,6 +301,7 @@ print(sorted(m for m in sys.modules if m.startswith(heavy)))
 before = sorted(blas.thread_counts())
 a = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
 print(qlimits.Kernel("gaussian", 0.7).matrix(a, a[::-1]).tobytes().hex())
+print(sorted(m for m in sys.modules if m.startswith(heavy)))
 print(qlimits.input_second_moment(qlimits.make_problem(3, 0.1, "gaussian_clipped")).hex())
 print(before == sorted(blas.thread_counts()))
 """
@@ -310,18 +310,21 @@ print(before == sorted(blas.thread_counts()))
 def test_import_loads_no_scipy_stats_spatial_or_special():
     # scipy.stats alone costs about as much to import as the whole package, and
     # scipy.spatial and scipy.special are most of what is left after numpy and
-    # scipy.linalg; only Gaussian kernels and clipped-Gaussian inputs use them.
+    # scipy.linalg; only clipped-Gaussian inputs use scipy.special, and nothing
+    # uses the other two.
     src = os.path.dirname(os.path.dirname(os.path.abspath(qlimits.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", _LAZY_IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
     )
-    loaded, kernel_hex, moment_hex, same_blas = done.stdout.splitlines()
+    loaded, kernel_hex, loaded_after_kernel, moment_hex, same_blas = done.stdout.splitlines()
     assert loaded == "[]"
-    # the lazily imported functions give the values of the module-level imports
+    # a Gaussian kernel loads nothing, and gives the bytes it gives in this process
+    assert loaded_after_kernel == "[]"
     a = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
-    assert kernel_hex == np.exp(-cdist(a, a[::-1], "sqeuclidean") / (2.0 * 0.7**2)).tobytes().hex()
+    assert kernel_hex == Kernel("gaussian", 0.7).matrix(a, a[::-1]).tobytes().hex()
+    # the lazily imported gammainc gives the value of the module-level import
     r2 = make_problem(3, 0.1, "gaussian_clipped").input_radius ** 2
     assert moment_hex == float(gammainc(2.5, r2 / 2) + (r2 / 3) * gammaincc(1.5, r2 / 2)).hex()
-    # loading them maps no new BLAS, so a sweep's earlier pin still covers every library
+    # loading scipy.special maps no new BLAS, so a sweep's earlier pin still covers every library
     assert same_blas == "True"

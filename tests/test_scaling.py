@@ -219,6 +219,24 @@ def test_parallel_gaussian_krr_sweep_writes_the_serial_csv_bytes(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_gaussian_sweep_csv_does_not_depend_on_preset_blas_threads(threads, preset_blas_threads, tmp_path):
+    # Unpinned, a GEMM or Cholesky factorisation at 257 and 600 points rounds
+    # differently at 2 or more threads; both sweep paths pin, so the CSV does not.
+    config = SweepConfig(
+        n_grid=(64, 257, 600), trials=2, solver="krr", kernel=Kernel("gaussian", bandwidth=1.0),
+        n_eval=3000, master_seed=5,
+    )
+    written = set()
+    for preset in (1, threads):
+        preset_blas_threads(preset)
+        for workers in (1, 2):
+            path = tmp_path / f"threads{preset}-workers{workers}.csv"
+            write_sweep_csv(path, [sweep_excess_risk(dataclasses.replace(config, workers=workers))])
+            written.add(path.read_bytes())
+    assert len(written) == 1
+
+
 def test_serial_sweep_that_cannot_pin_blas_warns_and_runs(monkeypatch):
     pinned = sweep_excess_risk(FAST_CONFIG)
     monkeypatch.setattr(blas, "loaded_blas_paths", lambda: [])

@@ -10,7 +10,8 @@ Five training routes over the same dual/primal predictor types:
 
 Regularized systems are solved by Cholesky factorization; on breakdown the
 solver falls back to an eigendecomposition with eigenvalues floored at 1e-12.
-Every direct solve is residual-checked to 1e-10 relative.
+Direct solves are residual-checked to 1e-10 relative, except where Nystrom's
+eigenvalue-clipped fallback returns after a failed check.
 
 Kernel evaluation is the test-time cost of a dual predictor (n_eval x n
 entries), so it runs in BLAS and allocates as little as it can.
@@ -24,17 +25,25 @@ array in all, every entry in [0, 1]. This is not bit-identical to
 bandwidths 0.3 to 3.3, the entries differ by at most about 1e-15. The
 exponent's error is a few ulps of the centred squared norms over 2 h^2, so at
 coincident points (the diagonal of K(a, a)) it reaches 7e-14 at h = 0.3 on
-clipped-Gaussian inputs.
+clipped-Gaussian inputs. The GEMM forms a_i . (2s b_j) and a_j . (2s b_i)
+separately, so a Gaussian K(x, x) is symmetric only up to its last bits.
+
+Early-stopped gradient descent reads one triangle of its Gram, the upper
+one that Cholesky reads too: in its power iteration and, for a Gaussian
+kernel, in every pass of its dual loop. Each product is a BLAS dsymv, which
+streams half the matrix that a full product would.
 
 ``predict_batch`` streams a Gaussian predictor's kernel rows through blocks
 of about ``PREDICT_BLOCK_ENTRIES`` entries, so prediction never holds the
-whole n_eval x n matrix and each block stays in cache. A GEMM's rounding can
-depend on the BLAS thread count, so a Gaussian prediction made outside a
-pinned region can too, as a linear one always could; sweeps and ``qlimits
-fit`` pin BLAS to one thread, so their outputs do not. The linear kernel's
-product is evaluated whole: the rounding of its gemm's edge tiles depends on
-how the row count splits into panels, so row blocks would change its last
-bits.
+whole n_eval x n matrix and each block stays in cache. It centres and
+augments the landmarks once per call (``Kernel.prepare``) and evaluates
+every block against them, with the same bits as from the raw landmarks. A
+GEMM's rounding can depend on the BLAS thread count, so a Gaussian
+prediction made outside a pinned region can too, as a linear one always
+could; sweeps and ``qlimits fit`` pin BLAS to one thread, so their outputs
+do not. The linear kernel's product is evaluated whole: the rounding of its
+gemm's edge tiles depends on how the row count splits into panels, so row
+blocks would change its last bits.
 """
 
 from __future__ import annotations
@@ -82,21 +91,36 @@ class Kernel:
         else:
             raise ConfigError(f"unknown kernel kind {self.kind!r}, expected 'linear' or 'gaussian'")
 
-    def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    def prepare(self, b: np.ndarray) -> PreparedLandmarks:
+        """``b`` in the form the Gaussian branch of ``matrix`` evaluates rows
+        against: its mean and the factor [2s (b - mean), 1, |b - mean|^2]."""
+        if self.kind != "gaussian":
+            raise ConfigError(f"only a gaussian kernel prepares landmarks, not {self.kind!r}")
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-        if self.kind == "linear":
-            return a @ b.T
+        centre = b.mean(axis=0)
+        b = b - centre
+        s = 0.5 / self.bandwidth**2
+        sq_b = np.einsum("ij,ij->i", b, b)[:, None]
+        return PreparedLandmarks(self, centre, np.hstack(((2.0 * s) * b, np.ones_like(sq_b), sq_b)))
+
+    def matrix(self, a: np.ndarray, b: np.ndarray | PreparedLandmarks) -> np.ndarray:
+        """K(a_i, b_j) for every row pair; a Gaussian kernel's ``b`` may come
+        from ``prepare``, which gives the same bits as the raw landmarks."""
+        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+        if isinstance(b, PreparedLandmarks):
+            if b.kernel != self:
+                raise ConfigError(f"landmarks were prepared for {b.kernel}, not {self}")
+        elif self.kind == "linear":
+            return a @ np.atleast_2d(np.asarray(b, dtype=np.float64)).T
+        else:
+            b = self.prepare(b)
         # -|a - b|^2 / (2 h^2) from one GEMM, [a, -s|a|^2, -s] . [2s b, 1, |b|^2]
         # with s = 1 / (2 h^2), on inputs centred on b's mean (module docstring)
-        centre = b.mean(axis=0)
-        a, b = a - centre, b - centre
+        a = a - b.centre
         s = 0.5 / self.bandwidth**2
         sq_a = np.einsum("ij,ij->i", a, a)[:, None]
-        sq_b = np.einsum("ij,ij->i", b, b)[:, None]
         left = np.hstack((a, -s * sq_a, np.full_like(sq_a, -s)))
-        right = np.hstack(((2.0 * s) * b, np.ones_like(sq_b), sq_b))
-        k = left @ right.T
+        k = left @ b.factor.T
         np.minimum(k, 0.0, out=k)  # rounding can leave a tiny positive exponent
         return np.exp(k, out=k)
 
@@ -120,6 +144,15 @@ class Kernel:
 
 
 LINEAR_KERNEL = Kernel("linear")
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedLandmarks:
+    """A Gaussian kernel's landmarks, centred and augmented once (``Kernel.prepare``)."""
+
+    kernel: Kernel
+    centre: np.ndarray
+    factor: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,13 +267,15 @@ def predict_batch(predictor: Predictor, x: np.ndarray) -> np.ndarray:
     if isinstance(predictor, PrimalPredictor):
         return x @ predictor.weights
     m = x.shape[0]
-    if predictor.kernel.kind == "linear":
+    kernel, landmarks = predictor.kernel, predictor.landmarks
+    if kernel.kind == "linear":
         rows = max(m, 1)  # evaluated whole (see the module docstring)
     else:
-        rows = max(PREDICT_BLOCK_ENTRIES // max(predictor.landmarks.shape[0], 1), 1)
+        rows = max(PREDICT_BLOCK_ENTRIES // max(landmarks.shape[0], 1), 1)
+        landmarks = kernel.prepare(landmarks)
     out = np.empty(m)
     for i in range(0, m, rows):
-        out[i:i + rows] = predictor.kernel.matrix(x[i:i + rows], predictor.landmarks) @ predictor.coefficients
+        out[i:i + rows] = kernel.matrix(x[i:i + rows], landmarks) @ predictor.coefficients
     return out
 
 
@@ -341,15 +376,25 @@ def check_kernel_psd(k: np.ndarray) -> None:
         )
 
 
+def _symmetric_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` from the upper triangle alone, the one Cholesky reads.
+
+    ``matrix.T`` is the Fortran-ordered view of a C-ordered matrix, so dsymv
+    gets it without a copy, and its lower triangle is ``matrix``'s upper.
+    """
+    return scipy.linalg.blas.dsymv(1.0, matrix.T, v, lower=1)
+
+
 def top_eigenvalue(matrix: np.ndarray, seed: int = 0) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
+    """Largest eigenvalue of a symmetric PSD matrix by power iteration,
+    reading its upper triangle."""
     dim = matrix.shape[0]
     rng = child_rng(seed, "power-iteration")
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     estimate = 0.0
     for _ in range(POWER_ITER_MAX):
-        w = matrix @ v
+        w = _symmetric_product(matrix, v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
@@ -377,21 +422,23 @@ def early_stopping_gd(
     n = dataset.n_samples
     t = config.max_iters if config.max_iters is not None else ceil_sqrt(n)
     a, y = dataset.features, dataset.labels
-    # One loop for both forms: residual design @ coef - y, step along back(residual).
-    # Primal: design a, back a.T @ r, curvature of the d x d Gram. Dual: design K.
+    # One loop for both forms: residual forward(coef) - y, step along back(residual).
+    # Primal: forward a @ c, back a.T @ r, curvature of the d x d Gram. Dual:
+    # forward K @ c from K's upper triangle, curvature of K.
     if kernel.kind == "linear":
-        design, back, gram = a, lambda r: a.T @ r, a.T @ a
+        gram = a.T @ a
+        forward, back = lambda c: a @ c, lambda r: a.T @ r
     else:
-        design = gram = kernel.matrix(a, a)
-        back = lambda r: r
+        gram = kernel.matrix(a, a)
+        forward, back = lambda c: _symmetric_product(gram, c), lambda r: r
     curvature = 2.0 * top_eigenvalue(gram, seed=config.seed) / n
     auto_step = 1.0 / curvature if curvature > 0 else 1.0
     step = config.step_size if config.step_size is not None else auto_step
-    coef = np.zeros(design.shape[1])
+    coef = np.zeros(gram.shape[0])
     rises = 0
     prev_risk = float(y @ y) / n
     for _ in range(t):
-        resid = design @ coef - y
+        resid = forward(coef) - y
         coef = coef - step * (2.0 / n) * back(resid)
         risk = float(resid @ resid) / n  # risk at the pre-update iterate
         rises = rises + 1 if risk > prev_risk * (1.0 + 1e-12) else 0

@@ -10,6 +10,7 @@ from qlimits import (
     LINEAR_KERNEL,
     SOLVER_IDS,
     SolverConfig,
+    excess_risk,
     expected_risks_mc,
     fit_solver,
     make_problem,
@@ -45,7 +46,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     problem = make_problem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 4
+    assert echo["schema_version"] == 5
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -142,6 +143,30 @@ def test_fit_every_solver(tmp_path, solver):
         solver, read_dataset_csv(data), LINEAR_KERNEL, SolverConfig(lam=0.05, partitions=2)
     )
     assert predictor_to_json(load_predictor(tmp_path / "pred.json")) == predictor_to_json(expected)
+
+
+def test_fit_scores_a_linear_predictor_exactly(tmp_path):
+    problem = make_problem(5, 0.5, seed=7)
+    data = tmp_path / "train.csv"
+    write_dataset_csv(sample_dataset(problem, 4096, seed=8), data)
+    payload = {
+        "dataset": str(data),
+        "solver": "exact_ls",
+        "problem": {"d": 5, "sigma": 0.5, "seed": 7},
+        "n_eval": 2000,
+        "out_predictor": str(tmp_path / "pred.json"),
+        "out_report": str(tmp_path / "report.json"),
+    }
+    assert _run(tmp_path, "fit", payload) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["excess_risk"] == excess_risk(load_predictor(tmp_path / "pred.json"), problem)
+    assert report["expected_risk"]["n_eval"] == 2000  # the Monte Carlo estimate stays
+
+
+def test_fit_scores_a_gaussian_predictor_on_its_evaluation_sample(tmp_path):
+    _, report = _gaussian_krr_fit(tmp_path)
+    report = json.loads(report)
+    assert report["excess_risk"] == report["expected_risk"]["value"] - report["bayes_risk"]
 
 
 def _gaussian_krr_fit(tmp_path):
@@ -256,7 +281,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 4
+    assert summary["schema_version"] == 5
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]

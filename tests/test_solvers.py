@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from qlimits import (
@@ -28,6 +29,7 @@ from qlimits import (
 from qlimits.errors import KernelNotPSDError
 from qlimits.rng import child_rng, derive_seed
 from qlimits.solvers import (
+    PREDICT_BLOCK_ENTRIES,
     DualPredictor,
     check_kernel_psd,
     predictor_from_json,
@@ -165,6 +167,12 @@ def test_kernel_validation():
         Kernel("linear", bandwidth=1.0)
     with pytest.raises(ConfigError):
         Kernel("polynomial")
+    with pytest.raises(ConfigError):
+        LINEAR_KERNEL.prepare(np.eye(2))
+    with pytest.raises(ConfigError):
+        Kernel("gaussian", bandwidth=2.0).matrix(np.eye(2), GAUSS.prepare(np.eye(2)))
+    with pytest.raises(ConfigError):
+        LINEAR_KERNEL.matrix(np.eye(2), GAUSS.prepare(np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +224,42 @@ def test_gd_divergence_detected():
     assert excinfo.value.step_size == pytest.approx(bad_step)
 
 
+def _upper_product(k, v):
+    """k @ v from k's upper triangle, by the dsymv call the solver makes:
+    the lower triangle of the Fortran-ordered view k.T."""
+    return scipy.linalg.blas.dsymv(1.0, k.T, v, lower=1)
+
+
+def _power_iteration(matrix, seed, product):
+    """``top_eigenvalue`` written out, with ``product(matrix, v)`` in every pass."""
+    v = child_rng(seed, "power-iteration").standard_normal(matrix.shape[0])
+    v /= np.linalg.norm(v)
+    estimate = 0.0
+    for _ in range(500):
+        w = product(matrix, v)
+        new_estimate = float(v @ w)
+        v = w / np.linalg.norm(w)
+        if abs(new_estimate - estimate) <= 1e-6 * abs(new_estimate):
+            return new_estimate
+        estimate = new_estimate
+    return estimate
+
+
 def _gd_separate_loops(ds, kernel, iters, seed=0):
-    """Primal and dual gradient descent as two hand-written loops (auto step)."""
+    """Primal and dual gradient descent as two hand-written loops (auto step).
+    The power iterations and the dual loop read one triangle, as the solver does."""
     n, a, y = ds.n_samples, ds.features, ds.labels
     if kernel.kind == "linear":
-        step = 1.0 / (2.0 * top_eigenvalue(a.T @ a, seed=seed) / n)
+        step = 1.0 / (2.0 * _power_iteration(a.T @ a, seed, _upper_product) / n)
         w = np.zeros(ds.dimension)
         for _ in range(iters):
             w = w - step * (2.0 / n) * (a.T @ (a @ w - y))
         return w
     k = kernel.matrix(a, a)
-    step = 1.0 / (2.0 * top_eigenvalue(k, seed=seed) / n)
+    step = 1.0 / (2.0 * _power_iteration(k, seed, _upper_product) / n)
     alpha = np.zeros(n)
     for _ in range(iters):
-        alpha = alpha - step * (2.0 / n) * (k @ alpha - y)
+        alpha = alpha - step * (2.0 / n) * (_upper_product(k, alpha) - y)
     return alpha
 
 
@@ -239,6 +269,31 @@ def test_gd_matches_separate_primal_and_dual_loops_bit_for_bit(kernel):
     fitted = early_stopping_gd(ds, kernel, SolverConfig(max_iters=12, seed=3))
     coef = fitted.weights if kernel.kind == "linear" else fitted.coefficients
     assert coef.tobytes() == _gd_separate_loops(ds, kernel, 12, seed=3).tobytes()
+
+
+@pytest.mark.parametrize("law", INPUT_LAWS)
+def test_dual_gd_is_within_1e_12_of_the_full_product_loop(law):
+    # a Gaussian K(x, x) is symmetric only up to its last bits, so reading one
+    # triangle moves the coefficients by rounding alone
+    problem = make_problem(10, 0.5, law)
+    ds = sample_dataset(problem, 700, seed=4)
+    n, y = ds.n_samples, ds.labels
+    k = GAUSS.matrix(ds.features, ds.features)
+    step = 1.0 / (2.0 * _power_iteration(k, 2, np.matmul) / n)
+    alpha = np.zeros(n)
+    for _ in range(27):  # ceil(sqrt(700))
+        alpha = alpha - step * (2.0 / n) * (k @ alpha - y)
+    fitted = early_stopping_gd(ds, GAUSS, SolverConfig(seed=2)).coefficients
+    assert np.abs(fitted - alpha).max() <= 1e-12 * np.abs(alpha).max()
+
+
+@pytest.mark.parametrize("law", INPUT_LAWS)
+def test_top_eigenvalue_of_a_gaussian_gram_matches_dense(law):
+    points = sample_dataset(make_problem(10, 0.5, law), 300, seed=5).features
+    k = GAUSS.matrix(points, points)
+    top = top_eigenvalue(k, seed=1)
+    assert top == pytest.approx(scipy.linalg.eigvalsh(k)[-1], rel=1e-4)
+    assert top == _power_iteration(k, 1, _upper_product)
 
 
 def test_gd_default_budget_is_sqrt_n():
@@ -389,8 +444,12 @@ def _points(rng, rows, dim=10):
     return rng.standard_normal((rows, dim)) / np.sqrt(dim)
 
 
-@pytest.mark.parametrize("n_landmarks", [1, 7, 257, 2048])
-@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 640, 4001])
+PREDICTION_LANDMARKS = [1, 7, 257, 2048]
+PREDICTION_ROWS = [1, 63, 64, 65, 129, 640, 4001]
+
+
+@pytest.mark.parametrize("n_landmarks", PREDICTION_LANDMARKS)
+@pytest.mark.parametrize("rows", PREDICTION_ROWS)
 def test_blocked_prediction_equals_the_whole_kernel_product(rows, n_landmarks):
     rng = child_rng(rows * 10_000 + n_landmarks, "blocked-prediction")
     x, landmarks = _points(rng, rows), _points(rng, n_landmarks)
@@ -404,6 +463,24 @@ def test_blocked_prediction_equals_the_whole_kernel_product(rows, n_landmarks):
     # 640 x 257 is a shape where row blocks would change the linear gemm's last bits
     linear = DualPredictor(coefficients, landmarks, LINEAR_KERNEL)
     assert np.array_equal(predict_batch(linear, x), (x @ landmarks.T) @ coefficients)
+
+
+@pytest.mark.parametrize("n_landmarks", PREDICTION_LANDMARKS)
+@pytest.mark.parametrize("rows", PREDICTION_ROWS)
+def test_prediction_from_prepared_landmarks_is_bit_identical(rows, n_landmarks):
+    rng = child_rng(rows * 10_000 + n_landmarks, "prepared-landmarks")
+    x, landmarks = _points(rng, rows), _points(rng, n_landmarks)
+    coefficients = rng.standard_normal(n_landmarks)
+    block = max(PREDICT_BLOCK_ENTRIES // n_landmarks, 1)
+    for bandwidth in (0.7, 1.0, 1.5):
+        kernel = Kernel("gaussian", bandwidth=bandwidth)
+        prepared = kernel.prepare(landmarks)
+        assert kernel.matrix(x, prepared).tobytes() == kernel.matrix(x, landmarks).tobytes()
+        per_block = np.concatenate([
+            kernel.matrix(x[i:i + block], landmarks) @ coefficients for i in range(0, rows, block)
+        ])
+        blocked = predict_batch(DualPredictor(coefficients, landmarks, kernel), x)
+        assert blocked.tobytes() == per_block.tobytes()
 
 
 @pytest.mark.parametrize("bandwidth", [0.3, 0.7, 1.3, 2.9, 10.0 / 3.0])

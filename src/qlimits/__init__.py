@@ -50,9 +50,8 @@ from .rng import child_rng, derive_seed
 from .scaling import (
     SOLVER_IDS,
     BenchReport,
-    MatchingReport,
-    MeasurementReport,
     NoiseSchedule,
+    PairedReport,
     ProblemSpec,
     ScalingFit,
     SweepConfig,
@@ -61,6 +60,7 @@ from .scaling import (
     fit_solver,
     matching_experiment,
     measurement_experiment,
+    paired_experiment,
     runtime_benchmark,
     sweep_excess_risk,
 )
@@ -83,7 +83,6 @@ from .solvers import (
 from .synth import (
     Dataset,
     SyntheticProblem,
-    bayes_risk,
     make_problem,
     read_dataset_csv,
     sample_dataset,

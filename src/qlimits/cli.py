@@ -333,15 +333,15 @@ def cmd_sweep(
         payload["failures"] = _write_tables(out_csv, [table])
         payload["summary"] = rate_summary(table)
     else:
-        experiment, options, summary, arms = {
-            "matching": (matching_experiment, matching, matching_summary, ("matched", "constant")),
-            "measurement": (measurement_experiment, measurement, measurement_summary,
-                            ("budget", "degraded")),
+        experiment, options, summary = {
+            "matching": (matching_experiment, matching, matching_summary),
+            "measurement": (measurement_experiment, measurement, measurement_summary),
         }[mode]
         report = _build(experiment, options, f"{mode} options", config=config)
-        payload["failures"] = _write_tables(out_csv, report.arm_tables().values())
+        tables = report.arm_tables()
+        payload["failures"] = _write_tables(out_csv, tables.values())
         payload["summary"] = summary(report)
-        payload["ratios"] = {arm: report.ratios(arm) for arm in arms}
+        payload["ratios"] = {arm: report.ratios(arm) for arm in tables if arm != "exact"}
     _write_json(out_json, payload)
     print(f"wrote {out_csv} and {out_json}")
     return EXIT_OK

@@ -13,9 +13,10 @@ pinned, the sweep warns and runs with the default threads.
 A sweep scores one or more arms, and all of them share each (n, trial)
 cell: one training draw, one solve, one scoring. The exact arm scores the
 solve itself; a noisy arm passes its weights through the error channels,
-seeded by the cell's one noise stream. The paired experiments (exact vs
-noisy solver) are three-arm sweeps, so their ratios isolate the injected
-error, and each arm's table equals that of a sweep of the arm alone.
+seeded by the cell's one noise stream. A paired experiment is one sweep of
+the exact arm and any number of noisy arms, so its ratios isolate the
+injected error, and each arm's table equals that of a sweep of the arm alone;
+the matching and measurement experiments are two named arm lists over it.
 
 Cells are scored by ``risk.excess_risks``: a linear predictor's excess risk
 is exact, ``s |w - w*|^2`` with standard error 0, and nothing is drawn; only
@@ -428,76 +429,68 @@ def _resolved_medians(table: SweepTable) -> list[tuple[int, float]]:
     return table.medians()
 
 
-def _ratios(exact: SweepTable, arm: SweepTable) -> list[tuple[int, float]]:
-    """Per-n median excess risk of ``arm`` over ``exact``; 1.0 where they are
-    equal, which covers the degenerate zero-injection arm exactly."""
-    return [
-        (e.n, 1.0 if a.median_excess == e.median_excess else a.median_excess / e.median_excess)
-        for e, a in zip(exact.rows, arm.rows)
-    ]
-
-
 @dataclass(frozen=True)
-class MatchingReport:
-    """Excess risk of gamma-matched and constant-gamma pipelines vs exact."""
+class PairedReport:
+    """Excess risk of noisy solver arms against the exact solve.
 
-    exact: SweepTable
-    matched: SweepTable
-    constant: SweepTable
-    matched_c0: float
-    constant_gamma: float
+    ``tables`` maps each arm name to its table, the ``exact`` arm first;
+    ``options`` holds the experiment's own options, which its summary echoes.
+    """
+
+    tables: dict[str, SweepTable]
+    options: dict
 
     def arm_tables(self) -> dict[str, SweepTable]:
-        return {"exact": self.exact, "matched": self.matched, "constant": self.constant}
+        return dict(self.tables)
 
     def ratios(self, arm: str) -> list[tuple[int, float]]:
-        return _ratios(self.exact, self.arm_tables()[arm])
-
-
-def matching_experiment(
-    config: SweepConfig, matched_c0: float = 0.1, constant_gamma: float = 0.3
-) -> MatchingReport:
-    """Exact solve vs solver-error schedules gamma = c0 * n^(-1/2) and
-    gamma = constant: one three-arm sweep, so the arms share every cell."""
-    exact, matched, constant = _sweep_arms(
-        replace(config, noise=None, solver="exact_ls"),
-        (
-            ("exact", None),
-            ("matched", NoiseSchedule(gamma_kind="matched", gamma_value=matched_c0)),
-            ("constant", NoiseSchedule(gamma_value=constant_gamma)),
-        ),
-    )
-    return MatchingReport(exact, matched, constant, matched_c0, constant_gamma)
-
-
-@dataclass(frozen=True)
-class MeasurementReport:
-    """Excess risk under measurement budgets m(n) vs the exact solve."""
-
-    exact: SweepTable
-    budget: SweepTable
-    degraded: SweepTable
-    regime: str
-
-    def arm_tables(self) -> dict[str, SweepTable]:
-        return {"exact": self.exact, "budget": self.budget, "degraded": self.degraded}
-
-    def ratios(self, arm: str) -> list[tuple[int, float]]:
-        return _ratios(self.exact, self.arm_tables()[arm])
+        """Per-n median excess risk of ``arm`` over the exact arm; 1.0 where
+        they are equal, which covers the degenerate zero-injection arm exactly."""
+        return [
+            (e.n, 1.0 if a.median_excess == e.median_excess else a.median_excess / e.median_excess)
+            for e, a in zip(self.tables["exact"].rows, self.tables[arm].rows)
+        ]
 
     def arm_fit(self, arm: str) -> ScalingFit:
-        return fit_scaling(_resolved_medians(self.arm_tables()[arm]))
+        return fit_scaling(_resolved_medians(self.tables[arm]))
 
     def ratio_fit(self, arm: str) -> ScalingFit:
         """Fit of ``ratios(arm)`` over the n where both arms have ok trials;
         its exponent is the arm's exponent minus the exact arm's."""
-        table = self.arm_tables()[arm]
-        rows = zip(self.exact.rows, table.rows, self.ratios(arm))
+        exact, table = self.tables["exact"], self.tables[arm]
+        rows = zip(exact.rows, table.rows, self.ratios(arm))
         used = [(e, a, pair) for e, a, pair in rows if e.trials_ok and a.trials_ok]
         for e, a, _ in used:
-            _require_resolved(self.exact.label, e)
+            _require_resolved(exact.label, e)
             _require_resolved(table.label, a)
         return fit_scaling(pair for _, _, pair in used)
+
+
+def paired_experiment(
+    config: SweepConfig, arms: dict[str, tuple[str, NoiseSchedule]], **options
+) -> PairedReport:
+    """Exact solve vs noisy arms in one sweep of ``exact_ls``, so every arm
+    shares every cell. ``arms`` maps each arm name to its table label and
+    NoiseSchedule; the exact arm comes first, named and labelled ``exact``.
+    ``options`` are recorded in the report as given."""
+    named = {"exact": ("exact", None), **arms}
+    labels = [label for label, _ in named.values()]
+    if "exact" in arms or len(set(labels)) < len(labels):
+        raise ConfigError(f"arm labels must be unique and no arm named 'exact', got {labels}")
+    tables = _sweep_arms(replace(config, noise=None, solver="exact_ls"), tuple(named.values()))
+    return PairedReport(dict(zip(named, tables)), options)
+
+
+def matching_experiment(
+    config: SweepConfig, matched_c0: float = 0.1, constant_gamma: float = 0.3
+) -> PairedReport:
+    """Exact solve vs solver-error schedules gamma = c0 * n^(-1/2) and
+    gamma = constant, arms ``matched`` and ``constant``."""
+    arms = {
+        "matched": ("matched", NoiseSchedule(gamma_kind="matched", gamma_value=matched_c0)),
+        "constant": ("constant", NoiseSchedule(gamma_value=constant_gamma)),
+    }
+    return paired_experiment(config, arms, matched_c0=matched_c0, constant_gamma=constant_gamma)
 
 
 def measurement_experiment(
@@ -505,20 +498,16 @@ def measurement_experiment(
     regime: str = "heisenberg",
     budget_rule: str = "sqrt_n",
     degraded_rule: str = "fourth_root_n",
-) -> MeasurementReport:
-    """Exact solve vs tomography readout with m set by two rules: one
-    three-arm sweep, so the arms share every cell."""
+) -> PairedReport:
+    """Exact solve vs tomography readout with m set by two rules, arms
+    ``budget`` and ``degraded``."""
     if regime == "exact":  # NoiseSchedule rejects unknown regimes
         raise ConfigError(f"measurement experiment needs a noisy regime, got {regime!r}")
-    exact, budget, degraded = _sweep_arms(
-        replace(config, noise=None, solver="exact_ls"),
-        (
-            ("exact", None),
-            (f"m_{budget_rule}", NoiseSchedule(regime=regime, m_kind=budget_rule)),
-            (f"m_{degraded_rule}", NoiseSchedule(regime=regime, m_kind=degraded_rule)),
-        ),
-    )
-    return MeasurementReport(exact, budget, degraded, regime)
+    arms = {
+        "budget": (f"m_{budget_rule}", NoiseSchedule(regime=regime, m_kind=budget_rule)),
+        "degraded": (f"m_{degraded_rule}", NoiseSchedule(regime=regime, m_kind=degraded_rule)),
+    }
+    return paired_experiment(config, arms, regime=regime)
 
 
 # ---------------------------------------------------------------------------
@@ -674,13 +663,12 @@ def rate_summary(table: SweepTable) -> dict:
     }
 
 
-def matching_summary(report: MatchingReport) -> dict:
+def matching_summary(report: PairedReport) -> dict:
     matched = report.ratios("matched")
     constant = report.ratios("constant")
     return {
-        "matched_c0": report.matched_c0,
-        "constant_gamma": report.constant_gamma,
-        "max_ratio_matched": max(r for _, r in matched),
+        **report.options,
+        "max_ratio_matched": float(np.max([r for _, r in matched])),  # NaN anywhere propagates
         "ratio_constant_at_n_max": constant[-1][1],
         "matched_ok": bool(all(r <= MATCHED_RATIO_MAX for _, r in matched)),
         "constant_ok": bool(constant[-1][1] >= CONSTANT_RATIO_MIN),
@@ -689,13 +677,13 @@ def matching_summary(report: MatchingReport) -> dict:
     }
 
 
-def measurement_summary(report: MeasurementReport) -> dict:
+def measurement_summary(report: PairedReport) -> dict:
     budget = report.ratios("budget")
     budget_slope = report.ratio_fit("budget").exponent
     degraded_slope = report.ratio_fit("degraded").exponent
     return {
-        "regime": report.regime,
-        "max_ratio_budget": max(r for _, r in budget),
+        **report.options,
+        "max_ratio_budget": float(np.max([r for _, r in budget])),
         "degraded_exponent": report.arm_fit("degraded").exponent,
         "degraded_ratio_exponent": degraded_slope,
         "budget_ratio_exponent": budget_slope,

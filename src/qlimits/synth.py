@@ -113,11 +113,6 @@ def make_problem(
     )
 
 
-def bayes_risk(problem: SyntheticProblem) -> float:
-    """Minimum achievable expected risk under squared loss: noise variance."""
-    return problem.bayes_risk
-
-
 def unit_vector(rng: np.random.Generator, dimension: int) -> np.ndarray:
     """A uniformly random direction in R^dimension."""
     while True:

@@ -29,6 +29,7 @@ from qlimits import (
     matching_experiment,
     measurement_experiment,
     nystrom,
+    paired_experiment,
     pairwise_sum,
     quantum_ls_pipeline,
     runtime_benchmark,
@@ -321,8 +322,9 @@ def test_matching_degenerate_schedule_gives_unit_ratios():
 
 def test_matching_ratios_respect_mc_noise_floor():
     report = matching_experiment(FAST_CONFIG, matched_c0=0.1, constant_gamma=0.3)
+    tables = report.arm_tables()
     for (n, ratio), exact_row, noisy_row in zip(
-        report.ratios("matched"), report.exact.rows, report.matched.rows
+        report.ratios("matched"), tables["exact"].rows, tables["matched"].rows
     ):
         slack = 4 * (exact_row.median_std_error + noisy_row.median_std_error)
         assert ratio >= 1 - slack / exact_row.median_excess
@@ -365,7 +367,7 @@ def _separate_sweeps(config, arms):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_paired_experiments_equal_separate_sweeps_bit_for_bit(workers):
+def test_paired_experiments_equal_separate_sweeps_bit_for_bit(workers, monkeypatch):
     config = dataclasses.replace(FAST_CONFIG, workers=workers)
     matching = matching_experiment(config, matched_c0=0.1, constant_gamma=0.3)
     measurement = measurement_experiment(config, regime="heisenberg")
@@ -375,6 +377,20 @@ def test_paired_experiments_equal_separate_sweeps_bit_for_bit(workers):
     assert sweep_csv_rows(measurement.arm_tables().values()) == sweep_csv_rows(
         _separate_sweeps(config, MEASUREMENT_ARMS)
     )
+    # one call with all four noisy arms shares the exact arm among them
+    solves = []
+    exact = scaling.exact_ls
+    monkeypatch.setattr(scaling, "exact_ls", lambda *args: solves.append(1) or exact(*args))
+    names = ("matched", "constant", "budget", "degraded")
+    five = paired_experiment(
+        config, dict(zip(names, MATCHING_ARMS[1:] + MEASUREMENT_ARMS[1:]))
+    ).arm_tables()
+    assert list(five) == ["exact", *names]
+    for report in (matching, measurement):
+        for arm, table in report.arm_tables().items():
+            assert sweep_csv_rows([five[arm]]) == sweep_csv_rows([table])
+    if workers == 1:
+        assert len(solves) == len(config.n_grid) * config.trials
 
 
 def test_noisy_sweep_cell_equals_pipeline_then_one_estimate():
@@ -404,16 +420,39 @@ def test_failing_channel_fails_its_arm_alone(monkeypatch):
         return channels(weights, noise)
 
     monkeypatch.setattr(scaling, "apply_channels", lossy)
-    report = matching_experiment(FAST_CONFIG)
-    assert report.exact == clean.exact and report.matched == clean.matched
-    assert sum(row.trials_failed for row in report.constant.rows) > 0
-    for row in report.constant.rows:
+    tables, clean_tables = matching_experiment(FAST_CONFIG).arm_tables(), clean.arm_tables()
+    assert tables["exact"] == clean_tables["exact"] and tables["matched"] == clean_tables["matched"]
+    assert sum(row.trials_failed for row in tables["constant"].rows) > 0
+    for row in tables["constant"].rows:
         lost = sum(
             derive_seed(FAST_CONFIG.master_seed, "noise", row.n, t) % 2
             for t in range(FAST_CONFIG.trials)
         )
         assert (row.trials_ok, row.trials_failed) == (FAST_CONFIG.trials - lost, lost)
         assert row.failures == ((("NumericalError", lost, "readout lost"),) if lost else ())
+
+
+@pytest.mark.parametrize("experiment,summary,arm,schedule", [
+    (matching_experiment, matching_summary, "matched", MATCHING_ARMS[1][1]),
+    (measurement_experiment, measurement_summary, "budget", MEASUREMENT_ARMS[1][1]),
+], ids=["matching", "measurement"])
+def test_size_failing_in_every_cell_makes_the_max_ratio_nan(
+    experiment, summary, arm, schedule, monkeypatch
+):
+    # n = 64 is second on the grid; a max that skips its NaN ratio would
+    # report a finite value while the arm's *_ok flag reads False
+    channels = scaling.apply_channels
+
+    def lossy(weights, noise):
+        if noise == schedule.noise_for(64, noise.seed):
+            raise NumericalError("readout lost")
+        return channels(weights, noise)
+
+    monkeypatch.setattr(scaling, "apply_channels", lossy)
+    report = experiment(FAST_CONFIG)
+    assert [row.n for row in report.arm_tables()[arm].rows if not row.trials_ok] == [64]
+    result = summary(report)
+    assert math.isnan(result[f"max_ratio_{arm}"]) and result[f"{arm}_ok"] is False
 
 
 def test_failed_solve_fails_every_arm_with_its_reason():
@@ -485,6 +524,16 @@ def test_gaussian_kernel_cell_is_fit_then_one_monte_carlo_estimate(solver):
 def test_measurement_experiment_rejects_exact_regime():
     with pytest.raises(ConfigError):
         measurement_experiment(FAST_CONFIG, regime="exact")
+
+
+@pytest.mark.parametrize("arms", [
+    {"exact": MATCHING_ARMS[1]},
+    {"matched": ("exact", MATCHING_ARMS[1][1])},
+    {"budget": MEASUREMENT_ARMS[1], "degraded": MEASUREMENT_ARMS[1]},
+])
+def test_paired_experiment_rejects_a_second_exact_arm_or_a_repeated_label(arms):
+    with pytest.raises(ConfigError):
+        paired_experiment(FAST_CONFIG, arms)
 
 
 # ---------------------------------------------------------------------------

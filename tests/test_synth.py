@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qlimits import (
     ConfigError,
     PrimalPredictor,
-    bayes_risk,
     expected_risk_mc,
     make_problem,
     read_dataset_csv,
@@ -18,7 +17,6 @@ from qlimits import (
 @pytest.mark.parametrize("sigma,expected", [(0.0, 0.0), (0.5, 0.25), (2.0, 4.0)])
 def test_bayes_risk_is_noise_variance(sigma, expected):
     problem = make_problem(10, sigma, seed=1)
-    assert bayes_risk(problem) == expected
     assert problem.bayes_risk == expected
 
 

@@ -39,7 +39,6 @@ from .risk import (
     excess_risk,
     excess_risks,
     expected_risk_mc,
-    expected_risks_mc,
     generalization_gap,
     input_second_moment,
     linear_weights,

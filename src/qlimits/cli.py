@@ -27,7 +27,7 @@ from typing import Literal
 
 from .errors import ConfigError, QlimitsError
 from .qmodel import CostModel, complexity_table, cost_log_error_solver, cost_matched_precision, cost_poly_error_solver
-from .risk import empirical_risk, excess_risk, expected_risk_mc
+from .risk import RiskEstimate, empirical_risk, excess_risks
 from .scaling import (
     SCHEMA_VERSION,
     ProblemSpec,
@@ -280,10 +280,10 @@ def cmd_fit(
         }
         if problem is not None:
             truth = problem.build()
-            estimate = expected_risk_mc(predictor, truth, n_eval, eval_seed)
-            report["expected_risk"] = estimate.to_json()
-            # exact for a linear predictor; a Gaussian one redraws the same sample
-            report["excess_risk"] = excess_risk(predictor, truth, n_eval, eval_seed)
+            # exact for a linear predictor, else scored on n_eval points
+            ((excess, std_error),) = excess_risks((predictor,), truth, n_eval, eval_seed)
+            report["expected_risk"] = RiskEstimate(truth.bayes_risk + excess, std_error, n_eval).to_json()
+            report["excess_risk"] = excess
             report["bayes_risk"] = truth.bayes_risk
     save_predictor(predictor, out_predictor)
     _write_json(out_report, report)

@@ -1,12 +1,16 @@
 """Squared-loss empirical risk, expected and excess risk, and derived gaps.
 
-Expected risk is estimated by Monte Carlo on a fresh sample. Excess risk of
-a linear predictor ``w`` also has a closed form: the label noise is
-independent and zero-mean, and every input law here is isotropic with
-``E[x x^T] = s I``, so the excess risk is exactly ``s |w - w*|^2``
-(``input_second_moment`` gives ``s``). ``excess_risks`` and ``excess_risk``
-use it when every predictor is linear and Monte Carlo otherwise (Gaussian
-kernels).
+Excess risk is ``E[(f(x) - w*.x)^2]``, the risk above the Bayes risk: the
+label noise is independent and zero-mean, so it adds exactly the noise
+variance to the risk of every predictor. ``excess_risks`` and
+``excess_risk`` estimate that one quantity for every predictor. A linear
+predictor ``w`` has it in closed form: every input law here is isotropic
+with ``E[x x^T] = s I``, so it is exactly ``s |w - w*|^2``
+(``input_second_moment`` gives ``s``). A Gaussian-kernel predictor is scored
+by the mean of ``(f(x) - x.w*)^2`` over a fresh sample, against the clean
+target, so the label noise adds nothing to its standard error.
+``expected_risk_mc`` estimates the risk itself, on noisy labels, for
+``generalization_gap``.
 
 Risk averages and the closed form's sum of squares use a fixed summation
 scheme (sort ascending, then pairwise tree sum) so they are exactly
@@ -73,47 +77,37 @@ def _check_dims(predictor: Predictor, dimension: int) -> None:
         )
 
 
-def _squared_errors(predictor: Predictor, dataset: Dataset) -> np.ndarray:
-    diff = predict_batch(predictor, dataset.features) - dataset.labels
+def _squared_errors(predictor: Predictor, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    diff = predict_batch(predictor, features) - targets
     return diff * diff
+
+
+def _mean_and_std_error(values: np.ndarray) -> tuple[float, float]:
+    """Mean of ``values`` (at least two, one per evaluation point) and its
+    standard error, each sum taken ascending by ``pairwise_sum``."""
+    values = np.sort(values)
+    if values.size < 2:
+        raise ConfigError(f"n_eval must be >= 2, got {values.size}")
+    mean = pairwise_sum(values) / values.size
+    variance = pairwise_sum(np.sort((values - mean) ** 2)) / (values.size - 1)
+    return mean, float(np.sqrt(variance / values.size))
 
 
 def empirical_risk(predictor: Predictor, dataset: Dataset) -> float:
     """Average squared loss over the dataset; deterministic and permutation-invariant."""
     _check_dims(predictor, dataset.dimension)
-    return stable_mean(_squared_errors(predictor, dataset))
-
-
-def expected_risks_mc(
-    predictors: Sequence[Predictor],
-    problem: SyntheticProblem,
-    n_eval: int = 100_000,
-    seed: int = 0,
-) -> tuple[RiskEstimate, ...]:
-    """Unbiased risk estimates of every predictor, all on one fresh sample of
-    ``n_eval`` points; each equals ``expected_risk_mc`` of that predictor."""
-    if n_eval < 2:
-        raise ConfigError(f"n_eval must be >= 2, got {n_eval}")
-    for predictor in predictors:
-        _check_dims(predictor, problem.dimension)
-    fresh = sample_dataset(problem, n_eval, seed)
-    estimates = []
-    for predictor in predictors:
-        losses = np.sort(_squared_errors(predictor, fresh))
-        value = pairwise_sum(losses) / n_eval
-        variance = pairwise_sum(np.sort((losses - value) ** 2)) / (n_eval - 1)
-        estimates.append(
-            RiskEstimate(value=value, std_error=float(np.sqrt(variance / n_eval)), n_eval=n_eval)
-        )
-    return tuple(estimates)
+    return stable_mean(_squared_errors(predictor, dataset.features, dataset.labels))
 
 
 def expected_risk_mc(
     predictor: Predictor, problem: SyntheticProblem, n_eval: int = 100_000, seed: int = 0
 ) -> RiskEstimate:
-    """Unbiased risk estimate on a fresh sample of ``n_eval`` points."""
-    (estimate,) = expected_risks_mc((predictor,), problem, n_eval, seed)
-    return estimate
+    """Unbiased estimate of the risk on noisy labels, on a fresh sample of
+    ``n_eval`` points; it includes the Bayes risk."""
+    _check_dims(predictor, problem.dimension)
+    fresh = sample_dataset(problem, n_eval, seed)
+    value, std_error = _mean_and_std_error(_squared_errors(predictor, fresh.features, fresh.labels))
+    return RiskEstimate(value=value, std_error=std_error, n_eval=n_eval)
 
 
 def input_second_moment(problem: SyntheticProblem) -> float:
@@ -156,9 +150,8 @@ def excess_risks(
 
     With every predictor linear, each is ``s * |w - w*|^2`` with standard
     error 0.0, and ``n_eval`` and ``seed`` are not read. Otherwise each is
-    the ``expected_risks_mc`` estimate on the one sample of ``n_eval`` points
-    drawn from ``seed``, less the Bayes risk, with that estimate's standard
-    error.
+    the mean of ``(f(x) - x.w*)^2`` over the one sample of ``n_eval`` points
+    drawn from ``seed``, with its standard error.
     """
     for predictor in predictors:
         _check_dims(predictor, problem.dimension)
@@ -168,8 +161,9 @@ def excess_risks(
         return tuple(
             (s * pairwise_sum(np.sort((w - problem.target_weights) ** 2)), 0.0) for w in weights
         )
-    estimates = expected_risks_mc(predictors, problem, n_eval, seed)
-    return tuple((e.value - problem.bayes_risk, e.std_error) for e in estimates)
+    fresh = sample_dataset(problem, n_eval, seed)
+    clean = fresh.features @ problem.target_weights
+    return tuple(_mean_and_std_error(_squared_errors(p, fresh.features, clean)) for p in predictors)
 
 
 def excess_risk(

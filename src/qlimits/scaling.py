@@ -20,7 +20,9 @@ the matching and measurement experiments are two named arm lists over it.
 
 Cells are scored by ``risk.excess_risks``: a linear predictor's excess risk
 is exact, ``s |w - w*|^2`` with standard error 0, and nothing is drawn; only
-Gaussian-kernel predictors are scored by Monte Carlo on ``n_eval`` points.
+Gaussian-kernel predictors are scored on ``n_eval`` points, by the mean of
+their squared distance to the clean target. Either way a median excess risk
+is a median of means of squares, so it is never negative.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .blas import pin_single_thread, single_blas_thread
-from .errors import ConfigError, NumericalError, QlimitsError
+from .errors import ConfigError, QlimitsError
 # quantum_ls_pipeline and expected_risk_mc are not called here since arms
 # share cells and score through excess_risks; they stay importable from this
 # module, whose names perfbench's tracer wraps.
@@ -77,7 +79,7 @@ KRR_TRAIN_EXPONENT_RANGE = (2.3, 3.5)
 NYSTROM_EXPONENT_GAP_MIN = 0.7
 PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 DESK_SCALE_CAP = 8192
 
 
@@ -237,8 +239,8 @@ def _sweep_cell(task: tuple[SweepConfig, tuple[NoiseSchedule | None, ...], int, 
     """One (n, trial) cell scored for every arm; ``config.noise`` is not read.
 
     The cell draws its training set, fits ``config.solver`` and scores every
-    arm's predictor in one ``excess_risks`` call (which shares its Monte
-    Carlo sample, where it draws one). An arm of None scores the fit; a
+    arm's predictor in one ``excess_risks`` call (which shares its evaluation
+    sample, where it draws one). An arm of None scores the fit; a
     NoiseSchedule arm scores the fit's weights after the error channels, so
     it needs exact_ls. Returns one (excess, std_error, error) per arm,
     ``error`` being None or (exception type, message). A failed draw, fit or
@@ -410,25 +412,6 @@ def fit_scaling(pairs) -> ScalingFit:
 # ---------------------------------------------------------------------------
 # paired experiments
 
-def _require_resolved(label: str, row: SweepRow) -> None:
-    """A median excess risk <= 0 means the Monte Carlo error of the
-    evaluation exceeds the excess risk: a numerical outcome, not a bad config.
-    Only Monte Carlo scores (Gaussian kernels) can be unresolved: a
-    closed-form excess risk is >= 0, and 0 only for the target itself."""
-    if not row.median_excess > 0:
-        raise NumericalError(
-            f"{label}: median excess risk {row.median_excess!r} at n={row.n} is not positive, "
-            "so the evaluation sample cannot resolve it; use a larger n_eval"
-        )
-
-
-def _resolved_medians(table: SweepTable) -> list[tuple[int, float]]:
-    for row in table.rows:
-        if row.trials_ok:
-            _require_resolved(table.label, row)
-    return table.medians()
-
-
 @dataclass(frozen=True)
 class PairedReport:
     """Excess risk of noisy solver arms against the exact solve.
@@ -452,18 +435,13 @@ class PairedReport:
         ]
 
     def arm_fit(self, arm: str) -> ScalingFit:
-        return fit_scaling(_resolved_medians(self.tables[arm]))
+        return fit_scaling(self.tables[arm].medians())
 
     def ratio_fit(self, arm: str) -> ScalingFit:
         """Fit of ``ratios(arm)`` over the n where both arms have ok trials;
         its exponent is the arm's exponent minus the exact arm's."""
-        exact, table = self.tables["exact"], self.tables[arm]
-        rows = zip(exact.rows, table.rows, self.ratios(arm))
-        used = [(e, a, pair) for e, a, pair in rows if e.trials_ok and a.trials_ok]
-        for e, a, _ in used:
-            _require_resolved(exact.label, e)
-            _require_resolved(table.label, a)
-        return fit_scaling(pair for _, _, pair in used)
+        rows = zip(self.tables["exact"].rows, self.tables[arm].rows, self.ratios(arm))
+        return fit_scaling(pair for e, a, pair in rows if e.trials_ok and a.trials_ok)
 
 
 def paired_experiment(
@@ -652,7 +630,7 @@ def _bench_cell(sid, n, kernel, solver_config, problem, test_x, reps, timeout_s,
 # summaries against the pinned thresholds
 
 def rate_summary(table: SweepTable) -> dict:
-    fit = fit_scaling(_resolved_medians(table))
+    fit = fit_scaling(table.medians())
     lo, hi = RATE_EXPONENT_RANGE
     return {
         "fit": fit.to_json(),

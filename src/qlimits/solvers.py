@@ -10,8 +10,8 @@ Five training routes over the same dual/primal predictor types:
 
 Regularized systems are solved by Cholesky factorization; on breakdown the
 solver falls back to an eigendecomposition with eigenvalues floored at 1e-12.
-Direct solves are residual-checked to 1e-10 relative, except where Nystrom's
-eigenvalue-clipped fallback returns after a failed check.
+Every direct solve is residual-checked to 1e-10 relative; one that misses is
+refined once, and raises NumericalError if it misses again.
 
 Kernel evaluation is the test-time cost of a dual predictor (n_eval x n
 entries), so it runs in BLAS and allocates as little as it can.
@@ -493,9 +493,8 @@ def nystrom(
     m > d), so a failed Cholesky falls back to the eigenvalue-clipped solve.
     That is common: squaring the system squares its condition number, and a
     linear kernel took the clipped solve in 15 of 20 fits (n 64..4096,
-    m = ceil(sqrt(n))). Those solves passed the residual gate; one that fails
-    it is retried clipped and returned ungated, so nothing then checks that
-    clipping touched only directions the kernel damps out of predictions.
+    m = ceil(sqrt(n))). Like every solve, it must pass the residual gate;
+    one that does not raises NumericalError.
     """
     n = dataset.n_samples
     m = config.landmarks if config.landmarks is not None else ceil_sqrt(n)
@@ -510,10 +509,7 @@ def nystrom(
     if lam == 0.0:
         _check_not_singular(system, "nystrom")
     rhs = knm.T @ dataset.labels
-    try:
-        alpha = _solve_spd(system, rhs, "nystrom")
-    except NumericalError:
-        alpha = _eig_clip_solver(system)(rhs)
+    alpha = _solve_spd(system, rhs, "nystrom")
     return DualPredictor(coefficients=alpha, landmarks=points, kernel=kernel)
 
 

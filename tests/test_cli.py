@@ -11,7 +11,7 @@ from qlimits import (
     SOLVER_IDS,
     SolverConfig,
     excess_risk,
-    expected_risks_mc,
+    excess_risks,
     fit_solver,
     make_problem,
     read_dataset_csv,
@@ -46,7 +46,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     problem = make_problem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 5
+    assert echo["schema_version"] == 6
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -160,13 +160,25 @@ def test_fit_scores_a_linear_predictor_exactly(tmp_path):
     assert _run(tmp_path, "fit", payload) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["excess_risk"] == excess_risk(load_predictor(tmp_path / "pred.json"), problem)
-    assert report["expected_risk"]["n_eval"] == 2000  # the Monte Carlo estimate stays
+    # the closed form, with no sampling error; n_eval is echoed, not read
+    assert report["expected_risk"] == {
+        "value": report["bayes_risk"] + report["excess_risk"], "std_error": 0.0, "n_eval": 2000
+    }
 
 
 def test_fit_scores_a_gaussian_predictor_on_its_evaluation_sample(tmp_path):
     _, report = _gaussian_krr_fit(tmp_path)
     report = json.loads(report)
-    assert report["excess_risk"] == report["expected_risk"]["value"] - report["bayes_risk"]
+    predictor = load_predictor(tmp_path / "pred.json")
+    with blas.single_blas_thread():  # as the fit scored it
+        ((excess, std_error),) = excess_risks(
+            (predictor,), make_problem(10, 0.5, seed=3), n_eval=3000, seed=0
+        )
+    assert report["excess_risk"] == excess
+    assert report["expected_risk"] == {
+        "value": report["bayes_risk"] + excess, "std_error": std_error, "n_eval": 3000
+    }
+    assert 0 < std_error < 0.05 * excess
 
 
 def _gaussian_krr_fit(tmp_path):
@@ -281,7 +293,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 5
+    assert summary["schema_version"] == 6
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]
@@ -407,24 +419,18 @@ def test_sweep_reports_failed_cells_on_stderr(tmp_path, capsys):
     assert written["failures"] == {"exact_ls": {}}
 
 
-@pytest.mark.parametrize("mode", ["rate", "measurement"])
-def test_sweep_unresolved_median_exits_numerical(tmp_path, mode, capsys, monkeypatch):
-    # ten evaluation points cannot resolve the excess risk; at this seed the
-    # median at n=8 is negative
-    payload = _sweep_payload(tmp_path, mode=mode, n_grid=[8, 16, 32], trials=1, n_eval=10,
-                             master_seed=1)
-    if mode == "rate":  # a Gaussian kernel is scored by Monte Carlo
-        payload.update(solver="krr", kernel={"kind": "gaussian", "bandwidth": 1.0})
-    else:  # the paired arms are linear, so scored exactly: stand a ten-point scorer in
-        def monte_carlo(predictors, problem, n_eval, seed):
-            estimates = expected_risks_mc(predictors, problem, n_eval, seed)
-            return tuple((e.value - problem.bayes_risk, e.std_error) for e in estimates)
-
-        monkeypatch.setattr(scaling, "excess_risks", monte_carlo)
-    assert _run(tmp_path, "sweep", payload) == 3
-    err = capsys.readouterr().err
-    assert "n=8" in err and "n_eval" in err
-    assert (tmp_path / "sweep.csv").exists()
+def test_sweep_with_ten_evaluation_points_fits_a_gaussian_rate(tmp_path):
+    # ten evaluation points: the mean of squared distances to the clean
+    # target is positive however few points there are, so the rate fits
+    payload = _sweep_payload(tmp_path, n_grid=[8, 16, 32], trials=1, n_eval=10, master_seed=1,
+                             solver="krr", kernel={"kind": "gaussian", "bandwidth": 1.0})
+    assert _run(tmp_path, "sweep", payload) == 0
+    medians = [
+        float(line.split(",")[3]) for line in (tmp_path / "sweep.csv").read_text().splitlines()
+        if ",median_excess_risk," in line
+    ]
+    assert len(medians) == 3 and all(m > 0 for m in medians)
+    assert math.isfinite(json.loads((tmp_path / "sweep.json").read_text())["summary"]["fit"]["exponent"])
 
 
 def test_sweep_json_lists_failed_cells_per_arm(tmp_path, monkeypatch):

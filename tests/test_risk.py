@@ -27,12 +27,12 @@ from qlimits import (
     excess_risk,
     excess_risks,
     expected_risk_mc,
-    expected_risks_mc,
     generalization_gap,
     input_second_moment,
     krr,
     make_problem,
     pairwise_sum,
+    predict_batch,
     sample_dataset,
     stable_mean,
 )
@@ -201,13 +201,16 @@ def test_std_error_is_sample_std_over_sqrt_n():
     assert est.value == pytest.approx(losses.mean(), rel=1e-12)
 
 
-def test_expected_risks_mc_equals_one_estimate_per_predictor():
+def test_excess_risks_equals_one_estimate_per_predictor():
+    # a Gaussian-kernel predictor sends the call to its sampled path, where
+    # each predictor's estimate does not depend on the others in the call
     problem = make_problem(3, 0.5, seed=20)
-    predictors = [PrimalPredictor(problem.target_weights * s) for s in (0.0, 0.5, 1.0)]
-    together = expected_risks_mc(predictors, problem, n_eval=5000, seed=21)
-    assert together == tuple(expected_risk_mc(p, problem, n_eval=5000, seed=21) for p in predictors)
+    gaussian = krr(sample_dataset(problem, 16, seed=22), Kernel("gaussian", 1.0))
+    predictors = [PrimalPredictor(problem.target_weights * s) for s in (0.0, 0.5)] + [gaussian]
+    together = excess_risks(predictors, problem, n_eval=5000, seed=21)
+    assert together == tuple(excess_risks((p, gaussian), problem, 5000, 21)[0] for p in predictors)
     with pytest.raises(DimensionMismatchError):
-        expected_risks_mc([predictors[0], PrimalPredictor(np.zeros(2))], problem, n_eval=100)
+        expected_risk_mc(PrimalPredictor(np.zeros(2)), problem, n_eval=100)
 
 
 def test_risk_estimate_json_roundtrip():
@@ -258,7 +261,7 @@ def test_closed_form_agrees_with_monte_carlo(law):
     predictors = (exact, krr(data, LINEAR_KERNEL), PrimalPredictor(apply_channels(exact.weights, noise)))
     assert isinstance(predictors[1], DualPredictor)
     closed = excess_risks(predictors, problem, n_eval=100_000, seed=33)
-    mc = expected_risks_mc(predictors, problem, n_eval=100_000, seed=33)
+    mc = [expected_risk_mc(p, problem, n_eval=100_000, seed=33) for p in predictors]
     for (value, zero), estimate in zip(closed, mc):
         assert zero == 0.0 and value > 0 and estimate.std_error > 0
         assert abs(value - (estimate.value - problem.bayes_risk)) <= 4 * estimate.std_error
@@ -267,12 +270,21 @@ def test_closed_form_agrees_with_monte_carlo(law):
 
 
 def test_excess_risks_monte_carlo_path_is_the_old_estimate():
+    # the sampled path is the mean of squared distances to the clean target
+    # x.w*; without label noise it is the noisy-label estimate's bits, as the
+    # last test below checks
     problem = make_problem(3, 0.5, seed=20)
     data = sample_dataset(problem, 16, seed=22)
     linear = (PrimalPredictor(problem.target_weights * 0.5), exact_ls(data))
     gaussian = krr(data, Kernel("gaussian", 1.0))
-    estimates = expected_risks_mc(linear + (gaussian,), problem, n_eval=5000, seed=21)
-    scored = [(e.value - problem.bayes_risk, e.std_error) for e in estimates]
+    fresh = sample_dataset(problem, 5000, seed=21)
+    clean = fresh.features @ problem.target_weights
+    scored = []
+    for predictor in linear + (gaussian,):
+        losses = np.sort((predict_batch(predictor, fresh.features) - clean) ** 2)
+        value = pairwise_sum(losses) / 5000
+        std_error = math.sqrt(pairwise_sum(np.sort((losses - value) ** 2)) / 4999 / 5000)
+        scored.append((value, std_error))
     # one Gaussian-kernel predictor sends the whole call to Monte Carlo
     assert excess_risks(linear + (gaussian,), problem, 5000, 21) == tuple(scored)
     closed = excess_risks(linear, problem, 5000, 21)
@@ -282,6 +294,34 @@ def test_excess_risks_monte_carlo_path_is_the_old_estimate():
     # excess_risk is the one-predictor case, on either path
     for predictor, (value, _) in zip(linear + (gaussian,), closed + (scored[2],)):
         assert excess_risk(predictor, problem, 5000, 21) == value
+
+
+@pytest.mark.parametrize("law", INPUT_LAWS)
+def test_clean_target_estimate_agrees_with_the_noisy_label_one(law):
+    problem = make_problem(10, 0.5, law, seed=50)
+    gaussian = krr(sample_dataset(problem, 256, seed=51), Kernel("gaussian", 1.0))
+    ((value, std_error),) = excess_risks((gaussian,), problem, n_eval=20_000, seed=52)
+    noisy = expected_risk_mc(gaussian, problem, n_eval=20_000, seed=53)
+    assert value > 0 and std_error > 0
+    combined = math.hypot(std_error, noisy.std_error)
+    assert abs(value - (noisy.value - problem.bayes_risk)) <= 4 * combined
+
+
+def test_clean_target_estimate_has_the_smaller_standard_error_on_the_sphere():
+    # label noise adds about 2 sigma^4 to each noisy loss's variance
+    problem = make_problem(10, 0.5, seed=54)
+    gaussian = krr(sample_dataset(problem, 512, seed=55), Kernel("gaussian", 1.0))
+    ((_, std_error),) = excess_risks((gaussian,), problem, n_eval=4000, seed=56)
+    noisy = expected_risk_mc(gaussian, problem, n_eval=4000, seed=56)
+    assert std_error < noisy.std_error / 4
+
+
+@pytest.mark.parametrize("law", INPUT_LAWS)
+def test_without_label_noise_both_estimators_give_the_same_bits(law):
+    problem = make_problem(10, 0.0, law, seed=57)
+    gaussian = krr(sample_dataset(problem, 128, seed=58), Kernel("gaussian", 1.0))
+    noisy = expected_risk_mc(gaussian, problem, n_eval=3000, seed=59)
+    assert excess_risks((gaussian,), problem, 3000, 59) == ((noisy.value, noisy.std_error),)
 
 
 def test_excess_risks_checks_dimensions_on_both_paths():

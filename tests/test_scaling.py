@@ -19,8 +19,7 @@ from qlimits import (
     divide_and_conquer,
     early_stopping_gd,
     exact_ls,
-    expected_risk_mc,
-    expected_risks_mc,
+    excess_risks,
     fit_scaling,
     fit_solver,
     input_second_moment,
@@ -473,31 +472,8 @@ def test_failed_solve_fails_every_arm_with_its_reason():
         assert all(row.trials_failed == 0 and row.failures == () for row in rest)
 
 
-def _monte_carlo_scores(predictors, problem, n_eval, seed):
-    """Every predictor scored by Monte Carlo, as Gaussian kernels are."""
-    estimates = expected_risks_mc(predictors, problem, n_eval, seed)
-    return tuple((e.value - problem.bayes_risk, e.std_error) for e in estimates)
-
-
-def test_unresolved_medians_are_numerical_errors(monkeypatch):
-    # ten evaluation points cannot resolve the excess risk: at this seed the
-    # Gaussian-kernel median at n=8 is negative
-    config = SweepConfig(n_grid=(8, 16, 32), trials=1, n_eval=10, master_seed=1)
-    gaussian = dataclasses.replace(config, solver="krr", kernel=Kernel("gaussian", 1.0))
-    with pytest.raises(NumericalError, match=r"n=8 .*n_eval"):
-        rate_summary(sweep_excess_risk(gaussian))
-    # the paired arms are linear, so scored exactly; a ten-point Monte Carlo
-    # scorer stands in to reach their check
-    monkeypatch.setattr(scaling, "excess_risks", _monte_carlo_scores)
-    report = measurement_experiment(config)
-    with pytest.raises(NumericalError, match=r"n=8 .*n_eval"):
-        report.ratio_fit("degraded")
-    with pytest.raises(NumericalError, match="n_eval"):
-        measurement_summary(report)
-
-
 def test_closed_form_resolves_what_ten_monte_carlo_points_cannot():
-    # the linear config above: no draw, nothing unresolved
+    # ten evaluation points; a linear predictor is scored without drawing any
     config = SweepConfig(n_grid=(8, 16, 32), trials=1, n_eval=10, master_seed=1)
     assert rate_summary(sweep_excess_risk(config))["fit"]["exponent"] < 0
     assert matching_summary(matching_experiment(config))["matched_ok"]
@@ -515,10 +491,13 @@ def test_gaussian_kernel_cell_is_fit_then_one_monte_carlo_estimate(solver):
     for row in sweep_excess_risk(config).rows:
         seed = lambda stream: derive_seed(config.master_seed, stream, row.n, 0)
         data = sample_dataset(problem, row.n, seed("data"))
-        predictor = fit_solver(solver, data, config.kernel, config.solver_config)
-        estimate = expected_risk_mc(predictor, problem, config.n_eval, seed("eval"))
-        assert row.median_excess == estimate.value - problem.bayes_risk
-        assert row.median_std_error == estimate.std_error > 0
+        with blas.single_blas_thread():  # as the sweep runs its cells
+            predictor = fit_solver(solver, data, config.kernel, config.solver_config)
+            ((excess, std_error),) = excess_risks(
+                (predictor,), problem, config.n_eval, seed("eval")
+            )
+        assert (row.median_excess, row.median_std_error) == (excess, std_error)
+        assert 0 < std_error < 0.05 * excess
 
 
 def test_measurement_experiment_rejects_exact_regime():

@@ -11,6 +11,7 @@ from qlimits import (
     DivergenceError,
     Kernel,
     LINEAR_KERNEL,
+    NumericalError,
     PrimalPredictor,
     SingularSystemError,
     SolverConfig,
@@ -26,6 +27,7 @@ from qlimits import (
     predict_batch,
     sample_dataset,
 )
+from qlimits import solvers
 from qlimits.errors import KernelNotPSDError
 from qlimits.rng import child_rng, derive_seed
 from qlimits.solvers import (
@@ -395,6 +397,18 @@ def test_nystrom_rank_deficient_at_zero_lam_raises():
     ds = sample_dataset(problem, 10, seed=25)
     with pytest.raises(SingularSystemError):
         nystrom(ds, LINEAR_KERNEL, SolverConfig(lam=0.0, landmarks=2, seed=8))
+
+
+@pytest.mark.parametrize("kernel", [LINEAR_KERNEL, GAUSS])
+def test_nystrom_raises_when_its_solve_fails_the_residual_gate(kernel, monkeypatch):
+    # no fallback returns a solution that the gate did not pass
+    def failing_gate(solve, m, rhs, context):
+        raise NumericalError(f"{context}: residual gate failed")
+
+    monkeypatch.setattr(solvers, "_gated", failing_gate)
+    _, ds = _random_ds(40, 3, sigma=0.3, seed=27)
+    with pytest.raises(NumericalError, match="nystrom"):
+        nystrom(ds, kernel, SolverConfig(lam=0.05, seed=9))
 
 
 def test_nystrom_rejects_too_many_landmarks():

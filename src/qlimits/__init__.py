@@ -23,7 +23,6 @@ from .qmodel import (
     NoiseModel,
     algorithmic_error_bound_check,
     apply_channels,
-    complexity_entry,
     complexity_table,
     cost_log_error_solver,
     cost_matched_precision,

@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Subcommands: generate | fit | sweep | cost | bench. Each reads a JSON config
-file plus optional ``--set key=value`` overrides with dotted paths. Config
-keys are the parameter names of the command, or of the library dataclass or
-function a block feeds (``ALIASES`` lists the few that differ); ``_build``
-rejects unknown keys and checks JSON types, and the library supplies every
-default and range check. All numeric output is written with 17 significant
-digits so downstream fits reproduce exactly.
+Subcommands: generate | fit | sweep | cost | bench. Each takes every setting
+from a JSON config file plus optional ``--set key=value`` overrides with
+dotted paths (which may reach into a null block), and from no flag or
+environment variable. Config keys are the parameter names of the command,
+or of the library dataclass or function a block feeds (``ALIASES`` lists the
+few that differ); ``_build`` rejects unknown keys and checks JSON types, and
+the library supplies every default and range check. All numeric output is
+written with 17 significant digits so downstream fits reproduce exactly.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical/solver error,
 4 benchmark timeout.
@@ -49,9 +50,6 @@ from .scaling import (
 )
 from .solvers import LINEAR_KERNEL, Kernel, SolverConfig, save_predictor
 from .synth import make_problem, read_dataset_csv, sample_dataset, write_dataset_csv
-
-WORKERS_ENV = "QLIMITS_WORKERS"
-BENCH_CAP_ENV = "QLIMITS_BENCH_CAP"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -168,16 +166,6 @@ def _flatten_rules(noise):
     return flat
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def _apply_overrides(cfg: dict, overrides) -> dict:
     for item in overrides or []:
         if "=" not in item:
@@ -190,10 +178,11 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
         target = cfg
         parts = key.split(".")
         for part in parts[:-1]:
-            node = target.setdefault(part, {})
-            if not isinstance(node, dict):
+            if target.get(part) is None:  # a null block, like an absent one, starts empty
+                target[part] = {}
+            target = target[part]
+            if not isinstance(target, dict):
                 raise ConfigError(f"--set path {key!r} crosses non-object field {part!r}")
-            target = node
         target[parts[-1]] = value
     return cfg
 
@@ -215,15 +204,6 @@ def _write_json(path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _resolve_workers(config_value, flag_value) -> int:
-    """--workers, then the config's ``workers``, then QLIMITS_WORKERS, then all cores."""
-    for value in (flag_value, config_value):
-        if value is not None:
-            return value
-    env = _env_int(WORKERS_ENV)
-    return (os.cpu_count() or 1) if env is None else env
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +262,8 @@ def cmd_fit(
             truth = problem.build()
             # exact for a linear predictor, else scored on n_eval points
             ((excess, std_error),) = excess_risks((predictor,), truth, n_eval, eval_seed)
-            report["expected_risk"] = RiskEstimate(truth.bayes_risk + excess, std_error, n_eval).to_json()
+            estimate = RiskEstimate(truth.bayes_risk + excess, std_error, n_eval)
+            report["expected_risk"] = dataclasses.asdict(estimate)
             report["excess_risk"] = excess
             report["bayes_risk"] = truth.bayes_risk
     save_predictor(predictor, out_predictor)
@@ -313,14 +294,15 @@ def cmd_sweep(
     matching: dict | None = None,
     measurement: dict | None = None,
     workers: int | None = None,
-    workers_flag: int | None = None,
     **sweep,
 ) -> int:
     """The remaining keys are SweepConfig's; ``matching`` and ``measurement``
-    hold the options of matching_experiment and measurement_experiment."""
+    hold the options of matching_experiment and measurement_experiment.
+    Without ``workers`` the sweep runs one worker per core."""
     if "noise" in sweep:
         sweep["noise"] = _flatten_rules(sweep["noise"])
-    config = _build(SweepConfig, sweep, "sweep config", workers=_resolve_workers(workers, workers_flag))
+    workers = (os.cpu_count() or 1) if workers is None else workers
+    config = _build(SweepConfig, sweep, "sweep config", workers=workers)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",
@@ -396,11 +378,7 @@ def cmd_cost(
 
 
 def cmd_bench(out_csv: str, out_json: str, **options) -> int:
-    """The remaining keys are runtime_benchmark's; QLIMITS_BENCH_CAP sets the
-    default ``cap``."""
-    env_cap = _env_int(BENCH_CAP_ENV)
-    if env_cap is not None:
-        options.setdefault("cap", env_cap)
+    """The remaining keys are runtime_benchmark's, ``cap`` among them."""
     report = _build(runtime_benchmark, options, "bench config")
     if report.reps == 1:
         print("warning: reps=1 gives a single timing sample per cell", file=sys.stderr)
@@ -410,8 +388,8 @@ def cmd_bench(out_csv: str, out_json: str, **options) -> int:
         "command": "bench",
         "reps": report.reps,
         "summary": bench_summary(report),
-        "train_fits": {sid: fit.to_json() for sid, fit in report.train_fits.items()},
-        "test_fits": {sid: fit.to_json() for sid, fit in report.test_fits.items()},
+        "train_fits": {sid: dataclasses.asdict(fit) for sid, fit in report.train_fits.items()},
+        "test_fits": {sid: dataclasses.asdict(fit) for sid, fit in report.test_fits.items()},
     })
     print(f"wrote {out_csv} and {out_json}")
     if report.any_timed_out:
@@ -449,19 +427,15 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a config field (dotted path)")
-        if name == "sweep":
-            cmd.add_argument("--workers", type=int, default=None,
-                             help="parallel trial workers (default: config, env, then all cores)")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    given = {"workers_flag": args.workers} if args.command == "sweep" else {}
     try:
         cfg = _load_config(args.config, args.set)
-        return _build(COMMANDS[args.command], cfg, f"{args.command} config", **given)
+        return _build(COMMANDS[args.command], cfg, f"{args.command} config")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -144,7 +144,6 @@ class CostModel:
     condition_number: float = 1.0
     frobenius_norm: float = 1.0
     n: int = 2
-    d: int = 1
     solver_error: float = 0.5
     error_exponent: float | None = None  # beta in error^(-beta)
     condition_exponent: float | None = None  # c in condition_number^c
@@ -156,8 +155,6 @@ class CostModel:
             raise ConfigError(f"frobenius_norm must be > 0, got {self.frobenius_norm}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.d < 1:
-            raise ConfigError(f"d must be >= 1, got {self.d}")
         if not (np.isfinite(self.solver_error) and self.solver_error > 0):
             raise ConfigError(f"solver_error (gamma) must be > 0, got {self.solver_error}")
 
@@ -251,18 +248,7 @@ _COMPLEXITY_LADDER = (
     ComplexityEntry("qsvm", Fraction(3, 2), Fraction(5, 2), True, True),
 )
 
-COMPLEXITY_ENTRY_NAMES = tuple(e.algorithm for e in _COMPLEXITY_LADDER)
-
 
 def complexity_table() -> tuple[ComplexityEntry, ...]:
     """All seven ladder entries, classical rows first."""
     return _COMPLEXITY_LADDER
-
-
-def complexity_entry(name: str) -> ComplexityEntry:
-    for entry in _COMPLEXITY_LADDER:
-        if entry.algorithm == name:
-            return entry
-    raise ConfigError(
-        f"unknown complexity entry {name!r}, expected one of {COMPLEXITY_ENTRY_NAMES}"
-    )

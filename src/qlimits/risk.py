@@ -57,18 +57,6 @@ class RiskEstimate:
     std_error: float
     n_eval: int
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "std_error": self.std_error, "n_eval": self.n_eval}
-
-    @staticmethod
-    def from_json(obj: dict) -> "RiskEstimate":
-        extra = set(obj) - {"value", "std_error", "n_eval"}
-        if extra:
-            raise ConfigError(f"unknown risk estimate fields: {sorted(extra)}")
-        return RiskEstimate(
-            value=float(obj["value"]), std_error=float(obj["std_error"]), n_eval=int(obj["n_eval"])
-        )
-
 
 def _check_dims(predictor: Predictor, dimension: int) -> None:
     if predictor.dimension != dimension:

@@ -31,12 +31,12 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .blas import pin_single_thread, single_blas_thread
-from .errors import ConfigError, QlimitsError
+from .errors import ConfigError, NumericalError, QlimitsError
 # quantum_ls_pipeline and expected_risk_mc are not called here since arms
 # share cells and score through excess_risks; they stay importable from this
 # module, whose names perfbench's tracer wraps.
@@ -369,14 +369,6 @@ class ScalingFit:
     r_squared: float
     stderr_exponent: float
 
-    def to_json(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "stderr_exponent": self.stderr_exponent,
-        }
-
 
 def fit_scaling(pairs) -> ScalingFit:
     """Fit value ~ n^exponent by ordinary least squares on log-log pairs."""
@@ -409,6 +401,17 @@ def fit_scaling(pairs) -> ScalingFit:
     )
 
 
+def _fit_arm(table: SweepTable, pairs) -> ScalingFit:
+    """``fit_scaling`` of an arm's pairs, one per grid size with a successful
+    cell; fewer than three means the solver failed, so it is a NumericalError."""
+    pairs = list(pairs)
+    if len(pairs) < 3:
+        raise NumericalError(
+            f"arm {table.label!r}: {len(pairs)} grid sizes have a successful cell, a fit needs >= 3"
+        )
+    return fit_scaling(pairs)
+
+
 # ---------------------------------------------------------------------------
 # paired experiments
 
@@ -435,13 +438,13 @@ class PairedReport:
         ]
 
     def arm_fit(self, arm: str) -> ScalingFit:
-        return fit_scaling(self.tables[arm].medians())
+        return _fit_arm(self.tables[arm], self.tables[arm].medians())
 
     def ratio_fit(self, arm: str) -> ScalingFit:
         """Fit of ``ratios(arm)`` over the n where both arms have ok trials;
         its exponent is the arm's exponent minus the exact arm's."""
         rows = zip(self.tables["exact"].rows, self.tables[arm].rows, self.ratios(arm))
-        return fit_scaling(pair for e, a, pair in rows if e.trials_ok and a.trials_ok)
+        return _fit_arm(self.tables[arm], (pair for e, a, pair in rows if e.trials_ok and a.trials_ok))
 
 
 def paired_experiment(
@@ -630,10 +633,10 @@ def _bench_cell(sid, n, kernel, solver_config, problem, test_x, reps, timeout_s,
 # summaries against the pinned thresholds
 
 def rate_summary(table: SweepTable) -> dict:
-    fit = fit_scaling(table.medians())
+    fit = _fit_arm(table, table.medians())
     lo, hi = RATE_EXPONENT_RANGE
     return {
-        "fit": fit.to_json(),
+        "fit": asdict(fit),
         "rate_ok": bool(lo <= fit.exponent <= hi and fit.r_squared >= RATE_R2_MIN),
         "exponent_range": [lo, hi],
         "r_squared_min": RATE_R2_MIN,

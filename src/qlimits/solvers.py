@@ -234,13 +234,9 @@ class SolverConfig:
             raise ConfigError(f"landmarks must be >= 1, got {self.landmarks}")
 
 
-def default_lam(n: int) -> float:
-    """Default regularization schedule: n^(-1/2)."""
-    return float(n) ** -0.5
-
-
 def resolve_lam(lam: float | None, n: int) -> float:
-    return default_lam(n) if lam is None else float(lam)
+    """``lam``, or the default regularization schedule n^(-1/2) when it is None."""
+    return float(n) ** -0.5 if lam is None else float(lam)
 
 
 def ceil_sqrt(n: int) -> int:

@@ -306,7 +306,7 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     assert _run(tmp_path, "sweep", payload) == 0
     first_csv = (tmp_path / "sweep.csv").read_bytes()
     first_json = (tmp_path / "sweep.json").read_bytes()
-    assert _run(tmp_path, "sweep", payload, "--workers", "2") == 0
+    assert _run(tmp_path, "sweep", payload, "--set", "workers=2") == 0
     assert (tmp_path / "sweep.csv").read_bytes() == first_csv
     # worker count is config echo, not results; compare the summary block
     second = json.loads((tmp_path / "sweep.json").read_text())
@@ -358,17 +358,21 @@ def test_sweep_rejects_non_object_blocks(tmp_path, override, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "flag, env", [(["--workers", "0"], None), (["--workers", "-3"], None), ([], "0")]
-)
-def test_sweep_rejects_workers_below_one(tmp_path, monkeypatch, capsys, flag, env):
-    payload = _sweep_payload(tmp_path)
-    del payload["workers"]
-    if env is not None:
-        monkeypatch.setenv("QLIMITS_WORKERS", env)
-    assert _run(tmp_path, "sweep", payload, *flag) == 2
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
+    assert _run(tmp_path, "sweep", _sweep_payload(tmp_path, workers=workers)) == 2
     assert "workers" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_without_workers_runs_one_worker_per_core(tmp_path, monkeypatch):
+    payload = _sweep_payload(tmp_path)
+    del payload["workers"]
+    for cores, workers in ((None, 1), (2, 2)):  # os.cpu_count() is None when unknown
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert _run(tmp_path, "sweep", payload) == 0
+        summary = json.loads((tmp_path / "sweep.json").read_text())
+        assert summary["config"]["workers"] == workers
 
 
 def test_sweep_set_override(tmp_path):
@@ -376,6 +380,19 @@ def test_sweep_set_override(tmp_path):
     assert _run(tmp_path, "sweep", payload, "--set", "trials=2") == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
     assert summary["config"]["trials"] == 2
+
+
+def test_sweep_set_reaches_into_a_null_block(tmp_path):
+    # every sweep JSON echoes "noise": null; --set noise.* must reach into it
+    payload = _sweep_payload(tmp_path, noise=None)
+    assert _run(tmp_path, "sweep", payload, "--set", "noise.regime=heisenberg") == 0
+    summary = json.loads((tmp_path / "sweep.json").read_text())
+    assert summary["config"]["noise"]["regime"] == "heisenberg"
+
+
+def test_sweep_set_still_rejects_a_path_through_a_value(tmp_path, capsys):
+    assert _run(tmp_path, "sweep", _sweep_payload(tmp_path), "--set", "trials.x=1") == 2
+    assert "non-object field 'trials'" in capsys.readouterr().err
 
 
 def test_sweep_matching_mode(tmp_path):
@@ -417,6 +434,17 @@ def test_sweep_reports_failed_cells_on_stderr(tmp_path, capsys):
     ((kind, count, message),) = written["failures"]["exact_ls"].pop("3")
     assert (kind, count) == ("SingularSystemError", 3) and message in warnings[0]
     assert written["failures"] == {"exact_ls": {}}
+
+
+def test_sweep_whose_cells_all_fail_is_a_solver_error(tmp_path, capsys):
+    payload = _sweep_payload(
+        tmp_path, n_grid=[16, 32, 64], solver="early_stopping_gd",
+        solver_config={"step_size": 1000.0, "max_iters": 50},
+    )
+    assert _run(tmp_path, "sweep", payload) == 3
+    err = capsys.readouterr().err
+    assert "DivergenceError x3" in err
+    assert "solver error: arm 'early_stopping_gd': 0 grid sizes" in err
 
 
 def test_sweep_with_ten_evaluation_points_fits_a_gaussian_rate(tmp_path):
@@ -582,23 +610,3 @@ def test_bench_exits_numerical_when_blas_cannot_be_pinned(tmp_path, monkeypatch,
     assert _run(tmp_path, "bench", payload) == 3
     assert libc in capsys.readouterr().err
     assert not (tmp_path / "b.json").exists()
-
-
-def test_bench_cap_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QLIMITS_BENCH_CAP", "128")
-    payload = {
-        "n_grid": [64, 128, 256],
-        "out_csv": str(tmp_path / "b.csv"),
-        "out_json": str(tmp_path / "b.json"),
-    }
-    assert _run(tmp_path, "bench", payload) == 2
-    assert "128" in capsys.readouterr().err
-
-
-def test_workers_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QLIMITS_WORKERS", "1")
-    payload = _sweep_payload(tmp_path)
-    del payload["workers"]
-    assert _run(tmp_path, "sweep", payload) == 0
-    summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["config"]["workers"] == 1

@@ -12,7 +12,6 @@ from qlimits import (
     PrimalPredictor,
     algorithmic_error_bound_check,
     apply_channels,
-    complexity_entry,
     complexity_table,
     cost_log_error_solver,
     cost_matched_precision,
@@ -350,12 +349,3 @@ def test_complexity_table_snapshot():
         assert entry.test_exponent == test
         assert entry.is_quantum == quantum
         assert entry.test_includes_retraining == retrains
-
-
-def test_complexity_entry_lookup():
-    entry = complexity_entry("qkls_qklr")
-    assert entry.train_exponent == Fraction(1, 2)
-    assert entry.test_exponent == Fraction(3, 2)
-    assert entry.test_includes_retraining
-    with pytest.raises(ConfigError):
-        complexity_entry("perceptron")

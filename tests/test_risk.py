@@ -20,7 +20,6 @@ from qlimits import (
     Kernel,
     NoiseModel,
     PrimalPredictor,
-    RiskEstimate,
     apply_channels,
     empirical_risk,
     exact_ls,
@@ -211,13 +210,6 @@ def test_excess_risks_equals_one_estimate_per_predictor():
     assert together == tuple(excess_risks((p, gaussian), problem, 5000, 21)[0] for p in predictors)
     with pytest.raises(DimensionMismatchError):
         expected_risk_mc(PrimalPredictor(np.zeros(2)), problem, n_eval=100)
-
-
-def test_risk_estimate_json_roundtrip():
-    est = RiskEstimate(value=0.25, std_error=0.001, n_eval=1000)
-    assert RiskEstimate.from_json(est.to_json()) == est
-    with pytest.raises(ConfigError):
-        RiskEstimate.from_json({"value": 1.0, "std_error": 0.0, "n_eval": 2, "extra": 1})
 
 
 def test_expected_risk_mc_validation():

@@ -38,6 +38,9 @@ from qlimits import (
 from qlimits import blas, scaling
 from qlimits.rng import derive_seed
 from qlimits.scaling import (
+    PairedReport,
+    SweepRow,
+    SweepTable,
     bench_summary,
     matching_summary,
     measurement_summary,
@@ -513,6 +516,22 @@ def test_measurement_experiment_rejects_exact_regime():
 def test_paired_experiment_rejects_a_second_exact_arm_or_a_repeated_label(arms):
     with pytest.raises(ConfigError):
         paired_experiment(FAST_CONFIG, arms)
+
+
+def test_an_arm_with_fewer_than_three_successful_sizes_is_a_numerical_error():
+    def table(label, ok):
+        return SweepTable(label, tuple(
+            SweepRow(n, 1.0 / n if good else math.nan, 0.0, 0.0, 3 * good, 3 * (1 - good))
+            for n, good in zip((32, 64, 128, 256), ok)
+        ))
+
+    degraded = table("m_fourth_root_n", (1, 1, 0, 0))
+    report = PairedReport({"exact": table("exact", (1, 1, 1, 1)), "degraded": degraded}, {})
+    assert report.arm_fit("exact").exponent == pytest.approx(-1.0)
+    for fit in (lambda: report.arm_fit("degraded"), lambda: report.ratio_fit("degraded"),
+                lambda: rate_summary(degraded)):
+        with pytest.raises(NumericalError, match="'m_fourth_root_n': 2 grid sizes"):
+            fit()
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Subcommands: generate | fit | sweep | cost | bench. Each takes every setting
 from a JSON config file plus optional ``--set key=value`` overrides with
 dotted paths (which may reach into a null block), and from no flag or
 environment variable. Config keys are the parameter names of the command,
-or of the library dataclass or function a block feeds (``ALIASES`` lists the
-few that differ); ``_build`` rejects unknown keys and checks JSON types, and
-the library supplies every default and range check. All numeric output is
-written with 17 significant digits so downstream fits reproduce exactly.
+or of the library dataclass or function a block feeds, with no other
+spelling, so every JSON echo of a config is itself a config; ``_build``
+rejects unknown keys and checks JSON types, and the library supplies every
+default and range check. All numeric output is written with 17 significant
+digits so downstream fits reproduce exactly.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical/solver error,
 4 benchmark timeout.
@@ -49,7 +50,7 @@ from .scaling import (
     write_sweep_csv,
 )
 from .solvers import LINEAR_KERNEL, Kernel, SolverConfig, save_predictor
-from .synth import make_problem, read_dataset_csv, sample_dataset, write_dataset_csv
+from .synth import read_dataset_csv, sample_dataset, write_dataset_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,18 +61,6 @@ EXIT_TIMEOUT = 4
 # ---------------------------------------------------------------------------
 # strict config reading
 
-# The config key of each parameter whose key differs from its name. The
-# dotted keys are the noise block's rule objects, spread out by _flatten_rules.
-ALIASES = {
-    "dimension": "d",
-    "noise_std": "sigma",
-    "precision_scale": "a",
-    "solver_ids": "solvers",
-    "gamma_kind": "gamma_rule.kind",
-    "gamma_value": "gamma_rule.value",
-    "m_kind": "m_rule.kind",
-    "m_value": "m_rule.value",
-}
 _NAMES = {int: "an integer", float: "a finite number", str: "a string", type(None): "null"}
 
 
@@ -120,50 +109,28 @@ def _typed(value, kind, key: str, context: str):
 def _build(target, obj, context: str, **given):
     """Call ``target``, a dataclass or function, with the JSON object ``obj``.
 
-    The keys are the target's parameter names (or their ALIASES key), less
-    the parameters that ``given`` supplies; unknown keys are rejected, unless
-    the target takes ``**kwargs``, which receives them unchecked. Each value
-    is checked against its parameter's annotation. Absent keys (or a null
-    ``obj``) take the target's defaults, and the target checks the ranges.
+    The keys are the target's parameter names, less the parameters that
+    ``given`` supplies; unknown keys are rejected, unless the target takes
+    ``**kwargs``, which receives them unchecked. Each value is checked
+    against its parameter's annotation. Absent keys (or a null ``obj``) take
+    the target's defaults, and the target checks the ranges.
     """
     obj = {} if obj is None else obj
     if not isinstance(obj, dict):
         raise ConfigError(f"{context} must be an object, got {obj!r}")
     params = inspect.signature(target).parameters
     hints = typing.get_type_hints(target)
-    keys = {
-        ALIASES.get(name, name): name
-        for name, p in params.items()
-        if name not in given and p.kind is not p.VAR_KEYWORD
-    }
+    keys = {name for name, p in params.items() if name not in given and p.kind is not p.VAR_KEYWORD}
     rest = {k: v for k, v in obj.items() if k not in keys}
     takes_rest = any(p.kind is p.VAR_KEYWORD for p in params.values())
     unknown = sorted(k for k in rest if k in given or not takes_rest)
     if unknown:
         raise ConfigError(f"unknown field(s) {unknown} in {context}")
-    missing = [k for k, name in keys.items() if k not in obj and params[name].default is params[name].empty]
+    missing = sorted(k for k in keys if k not in obj and params[k].default is params[k].empty)
     if missing:
         raise ConfigError(f"missing required field(s) {missing} in {context}")
-    typed = {keys[k]: _typed(v, hints[keys[k]], k, context) for k, v in obj.items() if k in keys}
+    typed = {k: _typed(v, hints[k], k, context) for k, v in obj.items() if k in keys}
     return target(**typed, **rest, **given)
-
-
-def _flatten_rules(noise):
-    """Spread the noise block's rule objects ``{"kind", "value"}`` (``kind``
-    required) into the dotted keys that ALIASES maps to NoiseSchedule."""
-    if not isinstance(noise, dict):
-        return noise  # null means no noise; _build rejects anything else
-    flat = {}
-    for key, value in noise.items():
-        if key not in ("gamma_rule", "m_rule"):
-            if "." in key:  # only a rule object may produce a dotted key
-                raise ConfigError(f"unknown field(s) [{key!r}] in noise")
-            flat[key] = value
-        elif value is not None:
-            if not isinstance(value, dict) or "kind" not in value:
-                raise ConfigError(f"noise.{key} must be an object with a `kind`, got {value!r}")
-            flat.update((f"{key}.{k}", v) for k, v in value.items())
-    return flat
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
@@ -209,23 +176,17 @@ def _write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # commands; each one's parameters are its config keys
 
-def cmd_generate(
-    d: int,
-    n: int,
-    out: str,
-    sigma: float = 0.0,
-    input_law: str = ProblemSpec.input_law,
-    seed: int = 0,
-) -> int:
-    problem = make_problem(d, sigma, input_law, seed)
-    dataset = sample_dataset(problem, n, seed)
+def cmd_generate(n: int, out: str, problem: ProblemSpec = ProblemSpec()) -> int:
+    """Draw ``n`` samples of ``problem`` with its ``seed``."""
+    truth = problem.build()
+    dataset = sample_dataset(truth, n, problem.seed)
     write_dataset_csv(dataset, out)
     _write_json(out + ".config.json", {
         "schema_version": SCHEMA_VERSION,
         "command": "generate",
-        "d": d, "n": n, "sigma": sigma, "input_law": input_law, "seed": seed, "out": out,
-        "input_radius": problem.input_radius,
-        "bayes_risk": problem.bayes_risk,
+        "problem": dataclasses.asdict(problem), "n": n, "out": out,
+        "input_radius": truth.input_radius,
+        "bayes_risk": truth.bayes_risk,
     })
     print(f"wrote {n} samples to {out}")
     return EXIT_OK
@@ -299,8 +260,6 @@ def cmd_sweep(
     """The remaining keys are SweepConfig's; ``matching`` and ``measurement``
     hold the options of matching_experiment and measurement_experiment.
     Without ``workers`` the sweep runs one worker per core."""
-    if "noise" in sweep:
-        sweep["noise"] = _flatten_rules(sweep["noise"])
     workers = (os.cpu_count() or 1) if workers is None else workers
     config = _build(SweepConfig, sweep, "sweep config", workers=workers)
     payload = {

@@ -79,7 +79,7 @@ KRR_TRAIN_EXPONENT_RANGE = (2.3, 3.5)
 NYSTROM_EXPONENT_GAP_MIN = 0.7
 PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 DESK_SCALE_CAP = 8192
 
 
@@ -333,7 +333,8 @@ def _sweep_arms(
     schedules = tuple(arm for _, arm in arms)
     tasks = [(config, schedules, n, t) for n in config.n_grid for t in range(config.trials)]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers, initializer=_pin_worker) as pool:
+        workers = min(config.workers, len(tasks))  # a forked pool starts all its workers at once
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker) as pool:
             cells = list(pool.map(_sweep_cell, tasks))
     else:
         with single_blas_thread_or_warn():

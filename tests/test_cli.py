@@ -2,6 +2,7 @@ import ctypes.util
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,18 +36,28 @@ def _run(tmp_path, command, payload, *extra):
     return main([command, "--config", cfg, *extra])
 
 
+def _fit_payload(tmp_path, dataset, problem):
+    return {
+        "dataset": str(dataset),
+        "solver": "exact_ls",
+        "problem": problem,
+        "out_predictor": str(tmp_path / "fit.pred.json"),
+        "out_report": str(tmp_path / "fit.report.json"),
+    }
+
+
 # ---------------------------------------------------------------------------
 # generate
 
 def test_generate_writes_dataset_and_echo(tmp_path):
     out = tmp_path / "data.csv"
-    payload = {"d": 2, "n": 4, "sigma": 0.0, "seed": 1, "out": str(out)}
+    payload = {"problem": {"dimension": 2, "noise_std": 0.0, "seed": 1}, "n": 4, "out": str(out)}
     assert _run(tmp_path, "generate", payload) == 0
     ds = read_dataset_csv(out)
     problem = make_problem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 6
+    assert echo["schema_version"] == 7
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -55,15 +66,28 @@ def test_generate_writes_dataset_and_echo(tmp_path):
 
 
 def test_generate_rejects_zero_samples(tmp_path, capsys):
-    payload = {"d": 2, "n": 0, "sigma": 0.0, "out": str(tmp_path / "x.csv")}
+    payload = {"problem": {"dimension": 2, "noise_std": 0.0}, "n": 0, "out": str(tmp_path / "x.csv")}
     assert _run(tmp_path, "generate", payload) == 2
     assert "`n`" in capsys.readouterr().err
 
 
 def test_generate_rejects_unknown_keys(tmp_path, capsys):
-    payload = {"d": 2, "n": 4, "rows": 7, "out": str(tmp_path / "x.csv")}
+    payload = {"problem": {"dimension": 2}, "n": 4, "rows": 7, "out": str(tmp_path / "x.csv")}
     assert _run(tmp_path, "generate", payload) == 2
     assert "rows" in capsys.readouterr().err
+
+
+def test_generate_echo_reruns_generate_and_its_problem_feeds_fit(tmp_path):
+    out = tmp_path / "data.csv"
+    payload = {"problem": {"dimension": 3, "input_law": "gaussian_clipped", "seed": 4}, "n": 50, "out": str(out)}
+    assert _run(tmp_path, "generate", payload) == 0
+    echo = json.loads((tmp_path / "data.csv.config.json").read_text())
+    assert echo["problem"] == {"dimension": 3, "noise_std": 0.5, "input_law": "gaussian_clipped", "seed": 4}
+    again = tmp_path / "again.csv"
+    assert _run(tmp_path, "generate", {"problem": echo["problem"], "n": echo["n"], "out": str(again)}) == 0
+    assert again.read_bytes() == out.read_bytes()
+    assert _run(tmp_path, "fit", _fit_payload(tmp_path, out, echo["problem"])) == 0
+    assert math.isfinite(json.loads((tmp_path / "fit.report.json").read_text())["excess_risk"])
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -107,7 +131,7 @@ def test_fit_divide_and_conquer_single_block_matches_krr(tmp_path):
             "dataset": str(data),
             "solver": solver,
             "solver_config": {"lam": 0.05},
-            "problem": {"d": 3, "sigma": 0.3, "seed": 5},
+            "problem": {"dimension": 3, "noise_std": 0.3, "seed": 5},
             "n_eval": 2000,
             "out_predictor": str(tmp_path / f"{solver}.pred.json"),
             "out_report": str(tmp_path / f"{solver}.report.json"),
@@ -130,7 +154,7 @@ def test_fit_every_solver(tmp_path, solver):
         "dataset": str(data),
         "solver": solver,
         "solver_config": {"lam": 0.05, "partitions": 2},
-        "problem": {"d": 3, "sigma": 0.3, "seed": 5},
+        "problem": {"dimension": 3, "noise_std": 0.3, "seed": 5},
         "n_eval": 2000,
         "out_predictor": str(tmp_path / "pred.json"),
         "out_report": str(tmp_path / "report.json"),
@@ -152,7 +176,7 @@ def test_fit_scores_a_linear_predictor_exactly(tmp_path):
     payload = {
         "dataset": str(data),
         "solver": "exact_ls",
-        "problem": {"d": 5, "sigma": 0.5, "seed": 7},
+        "problem": {"dimension": 5, "noise_std": 0.5, "seed": 7},
         "n_eval": 2000,
         "out_predictor": str(tmp_path / "pred.json"),
         "out_report": str(tmp_path / "report.json"),
@@ -189,7 +213,7 @@ def _gaussian_krr_fit(tmp_path):
         "dataset": str(data),
         "solver": "krr",
         "kernel": {"kind": "gaussian", "bandwidth": 1.0},
-        "problem": {"d": 10, "sigma": 0.5, "seed": 3},
+        "problem": {"dimension": 10, "noise_std": 0.5, "seed": 3},
         "n_eval": 3000,
         "out_predictor": str(tmp_path / "pred.json"),
         "out_report": str(tmp_path / "report.json"),
@@ -226,7 +250,7 @@ def test_fit_unknown_solver_exits_config(tmp_path, capsys):
     assert not (tmp_path / "p.json").exists()
 
 
-@pytest.mark.parametrize("problem", [{"d": 0}, {"bogus": 1}, {"d": 2}])
+@pytest.mark.parametrize("problem", [{"dimension": 0}, {"bogus": 1}, {"dimension": 2}])
 def test_fit_rejected_config_writes_no_file(tmp_path, problem):
     data = tmp_path / "train.csv"
     write_dataset_csv(sample_dataset(make_problem(3, 0.1, seed=1), 10, seed=2), data)
@@ -293,7 +317,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 6
+    assert summary["schema_version"] == 7
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]
@@ -330,12 +354,13 @@ def test_sweep_unknown_key_rejected(tmp_path, capsys):
         {"problem": {"input_law": "bogus"}},
         {"kernel": {"kind": "poly"}},
         {"noise": {"regime": "bogus"}},
-        {"noise": {"gamma_rule": {"kind": "cubic"}}},
-        {"noise": {"m_rule": {"kind": "cubic"}}},
+        {"noise": {"gamma_kind": "cubic"}},
+        {"noise": {"m_kind": "cubic"}},
         {"mode": "measurement", "measurement": {"regime": "exact"}},
         {"mode": "measurement", "measurement": {"regime": "bogus"}},
         {"mode": "measurement", "measurement": {"degraded_rule": "cubic"}},
         {"workers_flag": 2},
+        {"noise": {"gamma_rule": {"kind": "matched"}}},
     ],
 )
 def test_sweep_rejects_unknown_names(tmp_path, override):
@@ -349,7 +374,6 @@ def test_sweep_rejects_unknown_names(tmp_path, override):
         {"problem": []},
         {"solver_config": 5},
         {"noise": 3},
-        {"noise": {"gamma_rule": 2}},
     ],
 )
 def test_sweep_rejects_non_object_blocks(tmp_path, override, capsys):
@@ -419,11 +443,49 @@ def test_sweep_measurement_mode(tmp_path):
     assert "degraded_exponent" in summary["summary"]
 
 
+@pytest.mark.parametrize(
+    "mode, options",
+    [
+        ("rate", {"noise": {"regime": "heisenberg", "gamma_kind": "matched", "gamma_value": 0.1,
+                            "m_kind": "sqrt_n"}}),
+        ("matching", {"matching": {"matched_c0": 0.1, "constant_gamma": 0.3}}),
+        ("measurement", {"measurement": {"regime": "heisenberg"}}),
+    ],
+)
+def test_sweep_echo_reruns_the_sweep(tmp_path, mode, options):
+    assert _run(tmp_path, "sweep", _sweep_payload(tmp_path, mode=mode, **options)) == 0
+    echo = json.loads((tmp_path / "sweep.json").read_text())
+    rerun = dict(echo["config"], mode=echo["mode"], out_csv=str(tmp_path / "rerun.csv"),
+                 out_json=str(tmp_path / "rerun.json"))
+    if mode != "rate":  # the options block is not echoed; a rate sweep's noise block is
+        rerun[mode] = options[mode]
+    assert _run(tmp_path, "sweep", rerun) == 0
+    assert (tmp_path / "rerun.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+
+def test_sweep_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    started = []
+
+    class Recording(scaling.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(scaling, "ProcessPoolExecutor", Recording)
+    payload = _sweep_payload(tmp_path, n_grid=[8, 16, 32], trials=1)
+    assert _run(tmp_path, "sweep", payload) == 0
+    serial = (tmp_path / "sweep.csv").read_bytes()
+    assert _run(tmp_path, "sweep", payload, "--set", "workers=8") == 0
+    assert started == [3]  # three cells
+    assert (tmp_path / "sweep.csv").read_bytes() == serial
+    assert json.loads((tmp_path / "sweep.json").read_text())["config"]["workers"] == 8
+
+
 def test_sweep_reports_failed_cells_on_stderr(tmp_path, capsys):
     # lam=0 with n < d: every cell at n=3 is singular; the other sizes fit
     payload = _sweep_payload(
         tmp_path, n_grid=[3, 64, 128, 256], n_eval=20000, master_seed=6,
-        problem={"d": 5, "sigma": 0.1}, solver_config={"lam": 0.0},
+        problem={"dimension": 5, "noise_std": 0.1}, solver_config={"lam": 0.0},
     )
     assert _run(tmp_path, "sweep", payload) == 0
     warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
@@ -547,7 +609,7 @@ def test_cost_matched_grid(tmp_path):
 
 def test_bench_small_grid_with_single_rep_warns(tmp_path, capsys):
     payload = {
-        "solvers": ["exact_ls", "nystrom"],
+        "solver_ids": ["exact_ls", "nystrom"],
         "n_grid": [64, 128, 256],
         "reps": 1,
         "timer_window": 0.005,
@@ -573,7 +635,7 @@ def test_bench_rejects_grid_over_cap(tmp_path, capsys):
 
 def test_bench_timeout_exit_code(tmp_path):
     payload = {
-        "solvers": ["exact_ls"],
+        "solver_ids": ["exact_ls"],
         "n_grid": [64, 128, 256],
         "reps": 1,
         "timeout_s": 1e-9,
@@ -588,7 +650,7 @@ def test_bench_timeout_exit_code(tmp_path):
 
 def test_bench_rejects_unknown_solver(tmp_path, capsys):
     payload = {
-        "solvers": ["exact_ls", "sgd"],
+        "solver_ids": ["exact_ls", "sgd"],
         "n_grid": [64, 128, 256],
         "out_csv": str(tmp_path / "b.csv"),
         "out_json": str(tmp_path / "b.json"),
@@ -602,7 +664,7 @@ def test_bench_exits_numerical_when_blas_cannot_be_pinned(tmp_path, monkeypatch,
     libc = ctypes.util.find_library("c")
     monkeypatch.setattr(blas, "loaded_blas_paths", lambda: [libc])
     payload = {
-        "solvers": ["exact_ls"],
+        "solver_ids": ["exact_ls"],
         "n_grid": [64, 128, 256],
         "out_csv": str(tmp_path / "b.csv"),
         "out_json": str(tmp_path / "b.json"),
@@ -610,3 +672,30 @@ def test_bench_exits_numerical_when_blas_cannot_be_pinned(tmp_path, monkeypatch,
     assert _run(tmp_path, "bench", payload) == 3
     assert libc in capsys.readouterr().err
     assert not (tmp_path / "b.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+def _readme_json(marker):
+    """The first JSON block after ``marker`` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("```json\n", text.index(marker)) + len("```json\n")
+    return json.loads(text[start:text.index("```", start)])
+
+
+@pytest.mark.parametrize("with_noise", [False, True])
+def test_readme_sweep_config_runs(tmp_path, with_noise):
+    config = _readme_json("Example sweep config:")
+    if with_noise:
+        config["noise"] = _readme_json("Example noise block:")
+    config.update(n_grid=[8, 16, 32], trials=2, out_csv=str(tmp_path / "rate.csv"),
+                  out_json=str(tmp_path / "rate.json"))
+    assert _run(tmp_path, "sweep", config) == 0
+
+
+def test_readme_generate_config_feeds_fit(tmp_path):
+    config = _readme_json("Example generate config:")
+    config.update(out=str(tmp_path / "train.csv"))
+    assert _run(tmp_path, "generate", config) == 0
+    assert _run(tmp_path, "fit", _fit_payload(tmp_path, tmp_path / "train.csv", config["problem"])) == 0

@@ -20,7 +20,7 @@ from .qmodel import (
     BoundCheck,
     ComplexityEntry,
     CostModel,
-    NoiseModel,
+    NoiseSchedule,
     algorithmic_error_bound_check,
     apply_channels,
     complexity_table,
@@ -48,7 +48,6 @@ from .rng import child_rng, derive_seed
 from .scaling import (
     SOLVER_IDS,
     BenchReport,
-    NoiseSchedule,
     PairedReport,
     ProblemSpec,
     ScalingFit,

@@ -279,6 +279,7 @@ def cmd_sweep(
             "measurement": (measurement_experiment, measurement, measurement_summary),
         }[mode]
         report = _build(experiment, options, f"{mode} options", config=config)
+        payload[mode] = options  # as given, so the echo reruns the sweep
         tables = report.arm_tables()
         payload["failures"] = _write_tables(out_csv, tables.values())
         payload["summary"] = summary(report)

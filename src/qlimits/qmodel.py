@@ -1,15 +1,18 @@
-"""Noisy quantum-solver model: error channels and symbolic runtime costs.
+"""Noisy quantum-solver model: error budget, error channels, symbolic runtime costs.
 
-The simulated pipeline composes two error channels on top of the exact
-solver output: a solver-precision perturbation of magnitude exactly
-``solver_error``, and a tomography readout perturbation of magnitude
-``tomography_error(m)`` set by the measurement regime,
+A ``NoiseSchedule`` is the error budget of the simulated quantum solve as a
+rule in the training size n. It gives the solver precision gamma(n) and the
+measurement count m(n); the measurement regime turns m into the readout
+error tau (a is ``precision_scale``),
 
 * ``exact``       tau = 0
 * ``shot_noise``  tau = a / sqrt(m)   (standard quantum limit)
 * ``heisenberg``  tau = a / m         (metrology-assisted limit)
 
-Both channels shift the unnormalized weight vector directly, by exactly
+The simulated pipeline evaluates the schedule at n and composes two error
+channels on top of the exact solver output: a solver-precision perturbation
+of magnitude gamma(n), then a tomography readout perturbation of magnitude
+tau(m(n)). Both shift the unnormalized weight vector directly, by exactly
 their magnitude (the worst case on the error sphere, which keeps the bound
 checks sharp); recovery of the solution's scale is assumed exact, so any
 scale-estimation error is folded into the readout channel.
@@ -34,65 +37,99 @@ from .solvers import Predictor, PrimalPredictor, ceil_sqrt, exact_ls, predict_ba
 from .synth import Dataset, unit_vector
 
 REGIMES = ("exact", "shot_noise", "heisenberg")
+GAMMA_RULE_KINDS = ("constant", "matched")
+M_RULE_KINDS = ("fixed", "sqrt_n", "fourth_root_n", "linear_n")
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Error budget of the simulated quantum solve."""
+class NoiseSchedule:
+    """Error budget of the simulated quantum solve as a rule in the training size n.
 
-    solver_error: float = 0.0
+    gamma rules: ``constant`` uses gamma_value directly; ``matched`` uses
+    gamma_value * n^(-1/2). m rules: ``fixed`` (m_value), ``sqrt_n``
+    (ceil(sqrt(n))), ``fourth_root_n`` (ceil(n^(1/4))), ``linear_n`` (n).
+    """
+
     regime: str = "exact"
-    measurements: int = 1
+    gamma_kind: str = "constant"
+    gamma_value: float = 0.0
+    m_kind: str = "fixed"
+    m_value: int = 1
     precision_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.solver_error) and self.solver_error >= 0):
-            raise ConfigError(f"solver_error must be >= 0, got {self.solver_error}")
+        if self.gamma_kind not in GAMMA_RULE_KINDS:
+            raise ConfigError(
+                f"unknown gamma rule {self.gamma_kind!r}, expected one of {GAMMA_RULE_KINDS}"
+            )
+        if self.m_kind not in M_RULE_KINDS:
+            raise ConfigError(f"unknown m rule {self.m_kind!r}, expected one of {M_RULE_KINDS}")
+        if self.m_value < 1:
+            raise ConfigError(f"m_value must be >= 1, got {self.m_value}")
+        if not (np.isfinite(self.gamma_value) and self.gamma_value >= 0):
+            raise ConfigError(f"gamma_value must be >= 0, got {self.gamma_value}")
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-        if self.measurements < 1:
-            raise ConfigError(f"measurements must be >= 1, got {self.measurements}")
         if not (np.isfinite(self.precision_scale) and self.precision_scale > 0):
             raise ConfigError(f"precision_scale must be > 0, got {self.precision_scale}")
 
-    def tomography_error(self) -> float:
-        """Readout error magnitude tau(m) for this regime."""
+    def gamma_at(self, n: int) -> float:
+        """Solver error gamma at training size n."""
+        if self.gamma_kind == "constant":
+            return self.gamma_value
+        return self.gamma_value * float(n) ** -0.5
+
+    def m_at(self, n: int) -> int:
+        """Measurement count m at training size n."""
+        if self.m_kind == "fixed":
+            return self.m_value
+        if self.m_kind == "sqrt_n":
+            return ceil_sqrt(n)
+        if self.m_kind == "fourth_root_n":
+            return ceil_sqrt(ceil_sqrt(n))  # ceil(n^(1/4))
+        return n
+
+    def tau_at(self, n: int) -> float:
+        """Readout error tau(m) of this regime at m = m_at(n)."""
         if self.regime == "exact":
             return 0.0
         if self.regime == "shot_noise":
-            return self.precision_scale / math.sqrt(self.measurements)
-        return self.precision_scale / self.measurements
+            return self.precision_scale / math.sqrt(self.m_at(n))
+        return self.precision_scale / self.m_at(n)
 
 
-def perturb_solution(weights: np.ndarray, magnitude: float, seed: int = 0) -> np.ndarray:
-    """weights + magnitude * u for a seeded random unit direction u."""
+def _shift(weights: np.ndarray, magnitude: float, seed: int, stream: str) -> np.ndarray:
+    """weights + magnitude * u for a unit direction u drawn from ``stream`` of ``seed``."""
     if not (np.isfinite(magnitude) and magnitude >= 0):
         raise ConfigError(f"magnitude must be >= 0, got {magnitude}")
     w = np.asarray(weights, dtype=np.float64)
-    u = unit_vector(child_rng(seed, "solver-perturbation"), w.shape[0])
+    u = unit_vector(child_rng(seed, stream), w.shape[0])
     return w + magnitude * u
 
 
-def tomography_estimate(weights: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Classical readout of the state: shifts by exactly tau(m) in a random direction."""
-    w = np.asarray(weights, dtype=np.float64)
-    tau = noise.tomography_error()
-    u = unit_vector(child_rng(noise.seed, "tomography"), w.shape[0])
-    return w + tau * u
+def perturb_solution(weights: np.ndarray, magnitude: float, seed: int = 0) -> np.ndarray:
+    """Solver-precision channel: shifts by exactly ``magnitude`` in a seeded random direction."""
+    return _shift(weights, magnitude, seed, "solver-perturbation")
 
 
-def apply_channels(weights: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Solver perturbation, then tomography readout, of exact solve weights."""
-    w = perturb_solution(weights, noise.solver_error, seed=noise.seed)
-    return tomography_estimate(w, noise)
+def tomography_estimate(weights: np.ndarray, tau: float, seed: int = 0) -> np.ndarray:
+    """Classical readout of the state: shifts by exactly ``tau`` in a seeded random direction."""
+    return _shift(weights, tau, seed, "tomography")
+
+
+def apply_channels(weights: np.ndarray, noise: NoiseSchedule, n: int, seed: int) -> np.ndarray:
+    """Solver perturbation by gamma(n), then tomography readout by tau(n), of
+    exact solve weights; both channels draw their direction from ``seed``."""
+    w = perturb_solution(weights, noise.gamma_at(n), seed)
+    return tomography_estimate(w, noise.tau_at(n), seed)
 
 
 def quantum_ls_pipeline(
-    dataset: Dataset, lam: float | None, noise: NoiseModel
+    dataset: Dataset, lam: float | None, noise: NoiseSchedule, seed: int = 0
 ) -> PrimalPredictor:
-    """Exact Tikhonov solve, then the two error channels."""
-    return PrimalPredictor(weights=apply_channels(exact_ls(dataset, lam).weights, noise))
+    """Exact Tikhonov solve, then the two error channels at n = dataset.n_samples."""
+    weights = exact_ls(dataset, lam).weights
+    return PrimalPredictor(weights=apply_channels(weights, noise, dataset.n_samples, seed))
 
 
 @dataclass(frozen=True)

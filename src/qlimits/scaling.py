@@ -12,8 +12,9 @@ pinned, the sweep warns and runs with the default threads.
 
 A sweep scores one or more arms, and all of them share each (n, trial)
 cell: one training draw, one solve, one scoring. The exact arm scores the
-solve itself; a noisy arm passes its weights through the error channels,
-seeded by the cell's one noise stream. A paired experiment is one sweep of
+solve itself; a noisy arm is a ``qmodel.NoiseSchedule``, evaluated at the
+cell's n, and passes the weights through the error channels, seeded by the
+cell's one noise stream. A paired experiment is one sweep of
 the exact arm and any number of noisy arms, so its ratios isolate the
 injected error, and each arm's table equals that of a sweep of the arm alone;
 the matching and measurement experiments are two named arm lists over it.
@@ -31,7 +32,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .errors import ConfigError, NumericalError, QlimitsError
 # quantum_ls_pipeline and expected_risk_mc are not called here since arms
 # share cells and score through excess_risks; they stay importable from this
 # module, whose names perfbench's tracer wraps.
-from .qmodel import NoiseModel, apply_channels, quantum_ls_pipeline
+from .qmodel import NoiseSchedule, apply_channels, quantum_ls_pipeline
 from .risk import expected_risk_mc, excess_risks
 from .rng import derive_seed
 from .solvers import (  # the five solvers are called by name, through fit_solver
@@ -49,7 +50,6 @@ from .solvers import (  # the five solvers are called by name, through fit_solve
     Predictor,
     PrimalPredictor,
     SolverConfig,
-    ceil_sqrt,
     divide_and_conquer,
     early_stopping_gd,
     exact_ls,
@@ -61,9 +61,6 @@ from .synth import Dataset, SyntheticProblem, make_problem, sample_dataset
 
 SOLVER_IDS = ("exact_ls", "krr", "early_stopping_gd", "divide_and_conquer", "nystrom")
 BENCH_SOLVER_IDS = ("exact_ls", "krr", "nystrom")  # the runtime ladder's default rows
-
-GAMMA_RULE_KINDS = ("constant", "matched")
-M_RULE_KINDS = ("fixed", "sqrt_n", "fourth_root_n", "linear_n")
 
 # Acceptance thresholds shared by the CLI summaries and the test suite.
 RATE_EXPONENT_RANGE = (-0.8, -0.3)
@@ -79,7 +76,7 @@ KRR_TRAIN_EXPONENT_RANGE = (2.3, 3.5)
 NYSTROM_EXPONENT_GAP_MIN = 0.7
 PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 DESK_SCALE_CAP = 8192
 
 
@@ -99,57 +96,12 @@ class ProblemSpec:
         return make_problem(self.dimension, self.noise_std, self.input_law, self.seed)
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """How the noise model scales with the training size n.
-
-    gamma rules: ``constant`` uses gamma_value directly; ``matched`` uses
-    gamma_value * n^(-1/2). m rules: ``fixed`` (m_value), ``sqrt_n``
-    (ceil(sqrt(n))), ``fourth_root_n`` (ceil(n^(1/4))), ``linear_n`` (n).
-    """
-
-    regime: str = "exact"
-    gamma_kind: str = "constant"
-    gamma_value: float = 0.0
-    m_kind: str = "fixed"
-    m_value: int = 1
-    precision_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.gamma_kind not in GAMMA_RULE_KINDS:
-            raise ConfigError(
-                f"unknown gamma rule {self.gamma_kind!r}, expected one of {GAMMA_RULE_KINDS}"
-            )
-        if self.m_kind not in M_RULE_KINDS:
-            raise ConfigError(f"unknown m rule {self.m_kind!r}, expected one of {M_RULE_KINDS}")
-        if self.m_value < 1:
-            raise ConfigError(f"m_value must be >= 1, got {self.m_value}")
-        # NoiseModel rejects a bad regime, precision_scale or gamma_value
-        # (gamma_at(1) is gamma_value under both rules).
-        self.noise_for(1, seed=0)
-
-    def gamma_at(self, n: int) -> float:
-        if self.gamma_kind == "constant":
-            return self.gamma_value
-        return self.gamma_value * float(n) ** -0.5
-
-    def m_at(self, n: int) -> int:
-        if self.m_kind == "fixed":
-            return self.m_value
-        if self.m_kind == "sqrt_n":
-            return ceil_sqrt(n)
-        if self.m_kind == "fourth_root_n":
-            return ceil_sqrt(ceil_sqrt(n))  # ceil(n^(1/4))
-        return n
-
-    def noise_for(self, n: int, seed: int) -> NoiseModel:
-        return NoiseModel(
-            solver_error=self.gamma_at(n),
-            regime=self.regime,
-            measurements=self.m_at(n),
-            precision_scale=self.precision_scale,
-            seed=seed,
-        )
+def _check_solver(solver: str, kernel: Kernel) -> None:
+    """Reject an unknown solver id, and exact_ls (always linear) under another kernel."""
+    if solver not in SOLVER_IDS:
+        raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVER_IDS}")
+    if solver == "exact_ls" and kernel.kind != "linear":
+        raise ConfigError(f"exact_ls fits a linear model and takes no {kernel.kind!r} kernel")
 
 
 @dataclass(frozen=True)
@@ -178,8 +130,7 @@ class SweepConfig:
         object.__setattr__(self, "n_grid", grid)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.solver not in SOLVER_IDS:
-            raise ConfigError(f"unknown solver {self.solver!r}, expected one of {SOLVER_IDS}")
+        _check_solver(self.solver, self.kernel)
         if self.n_eval < 2:
             raise ConfigError(f"n_eval must be >= 2, got {self.n_eval}")
         if self.workers < 1:
@@ -216,13 +167,13 @@ def fit_solver(
     kernel: Kernel = LINEAR_KERNEL,
     config: SolverConfig = SolverConfig(),
 ) -> Predictor:
-    """Train ``solver``, one of SOLVER_IDS; exact_ls and krr read only ``config.lam``.
+    """Train ``solver``, one of SOLVER_IDS; exact_ls and krr read only
+    ``config.lam``, and exact_ls takes only the linear kernel.
 
     The solver is looked up among this module's names on every call, so a
     wrapper swapped in for ``scaling.<id>`` (as a tracer does) is the one run.
     """
-    if solver not in SOLVER_IDS:
-        raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVER_IDS}")
+    _check_solver(solver, kernel)
     fit = globals()[solver]
     if solver == "exact_ls":
         return fit(dataset, config.lam)
@@ -241,8 +192,8 @@ def _sweep_cell(task: tuple[SweepConfig, tuple[NoiseSchedule | None, ...], int, 
     The cell draws its training set, fits ``config.solver`` and scores every
     arm's predictor in one ``excess_risks`` call (which shares its evaluation
     sample, where it draws one). An arm of None scores the fit; a
-    NoiseSchedule arm scores the fit's weights after the error channels, so
-    it needs exact_ls. Returns one (excess, std_error, error) per arm,
+    NoiseSchedule arm scores the fit's weights after the error channels at
+    n, so it needs exact_ls. Returns one (excess, std_error, error) per arm,
     ``error`` being None or (exception type, message). A failed draw, fit or
     evaluation fails every arm; a failed channel fails its own arm only.
     """
@@ -260,7 +211,7 @@ def _sweep_cell(task: tuple[SweepConfig, tuple[NoiseSchedule | None, ...], int, 
     for i, arm in enumerate(arms):
         try:
             predictors[i] = fitted if arm is None else PrimalPredictor(
-                weights=apply_channels(fitted.weights, arm.noise_for(n, noise_seed))
+                weights=apply_channels(fitted.weights, arm, n, noise_seed)
             )
         except QlimitsError as exc:
             outcomes[i] = _failed(exc)
@@ -454,12 +405,17 @@ def paired_experiment(
     """Exact solve vs noisy arms in one sweep of ``exact_ls``, so every arm
     shares every cell. ``arms`` maps each arm name to its table label and
     NoiseSchedule; the exact arm comes first, named and labelled ``exact``.
-    ``options`` are recorded in the report as given."""
+    ``config`` must fit exact_ls with no ``noise`` block, since the arms
+    bring the noise. ``options`` are recorded in the report as given."""
+    if config.solver != "exact_ls":
+        raise ConfigError(f"a paired experiment fits exact_ls, got `solver` {config.solver!r}")
+    if config.noise is not None:
+        raise ConfigError("a paired experiment takes no `noise` block; its arms bring the noise")
     named = {"exact": ("exact", None), **arms}
     labels = [label for label, _ in named.values()]
     if "exact" in arms or len(set(labels)) < len(labels):
         raise ConfigError(f"arm labels must be unique and no arm named 'exact', got {labels}")
-    tables = _sweep_arms(replace(config, noise=None, solver="exact_ls"), tuple(named.values()))
+    tables = _sweep_arms(config, tuple(named.values()))
     return PairedReport(dict(zip(named, tables)), options)
 
 
@@ -559,13 +515,13 @@ def runtime_benchmark(
     by contention or thread spin-up. It raises QlimitsError, naming the
     library, when one thread cannot be set and verified. The per-cell
     timeout is enforced between repetitions, not preemptively: a cell whose
-    budget is exhausted is flagged and excluded from the fits. ``cap`` bounds
-    the largest n, keeping the ladder at desk scale.
+    budget is exhausted is flagged and excluded from the fits; a solver error
+    is not a timeout, and raises. ``cap`` bounds the largest n, keeping the
+    ladder at desk scale.
     """
     ids = tuple(solver_ids)
     for sid in ids:
-        if sid not in SOLVER_IDS:
-            raise ConfigError(f"unknown solver {sid!r}, expected one of {SOLVER_IDS}")
+        _check_solver(sid, kernel)
     grid = tuple(int(n) for n in n_grid)
     if len(grid) < 3 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"n_grid must be >= 3 strictly increasing positive sizes, got {grid}")
@@ -604,10 +560,7 @@ def _bench_cell(sid, n, kernel, solver_config, problem, test_x, reps, timeout_s,
     dataset = sample_dataset(problem, n, derive_seed(master_seed, "bench-data", n))
     fit_fn = lambda: fit_solver(sid, dataset, kernel, solver_config)
     cell_start = time.perf_counter()
-    try:
-        _, predictor = _timed_call(fit_fn, timer_window)  # warm-up, discarded
-    except QlimitsError:
-        return BenchRow(sid, n, float("nan"), float("nan"), True)
+    _timed_call(fit_fn, timer_window)  # warm-up, discarded; a solver error propagates
     train_times, timed_out = [], False
     for _ in range(reps):
         if time.perf_counter() - cell_start > timeout_s:

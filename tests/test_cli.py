@@ -57,7 +57,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     problem = make_problem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 7
+    assert echo["schema_version"] == 8
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -266,6 +266,16 @@ def test_fit_rejected_config_writes_no_file(tmp_path, problem):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_fit_rejects_exact_ls_under_a_gaussian_kernel(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    write_dataset_csv(sample_dataset(make_problem(3, 0.1, seed=1), 10, seed=2), data)
+    payload = _fit_payload(tmp_path, data, None)
+    payload["kernel"] = {"kind": "gaussian", "bandwidth": 1.0}
+    assert _run(tmp_path, "fit", payload) == 2
+    assert "exact_ls" in capsys.readouterr().err
+    assert not (tmp_path / "fit.pred.json").exists() and not (tmp_path / "fit.report.json").exists()
+
+
 def test_fit_missing_dataset(tmp_path, capsys):
     payload = {
         "dataset": str(tmp_path / "absent.csv"),
@@ -317,7 +327,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 7
+    assert summary["schema_version"] == 8
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]
@@ -450,17 +460,41 @@ def test_sweep_measurement_mode(tmp_path):
                             "m_kind": "sqrt_n"}}),
         ("matching", {"matching": {"matched_c0": 0.1, "constant_gamma": 0.3}}),
         ("measurement", {"measurement": {"regime": "heisenberg"}}),
+        ("matching", {"matching": {"matched_c0": 0.2, "constant_gamma": 0.5}}),
+        ("measurement", {"measurement": {"regime": "shot_noise", "budget_rule": "linear_n",
+                                         "degraded_rule": "sqrt_n"}}),
     ],
 )
 def test_sweep_echo_reruns_the_sweep(tmp_path, mode, options):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path, mode=mode, **options)) == 0
     echo = json.loads((tmp_path / "sweep.json").read_text())
-    rerun = dict(echo["config"], mode=echo["mode"], out_csv=str(tmp_path / "rerun.csv"),
+    # a paired mode echoes its options block as given; a rate sweep's noise block is in config
+    blocks = {key: echo[key] for key in ("matching", "measurement") if key in echo}
+    assert blocks == {key: options[key] for key in ("matching", "measurement") if key in options}
+    rerun = dict(echo["config"], mode=echo["mode"], **blocks, out_csv=str(tmp_path / "rerun.csv"),
                  out_json=str(tmp_path / "rerun.json"))
-    if mode != "rate":  # the options block is not echoed; a rate sweep's noise block is
-        rerun[mode] = options[mode]
     assert _run(tmp_path, "sweep", rerun) == 0
     assert (tmp_path / "rerun.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["matching", "measurement"])
+@pytest.mark.parametrize(
+    "override, field",
+    [({"solver": "krr"}, "`solver`"), ({"noise": {"gamma_value": 0.1}}, "`noise`")],
+)
+def test_paired_sweep_rejects_a_solver_or_noise_block_it_would_not_run(
+    tmp_path, capsys, mode, override, field
+):
+    assert _run(tmp_path, "sweep", _sweep_payload(tmp_path, mode=mode, **override)) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "sweep.json").exists()
+
+
+def test_sweep_rejects_exact_ls_under_a_gaussian_kernel(tmp_path, capsys):
+    payload = _sweep_payload(tmp_path, kernel={"kind": "gaussian", "bandwidth": 1.0})
+    assert _run(tmp_path, "sweep", payload) == 2
+    assert "exact_ls" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "sweep.json").exists()
 
 
 def test_sweep_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
@@ -526,10 +560,10 @@ def test_sweep_with_ten_evaluation_points_fits_a_gaussian_rate(tmp_path):
 def test_sweep_json_lists_failed_cells_per_arm(tmp_path, monkeypatch):
     channels = scaling.apply_channels
 
-    def lossy(weights, noise):  # the constant arm loses its readout in odd-seeded cells
-        if noise.solver_error == 0.3 and noise.seed % 2:
+    def lossy(weights, noise, n, seed):  # the constant arm loses its readout in odd-seeded cells
+        if noise.gamma_at(n) == 0.3 and seed % 2:
             raise NumericalError("readout lost")
-        return channels(weights, noise)
+        return channels(weights, noise, n, seed)
 
     monkeypatch.setattr(scaling, "apply_channels", lossy)
     payload = _sweep_payload(tmp_path, mode="matching", n_grid=[32, 64, 128], trials=4,
@@ -646,6 +680,37 @@ def test_bench_timeout_exit_code(tmp_path):
     assert _run(tmp_path, "bench", payload) == 4
     summary = json.loads((tmp_path / "b.json").read_text())
     assert summary["summary"]["timed_out"] is True
+
+
+def test_bench_solver_error_exits_numerical_with_its_message(tmp_path, capsys):
+    # lam=0 makes the Nystrom system singular: a solver error, not a timeout
+    payload = {
+        "solver_ids": ["nystrom"],
+        "lam": 0,
+        "n_grid": [256, 512, 1024],
+        "reps": 1,
+        "timer_window": 0.001,
+        "out_csv": str(tmp_path / "b.csv"),
+        "out_json": str(tmp_path / "b.json"),
+    }
+    assert _run(tmp_path, "bench", payload) == 3
+    err = capsys.readouterr().err
+    assert "solver error: " in err and "singular" in err
+    assert not (tmp_path / "b.csv").exists() and not (tmp_path / "b.json").exists()
+
+
+def test_bench_rejects_exact_ls_under_a_gaussian_kernel(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scaling, "single_blas_thread", None)  # rejected before timing
+    payload = {
+        "solver_ids": ["krr", "exact_ls"],
+        "kernel": {"kind": "gaussian", "bandwidth": 1.0},
+        "n_grid": [64, 128, 256],
+        "out_csv": str(tmp_path / "b.csv"),
+        "out_json": str(tmp_path / "b.json"),
+    }
+    assert _run(tmp_path, "bench", payload) == 2
+    assert "exact_ls" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists() and not (tmp_path / "b.json").exists()
 
 
 def test_bench_rejects_unknown_solver(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qlimits import (
     ConfigError,
     CostModel,
-    NoiseModel,
+    NoiseSchedule,
     PrimalPredictor,
     algorithmic_error_bound_check,
     apply_channels,
@@ -57,37 +57,41 @@ def test_perturb_deterministic_per_seed():
 def test_perturb_rejects_negative_magnitude():
     with pytest.raises(ConfigError):
         perturb_solution(np.ones(2), -0.1, seed=0)
+    with pytest.raises(ConfigError):
+        tomography_estimate(np.ones(2), -0.1, seed=0)
 
 
 def test_tomography_error_magnitudes():
     w = np.arange(4.0)
-    exact = NoiseModel(regime="exact", measurements=5, seed=1)
-    np.testing.assert_array_equal(tomography_estimate(w, exact), w)
+    exact = NoiseSchedule(regime="exact", m_value=5)
+    np.testing.assert_array_equal(tomography_estimate(w, exact.tau_at(1), seed=1), w)
 
-    shot = NoiseModel(regime="shot_noise", measurements=100, seed=2)
-    assert np.linalg.norm(tomography_estimate(w, shot) - w) == pytest.approx(0.1, rel=1e-12)
+    shot = NoiseSchedule(regime="shot_noise", m_value=100)
+    shifted = tomography_estimate(w, shot.tau_at(1), seed=2)
+    assert np.linalg.norm(shifted - w) == pytest.approx(0.1, rel=1e-12)
 
-    heis = NoiseModel(regime="heisenberg", measurements=100, seed=3)
-    assert np.linalg.norm(tomography_estimate(w, heis) - w) == pytest.approx(0.01, rel=1e-12)
+    heis = NoiseSchedule(regime="heisenberg", m_value=100)
+    shifted = tomography_estimate(w, heis.tau_at(1), seed=3)
+    assert np.linalg.norm(shifted - w) == pytest.approx(0.01, rel=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(m=st.integers(1, 10_000), scale=st.floats(1e-3, 1e3))
 def test_heisenberg_equals_shot_noise_at_squared_measurements(m, scale):
-    heis = NoiseModel(regime="heisenberg", measurements=m, precision_scale=scale)
-    shot = NoiseModel(regime="shot_noise", measurements=m * m, precision_scale=scale)
-    assert heis.tomography_error() == shot.tomography_error()
+    heis = NoiseSchedule(regime="heisenberg", m_value=m, precision_scale=scale)
+    shot = NoiseSchedule(regime="shot_noise", m_value=m * m, precision_scale=scale)
+    assert heis.tau_at(1) == shot.tau_at(1)
 
 
 def test_noise_model_validation():
     with pytest.raises(ConfigError):
-        NoiseModel(solver_error=-0.1)
+        NoiseSchedule(gamma_value=-0.1)
     with pytest.raises(ConfigError):
-        NoiseModel(regime="thermal")
+        NoiseSchedule(regime="thermal")
     with pytest.raises(ConfigError):
-        NoiseModel(measurements=0)
+        NoiseSchedule(m_value=0)
     with pytest.raises(ConfigError):
-        NoiseModel(precision_scale=0.0)
+        NoiseSchedule(precision_scale=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +100,19 @@ def test_noise_model_validation():
 def test_pipeline_noiseless_equals_exact_solver():
     problem = make_problem(6, 0.4, seed=1)
     ds = sample_dataset(problem, 100, seed=2)
-    noiseless = NoiseModel(solver_error=0.0, regime="exact", seed=3)
+    noiseless = NoiseSchedule(regime="exact", gamma_value=0.0)
     np.testing.assert_array_equal(
-        quantum_ls_pipeline(ds, 0.1, noiseless).weights, exact_ls(ds, 0.1).weights
+        quantum_ls_pipeline(ds, 0.1, noiseless, seed=3).weights, exact_ls(ds, 0.1).weights
     )
 
 
 def test_pipeline_is_exact_solve_then_both_channels():
     ds = sample_dataset(make_problem(6, 0.4, seed=1), 100, seed=2)
-    noise = NoiseModel(solver_error=0.05, regime="heisenberg", measurements=9, seed=6)
+    noise = NoiseSchedule(regime="heisenberg", gamma_value=0.05, m_value=9)
     w = exact_ls(ds, 0.1).weights
-    staged = tomography_estimate(perturb_solution(w, 0.05, seed=6), noise)
-    np.testing.assert_array_equal(apply_channels(w, noise), staged)
-    np.testing.assert_array_equal(quantum_ls_pipeline(ds, 0.1, noise).weights, staged)
+    staged = tomography_estimate(perturb_solution(w, 0.05, seed=6), 1 / 9, seed=6)
+    np.testing.assert_array_equal(apply_channels(w, noise, ds.n_samples, 6), staged)
+    np.testing.assert_array_equal(quantum_ls_pipeline(ds, 0.1, noise, seed=6).weights, staged)
 
 
 def test_pipeline_empirical_risk_gap_within_lipschitz_bound():
@@ -117,9 +121,7 @@ def test_pipeline_empirical_risk_gap_within_lipschitz_bound():
     ds = sample_dataset(problem, 1024, seed=9)
     gamma = 0.1
     exact = exact_ls(ds, 0.1)
-    noisy = quantum_ls_pipeline(
-        ds, 0.1, NoiseModel(solver_error=gamma, regime="exact", seed=10)
-    )
+    noisy = quantum_ls_pipeline(ds, 0.1, NoiseSchedule(regime="exact", gamma_value=gamma), seed=10)
     result = algorithmic_error_bound_check(ds, exact, noisy, gamma)
     assert result.holds
     assert result.gap > 0
@@ -128,10 +130,10 @@ def test_pipeline_empirical_risk_gap_within_lipschitz_bound():
 def test_pipeline_prediction_error_bounded_by_total_shift():
     problem = make_problem(8, 0.5, seed=4)
     ds = sample_dataset(problem, 200, seed=5)
-    noise = NoiseModel(solver_error=0.05, regime="shot_noise", measurements=400, seed=6)
+    noise = NoiseSchedule(regime="shot_noise", gamma_value=0.05, m_value=400)
     exact = exact_ls(ds, 0.1)
-    noisy = quantum_ls_pipeline(ds, 0.1, noise)
-    budget = noise.solver_error + noise.tomography_error()
+    noisy = quantum_ls_pipeline(ds, 0.1, noise, seed=6)
+    budget = noise.gamma_at(ds.n_samples) + noise.tau_at(ds.n_samples)
     x = sample_dataset(problem, 1000, seed=7).features
     gap = np.abs(predict_batch(noisy, x) - predict_batch(exact, x))
     assert np.all(gap <= budget * np.linalg.norm(x, axis=1))
@@ -319,10 +321,10 @@ def test_required_measurements_are_minimal(n):
     target = float(n) ** -0.5
     for regime in ("heisenberg", "shot_noise"):
         m = required_measurements(n, regime)
-        assert NoiseModel(regime=regime, measurements=m).tomography_error() <= target * (1 + 1e-12)
+        assert NoiseSchedule(regime=regime, m_value=m).tau_at(n) <= target * (1 + 1e-12)
         if m > 1:
-            under = NoiseModel(regime=regime, measurements=m - 1)
-            assert under.tomography_error() > target
+            under = NoiseSchedule(regime=regime, m_value=m - 1)
+            assert under.tau_at(n) > target
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from qlimits import (
     DimensionMismatchError,
     DualPredictor,
     Kernel,
-    NoiseModel,
+    NoiseSchedule,
     PrimalPredictor,
     apply_channels,
     empirical_risk,
@@ -249,8 +249,9 @@ def test_closed_form_agrees_with_monte_carlo(law):
     problem = make_problem(10, 0.5, law, seed=30)
     data = sample_dataset(problem, 64, seed=31)
     exact = exact_ls(data)
-    noise = NoiseModel(solver_error=0.05, regime="heisenberg", measurements=4, seed=32)
-    predictors = (exact, krr(data, LINEAR_KERNEL), PrimalPredictor(apply_channels(exact.weights, noise)))
+    noise = NoiseSchedule(regime="heisenberg", gamma_value=0.05, m_value=4)
+    noisy = PrimalPredictor(apply_channels(exact.weights, noise, data.n_samples, 32))
+    predictors = (exact, krr(data, LINEAR_KERNEL), noisy)
     assert isinstance(predictors[1], DualPredictor)
     closed = excess_risks(predictors, problem, n_eval=100_000, seed=33)
     mc = [expected_risk_mc(p, problem, n_eval=100_000, seed=33) for p in predictors]

@@ -128,7 +128,8 @@ def test_gamma_rules():
     assert constant.gamma_at(100) == 0.3
     assert matched.gamma_at(100) == pytest.approx(0.01, rel=1e-12)
     fixed = NoiseSchedule(regime="shot_noise", m_kind="fixed", m_value=7)
-    assert fixed.noise_for(1000, seed=3).measurements == 7
+    assert fixed.m_at(1000) == 7
+    assert fixed.tau_at(1000) == 1 / math.sqrt(7)
 
 
 def test_noise_schedule_validation():
@@ -155,6 +156,8 @@ def test_sweep_config_validation():
         SweepConfig(n_grid=(32, 64, 128), solver="krr", noise=NoiseSchedule())
     with pytest.raises(ConfigError):
         SweepConfig(n_grid=(32, 64, 128), solver="sgd")
+    with pytest.raises(ConfigError, match="exact_ls"):
+        SweepConfig(n_grid=(32, 64, 128), kernel=Kernel("gaussian", 1.0))
     with pytest.raises(ConfigError):
         SweepConfig(n_grid=(32, 64, 128), problem=ProblemSpec(input_law="bogus"))
     with pytest.raises(ConfigError):
@@ -177,6 +180,10 @@ def _arrays(predictor) -> list[bytes]:
 def test_fit_solver_is_bit_identical_to_direct_calls(solver, kernel):
     data = sample_dataset(make_problem(3, 0.3, seed=4), 60, seed=5)
     config = SolverConfig(lam=0.05, partitions=3, landmarks=12, seed=2)
+    if solver == "exact_ls" and kernel.kind == "gaussian":  # no direct call: exact_ls is linear
+        with pytest.raises(ConfigError, match="exact_ls"):
+            fit_solver(solver, data, kernel, config)
+        return
     direct = {
         "exact_ls": lambda: exact_ls(data, config.lam),
         "krr": lambda: krr(data, kernel, config.lam),
@@ -405,7 +412,7 @@ def test_noisy_sweep_cell_equals_pipeline_then_one_estimate():
         for row in table.rows:
             seed = lambda stream: derive_seed(config.master_seed, stream, row.n, 0)
             data = sample_dataset(problem, row.n, seed("data"))
-            predictor = quantum_ls_pipeline(data, None, noise.noise_for(row.n, seed("noise")))
+            predictor = quantum_ls_pipeline(data, None, noise, seed("noise"))
             shift = predictor.weights - problem.target_weights
             excess = input_second_moment(problem) * pairwise_sum(np.sort(shift**2))
             assert row.median_excess == excess
@@ -416,10 +423,10 @@ def test_failing_channel_fails_its_arm_alone(monkeypatch):
     clean = matching_experiment(FAST_CONFIG)
     channels = scaling.apply_channels
 
-    def lossy(weights, noise):  # the constant arm loses its readout in odd-seeded cells
-        if noise.solver_error == 0.3 and noise.seed % 2:
+    def lossy(weights, noise, n, seed):  # the constant arm loses its readout in odd-seeded cells
+        if noise.gamma_at(n) == 0.3 and seed % 2:
             raise NumericalError("readout lost")
-        return channels(weights, noise)
+        return channels(weights, noise, n, seed)
 
     monkeypatch.setattr(scaling, "apply_channels", lossy)
     tables, clean_tables = matching_experiment(FAST_CONFIG).arm_tables(), clean.arm_tables()
@@ -445,10 +452,10 @@ def test_size_failing_in_every_cell_makes_the_max_ratio_nan(
     # report a finite value while the arm's *_ok flag reads False
     channels = scaling.apply_channels
 
-    def lossy(weights, noise):
-        if noise == schedule.noise_for(64, noise.seed):
+    def lossy(weights, noise, n, seed):
+        if noise == schedule and n == 64:
             raise NumericalError("readout lost")
-        return channels(weights, noise)
+        return channels(weights, noise, n, seed)
 
     monkeypatch.setattr(scaling, "apply_channels", lossy)
     report = experiment(FAST_CONFIG)
@@ -501,6 +508,16 @@ def test_gaussian_kernel_cell_is_fit_then_one_monte_carlo_estimate(solver):
             )
         assert (row.median_excess, row.median_std_error) == (excess, std_error)
         assert 0 < std_error < 0.05 * excess
+
+
+@pytest.mark.parametrize("experiment", [matching_experiment, measurement_experiment])
+@pytest.mark.parametrize(
+    "override, field",
+    [({"solver": "krr"}, "`solver`"), ({"noise": NoiseSchedule(gamma_value=0.1)}, "`noise`")],
+)
+def test_paired_experiment_rejects_a_solver_or_noise_it_would_not_run(experiment, override, field):
+    with pytest.raises(ConfigError, match=field):
+        experiment(dataclasses.replace(FAST_CONFIG, **override))
 
 
 def test_measurement_experiment_rejects_exact_regime():
@@ -583,6 +600,7 @@ def test_runtime_benchmark_validation():
         ({"n_grid": (0, 64, 128)}, "positive"),
         ({"n_grid": (64, 128, 256), "timeout_s": 0.0}, "timeout_s"),
         ({"n_grid": (64, 128, 256), "timer_window": 0.0}, "timer_window"),
+        ({"n_grid": (64, 128, 256), "kernel": Kernel("gaussian", 1.0)}, "exact_ls"),
     ],
 )
 def test_runtime_benchmark_rejects_before_timing(monkeypatch, options, match):

@@ -8,7 +8,6 @@ train/test complexity ladder's polynomial entries come from.
 """
 
 from qlimits import (
-    CostModel,
     complexity_table,
     cost_log_error_solver,
     cost_matched_precision,
@@ -19,19 +18,13 @@ print("cost in operation units at kappa=10, |A|_F = sqrt(n):\n")
 print(f"{'n':>8s} {'gamma':>10s} {'log-error':>12s} {'poly-error':>14s}")
 for n in (1024, 4096, 16384, 65536):
     gamma = float(n) ** -0.5
-    model = CostModel(
-        condition_number=10.0, frobenius_norm=float(n) ** 0.5, n=n, solver_error=gamma
-    )
-    print(f"{n:8d} {gamma:10.4f} {cost_log_error_solver(model):12.3g} "
-          f"{cost_poly_error_solver(model):14.3g}")
+    print(f"{n:8d} {gamma:10.4f} {cost_log_error_solver(10.0, float(n) ** 0.5, n, gamma):12.3g} "
+          f"{cost_poly_error_solver(10.0, n, gamma):14.3g}")
 
 print("\nmatched-precision cost kappa^c n^(beta/2) log2(n) at kappa=10, c=2:")
 print(f"{'n':>8s} {'beta=3':>12s} {'beta=4':>12s}")
 for n in (1024, 4096, 16384, 65536):
-    row = []
-    for beta in (3, 4):
-        model = CostModel(condition_number=10.0, n=n, error_exponent=beta, condition_exponent=2)
-        row.append(cost_matched_precision(model))
+    row = [cost_matched_precision(10.0, n, beta, 2) for beta in (3, 4)]
     print(f"{n:8d} {row[0]:12.3g} {row[1]:12.3g}")
 
 print("\ntrain/test complexity ladder (exponents of n):\n")

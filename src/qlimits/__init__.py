@@ -19,7 +19,6 @@ from .errors import (
 from .qmodel import (
     BoundCheck,
     ComplexityEntry,
-    CostModel,
     NoiseSchedule,
     algorithmic_error_bound_check,
     apply_channels,

@@ -28,7 +28,7 @@ import typing
 from typing import Literal
 
 from .errors import ConfigError, QlimitsError
-from .qmodel import CostModel, complexity_table, cost_log_error_solver, cost_matched_precision, cost_poly_error_solver
+from .qmodel import complexity_table, cost_log_error_solver, cost_matched_precision, cost_poly_error_solver
 from .risk import RiskEstimate, empirical_risk, excess_risks
 from .scaling import (
     SCHEMA_VERSION,
@@ -292,9 +292,9 @@ def cmd_sweep(
 def cmd_cost(
     algorithm: Literal["table", "log_error", "poly_error", "matched"],
     out: str,
-    kappa: float | tuple[float, ...] = CostModel.condition_number,
-    gamma: float | tuple[float, ...] = CostModel.solver_error,
-    n: int | tuple[int, ...] = CostModel.n,
+    kappa: float | tuple[float, ...] = 1.0,
+    gamma: float | tuple[float, ...] = 0.5,
+    n: int | tuple[int, ...] = 2,
     frobenius: float | Literal["sqrt_n"] = "sqrt_n",
     beta: float | None = None,
     c: float | None = None,
@@ -317,20 +317,18 @@ def cmd_cost(
 
     rows = []
     for size in listed(n):
+        sqrt_n = algorithm == "log_error" and frobenius == "sqrt_n"
+        if sqrt_n and size < 1:
+            raise ConfigError(f"`n` must be >= 1 for frobenius \"sqrt_n\", got {size}")
+        frob = math.sqrt(size) if sqrt_n else frobenius
         for k in listed(kappa):
             if algorithm == "matched":
-                model = CostModel(condition_number=k, n=size,
-                                  error_exponent=beta, condition_exponent=c)
-                rows.append(("matched", size, k, float(size) ** -0.5,
-                             cost_matched_precision(model)))
+                cost = cost_matched_precision(k, size, beta, c)  # rejects n < 1 before n^(-1/2)
+                rows.append(("matched", size, k, float(size) ** -0.5, cost))
                 continue
-            if frobenius == "sqrt_n" and size < 1:
-                raise ConfigError(f"`n` must be >= 1 for frobenius \"sqrt_n\", got {size}")
-            frob = math.sqrt(size) if frobenius == "sqrt_n" else frobenius
             for g in listed(gamma):
-                model = CostModel(condition_number=k, frobenius_norm=frob, n=size, solver_error=g)
-                cost = (cost_log_error_solver(model) if algorithm == "log_error"
-                        else cost_poly_error_solver(model))
+                cost = (cost_log_error_solver(k, frob, size, g) if algorithm == "log_error"
+                        else cost_poly_error_solver(k, size, g))
                 rows.append((algorithm, size, k, g, cost))
     write_csv(out, ("algorithm", "n", "kappa", "gamma", "cost_units"), rows)
     print(f"wrote {len(rows)} cost rows to {out}")

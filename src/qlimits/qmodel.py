@@ -17,13 +17,17 @@ their magnitude (the worst case on the error sphere, which keeps the bound
 checks sharp); recovery of the solution's scale is assumed exact, so any
 scale-estimation error is folded into the readout channel.
 
-Runtime cost models are evaluated in abstract operation units under a fixed
-polylog convention: each polylog factor is the product of single base-2
-logarithms of its arguments, floored at 1.
+The runtime cost formulas take their inputs (``kappa``, ``frobenius``, ``n``,
+``gamma``, ``beta``, ``c``) under the names ``qlimits cost`` reads, and give
+costs in abstract operation units under a fixed polylog convention: each
+polylog factor is the product of single base-2 logarithms of its arguments,
+floored at 1. A cost that is not a finite float raises NumericalError.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import risk
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .rng import child_rng
 from .solvers import Predictor, PrimalPredictor, ceil_sqrt, exact_ls, predict_batch
 from .synth import Dataset, unit_vector
@@ -174,76 +178,61 @@ def algorithmic_error_bound_check(
 # ---------------------------------------------------------------------------
 # symbolic runtime costs
 
-@dataclass(frozen=True)
-class CostModel:
-    """Inputs to the runtime cost formulas (abstract operation units)."""
-
-    condition_number: float = 1.0
-    frobenius_norm: float = 1.0
-    n: int = 2
-    solver_error: float = 0.5
-    error_exponent: float | None = None  # beta in error^(-beta)
-    condition_exponent: float | None = None  # c in condition_number^c
-
-    def __post_init__(self):
-        if not (np.isfinite(self.condition_number) and self.condition_number >= 1):
-            raise ConfigError(f"condition_number must be >= 1, got {self.condition_number}")
-        if not (np.isfinite(self.frobenius_norm) and self.frobenius_norm > 0):
-            raise ConfigError(f"frobenius_norm must be > 0, got {self.frobenius_norm}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if not (np.isfinite(self.solver_error) and self.solver_error > 0):
-            raise ConfigError(f"solver_error (gamma) must be > 0, got {self.solver_error}")
-
-
 def _log_factor(x: float) -> float:
     """Single polylog factor: base-2 log floored at 1."""
     return max(1.0, math.log2(x))
 
 
-def _require_error_below_one(model: CostModel) -> None:
-    if model.solver_error >= 1.0:
-        raise ConfigError(
-            f"solver_error (gamma) must be < 1 for cost evaluation, got {model.solver_error}"
-        )
+def _check(kappa: float, n: int, gamma: float | None = None, **positive: float | None) -> None:
+    """Cost inputs: kappa >= 1, n >= 1, 0 < gamma < 1 where read, any other finite and > 0."""
+    if not (math.isfinite(kappa) and kappa >= 1):
+        raise ConfigError(f"`kappa` must be >= 1, got {kappa}")
+    if n < 1:
+        raise ConfigError(f"`n` must be >= 1, got {n}")
+    if gamma is not None and not 0 < gamma < 1:
+        raise ConfigError(f"`gamma` must be in (0, 1) for cost evaluation, got {gamma}")
+    for name, value in positive.items():
+        if value is None or not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"`{name}` must be > 0, got {value}")
 
 
-def cost_log_error_solver(model: CostModel) -> float:
-    """Frobenius-bounded solver with logarithmic error dependency.
-
-    frobenius_norm * condition_number * log2(n) * log2(condition_number + 1)
-    * log2(1/solver_error), logs floored at 1.
-    """
-    _require_error_below_one(model)
-    return (
-        model.frobenius_norm
-        * model.condition_number
-        * _log_factor(model.n)
-        * _log_factor(model.condition_number + 1.0)
-        * _log_factor(1.0 / model.solver_error)
-    )
-
-
-def cost_poly_error_solver(model: CostModel) -> float:
-    """Sampling-based solver with cubic error dependency.
-
-    condition_number^2 * solver_error^(-3) * log2(n), log floored at 1.
-    """
-    _require_error_below_one(model)
-    return model.condition_number**2 * model.solver_error**-3.0 * _log_factor(model.n)
+def _finite(formula):
+    """``formula``, raising NumericalError on a cost that is not a finite float."""
+    @functools.wraps(formula)
+    def checked(*args, **kwargs):
+        try:
+            cost = formula(*args, **kwargs)
+        except OverflowError:
+            cost = math.inf
+        if not math.isfinite(cost):
+            inputs = inspect.signature(formula).bind(*args, **kwargs).arguments
+            raise NumericalError(f"{formula.__name__} is not a finite float at {dict(inputs)}")
+        return cost
+    return checked
 
 
-def cost_matched_precision(model: CostModel) -> float:
-    """Poly-error solver cost after pinning solver_error to n^(-1/2).
+@_finite
+def cost_log_error_solver(kappa: float, frobenius: float, n: int, gamma: float) -> float:
+    """Frobenius-bounded solver with logarithmic error dependency: frobenius *
+    kappa * log2(n) * log2(kappa + 1) * log2(1/gamma), logs floored at 1."""
+    _check(kappa, n, gamma, frobenius=frobenius)
+    return frobenius * kappa * _log_factor(n) * _log_factor(kappa + 1.0) * _log_factor(1.0 / gamma)
 
-    condition_number^c * n^(beta/2) * log2(n), log floored at 1.
-    """
-    beta, c = model.error_exponent, model.condition_exponent
-    if beta is None or not beta > 0:
-        raise ConfigError(f"error_exponent must be > 0, got {beta}")
-    if c is None or not c > 0:
-        raise ConfigError(f"condition_exponent must be > 0, got {c}")
-    return model.condition_number**c * float(model.n) ** (beta / 2.0) * _log_factor(model.n)
+
+@_finite
+def cost_poly_error_solver(kappa: float, n: int, gamma: float) -> float:
+    """Sampling-based solver with cubic error dependency: kappa^2 * gamma^(-3)
+    * log2(n), log floored at 1."""
+    _check(kappa, n, gamma)
+    return kappa**2 * gamma**-3.0 * _log_factor(n)
+
+
+@_finite
+def cost_matched_precision(kappa: float, n: int, beta: float, c: float) -> float:
+    """Poly-error solver of cost kappa^c * gamma^(-beta) with gamma pinned to
+    n^(-1/2): kappa^c * n^(beta/2) * log2(n), log floored at 1."""
+    _check(kappa, n, beta=beta, c=c)
+    return kappa**c * float(n) ** (beta / 2.0) * _log_factor(n)
 
 
 def required_measurements(n: int, regime: str) -> int:

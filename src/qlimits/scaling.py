@@ -104,6 +104,14 @@ def _check_solver(solver: str, kernel: Kernel) -> None:
         raise ConfigError(f"exact_ls fits a linear model and takes no {kernel.kind!r} kernel")
 
 
+def _check_grid(n_grid) -> tuple[int, ...]:
+    """``n_grid`` as ints, which must be at least 3 strictly increasing positive sizes."""
+    grid = tuple(int(n) for n in n_grid)
+    if len(grid) < 3 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"n_grid must be >= 3 strictly increasing positive sizes, got {grid}")
+    return grid
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Full description of one excess-risk sweep."""
@@ -120,14 +128,7 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        if len(grid) < 3:
-            raise ConfigError(f"n_grid needs at least 3 sizes, got {len(grid)}")
-        if any(n < 1 for n in grid):
-            raise ConfigError("n_grid entries must be positive")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError(f"n_grid must be strictly increasing, got {grid}")
-        object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "n_grid", _check_grid(self.n_grid))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         _check_solver(self.solver, self.kernel)
@@ -522,9 +523,7 @@ def runtime_benchmark(
     ids = tuple(solver_ids)
     for sid in ids:
         _check_solver(sid, kernel)
-    grid = tuple(int(n) for n in n_grid)
-    if len(grid) < 3 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"n_grid must be >= 3 strictly increasing positive sizes, got {grid}")
+    grid = _check_grid(n_grid)
     if grid[-1] > cap:
         raise ConfigError(f"n_grid maximum {grid[-1]} exceeds desk-scale cap {cap}")
     if reps < 1:

@@ -1,4 +1,5 @@
 import ctypes.util
+import inspect
 import json
 import math
 import os
@@ -20,8 +21,13 @@ from qlimits import (
     write_dataset_csv,
 )
 from qlimits import NumericalError, blas, scaling
-from qlimits.cli import main
-from qlimits.qmodel import complexity_table
+from qlimits.cli import cmd_cost, main
+from qlimits.qmodel import (
+    complexity_table,
+    cost_log_error_solver,
+    cost_matched_precision,
+    cost_poly_error_solver,
+)
 from qlimits.rng import derive_seed
 from qlimits.solvers import load_predictor, predictor_to_json
 
@@ -620,11 +626,11 @@ def test_cost_rejects_non_integer_n(tmp_path, n, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("algorithm", ["log_error", "poly_error"])
+@pytest.mark.parametrize("algorithm", ["log_error", "poly_error", "matched"])
 @pytest.mark.parametrize("n", [-1, 0])
 def test_cost_rejects_size_below_one_before_sqrt(tmp_path, algorithm, n, capsys):
     out = tmp_path / "c.csv"
-    payload = {"algorithm": algorithm, "gamma": 0.1, "n": n, "out": str(out)}
+    payload = {"algorithm": algorithm, "gamma": 0.1, "n": n, "beta": 3, "c": 1, "out": str(out)}
     assert _run(tmp_path, "cost", payload) == 2
     assert "`n` must be >= 1" in capsys.readouterr().err
     assert not out.exists()
@@ -636,6 +642,64 @@ def test_cost_matched_grid(tmp_path):
     assert _run(tmp_path, "cost", payload) == 0
     row = out.read_text().splitlines()[1].split(",")
     assert float(row[4]) == pytest.approx(1024.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"algorithm": "poly_error", "gamma": 1e-200, "n": [64]},
+        {"algorithm": "matched", "beta": 1000, "c": 1, "n": [1024]},
+        {"algorithm": "log_error", "kappa": 1e300, "frobenius": 1e300, "gamma": 0.1, "n": [64]},
+    ],
+    ids=["poly_error", "matched", "log_error"],
+)
+def test_cost_that_overflows_is_a_numerical_error(tmp_path, payload, capsys):
+    out = tmp_path / "c.csv"
+    assert _run(tmp_path, "cost", {**payload, "out": str(out)}) == 3
+    err = capsys.readouterr().err
+    assert "not a finite float" in err and "'n': " in err
+    assert not out.exists()
+
+
+_COST_FORMULAS = {
+    "log_error": lambda size, k, g: cost_log_error_solver(k, 2.5, size, g),
+    "poly_error": lambda size, k, g: cost_poly_error_solver(k, size, g),
+    "matched": lambda size, k, g: cost_matched_precision(k, size, 3.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(_COST_FORMULAS))
+def test_cost_rows_are_direct_formula_calls_in_grid_order(tmp_path, algorithm):
+    # no input equals 1, so swapped arguments change the cost
+    sizes, kappas, gammas = [16, 1000], [2.0, 7.5], [0.3, 0.01]
+    out = tmp_path / "c.csv"
+    payload = {"algorithm": algorithm, "n": sizes, "kappa": kappas, "gamma": gammas,
+               "frobenius": 2.5, "beta": 3, "c": 2, "out": str(out)}
+    assert _run(tmp_path, "cost", payload) == 0
+    expected = []
+    for size in sizes:
+        for k in kappas:
+            for g in gammas if algorithm != "matched" else [float(size) ** -0.5]:
+                expected.append((algorithm, size, k, g, _COST_FORMULAS[algorithm](size, k, g)))
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(a, int(n), float(k), float(g), float(cost)) for a, n, k, g, cost in rows] == expected
+
+
+def test_cost_keys_are_the_formula_parameter_names():
+    names = set()
+    for formula in (cost_log_error_solver, cost_poly_error_solver, cost_matched_precision):
+        names |= set(inspect.signature(formula).parameters)
+    keys = set(inspect.signature(cmd_cost).parameters) - {"algorithm", "out"}
+    assert keys <= names
+    assert names == {"kappa", "frobenius", "n", "gamma", "beta", "c"}
+
+
+def test_cost_poly_error_ignores_the_frobenius_it_does_not_read(tmp_path):
+    payload = {"algorithm": "poly_error", "kappa": 2, "gamma": [0.1], "n": [1024]}
+    assert _run(tmp_path, "cost", {**payload, "out": str(tmp_path / "a.csv")}) == 0
+    with_frobenius = {**payload, "frobenius": 0, "out": str(tmp_path / "b.csv")}
+    assert _run(tmp_path, "cost", with_frobenius) == 0
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +821,13 @@ def test_readme_sweep_config_runs(tmp_path, with_noise):
     config.update(n_grid=[8, 16, 32], trials=2, out_csv=str(tmp_path / "rate.csv"),
                   out_json=str(tmp_path / "rate.json"))
     assert _run(tmp_path, "sweep", config) == 0
+
+
+def test_readme_cost_config_runs(tmp_path):
+    config = _readme_json("Example cost config:")
+    config.update(out=str(tmp_path / "cost.csv"))
+    assert _run(tmp_path, "cost", config) == 0
+    assert len((tmp_path / "cost.csv").read_text().splitlines()) > 1
 
 
 def test_readme_generate_config_feeds_fit(tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from qlimits import (
     ConfigError,
-    CostModel,
     NoiseSchedule,
     PrimalPredictor,
     algorithmic_error_bound_check,
@@ -196,59 +196,52 @@ def test_bound_check_rejects_dual_predictors():
 # cost formulas
 
 def test_log_error_cost_unit_case():
-    model = CostModel(condition_number=1, frobenius_norm=1, n=2, solver_error=0.5)
-    assert cost_log_error_solver(model) == pytest.approx(1.0, rel=1e-12)
+    assert cost_log_error_solver(kappa=1, frobenius=1, n=2, gamma=0.5) == pytest.approx(
+        1.0, rel=1e-12
+    )
 
 
 def test_log_error_cost_worked_example():
-    model = CostModel(condition_number=10, frobenius_norm=64.0, n=4096, solver_error=2.0**-6)
-    assert cost_log_error_solver(model) == pytest.approx(159410.60898680665, rel=1e-12)
+    cost = cost_log_error_solver(kappa=10, frobenius=64.0, n=4096, gamma=2.0**-6)
+    assert cost == pytest.approx(159410.60898680665, rel=1e-12)
 
 
 def test_log_error_cost_rejects_error_at_one():
     with pytest.raises(ConfigError):
-        cost_log_error_solver(CostModel(solver_error=1.0))
+        cost_log_error_solver(kappa=1.0, frobenius=1.0, n=2, gamma=1.0)
 
 
 def test_poly_error_cost_cases():
-    assert cost_poly_error_solver(
-        CostModel(condition_number=1, n=2, solver_error=0.5)
-    ) == pytest.approx(8.0, rel=1e-12)
-    assert cost_poly_error_solver(
-        CostModel(condition_number=2, n=1024, solver_error=0.1)
-    ) == pytest.approx(39999.99999999999, rel=1e-12)
+    assert cost_poly_error_solver(kappa=1, n=2, gamma=0.5) == pytest.approx(8.0, rel=1e-12)
+    assert cost_poly_error_solver(kappa=2, n=1024, gamma=0.1) == pytest.approx(
+        39999.99999999999, rel=1e-12
+    )
 
 
 def test_poly_error_cost_halving_error_costs_eight_times_more():
     for gamma in (0.4, 0.2, 0.05):
-        a = cost_poly_error_solver(CostModel(condition_number=3, n=64, solver_error=gamma))
-        b = cost_poly_error_solver(CostModel(condition_number=3, n=64, solver_error=gamma / 2))
+        a = cost_poly_error_solver(kappa=3, n=64, gamma=gamma)
+        b = cost_poly_error_solver(kappa=3, n=64, gamma=gamma / 2)
         assert b / a == pytest.approx(8.0, rel=1e-12)
 
 
 def test_matched_cost_cases():
-    assert cost_matched_precision(
-        CostModel(condition_number=1, n=2, error_exponent=3, condition_exponent=1)
-    ) == pytest.approx(2.8284271247461903, rel=1e-12)
-    assert cost_matched_precision(
-        CostModel(condition_number=1, n=16, error_exponent=4, condition_exponent=1)
-    ) == pytest.approx(1024.0, rel=1e-12)
+    assert cost_matched_precision(kappa=1, n=2, beta=3, c=1) == pytest.approx(
+        2.8284271247461903, rel=1e-12
+    )
+    assert cost_matched_precision(kappa=1, n=16, beta=4, c=1) == pytest.approx(1024.0, rel=1e-12)
     with pytest.raises(ConfigError):
-        cost_matched_precision(CostModel(condition_number=1, n=4))
+        cost_matched_precision(kappa=1, n=4, beta=None, c=None)
 
 
 def test_matched_cost_equals_poly_cost_at_matched_error():
-    # beta=3, c=2: pinning solver_error to n^(-1/2) reproduces the poly law
+    # beta=3, c=2: pinning gamma to n^(-1/2) reproduces the poly law
     rng = np.random.default_rng(0)
     for _ in range(10):
         kappa = float(rng.uniform(1, 50))
         n = int(rng.integers(4, 1_000_000))
-        matched = cost_matched_precision(
-            CostModel(condition_number=kappa, n=n, error_exponent=3, condition_exponent=2)
-        )
-        poly = cost_poly_error_solver(
-            CostModel(condition_number=kappa, n=n, solver_error=float(n) ** -0.5)
-        )
+        matched = cost_matched_precision(kappa=kappa, n=n, beta=3, c=2)
+        poly = cost_poly_error_solver(kappa=kappa, n=n, gamma=float(n) ** -0.5)
         assert matched == pytest.approx(poly, rel=1e-9)
 
 
@@ -259,11 +252,10 @@ def test_matched_cost_equals_poly_cost_at_matched_error():
     gamma=st.floats(1e-6, 0.5),
     n=st.integers(2, 10**9),
 )
-def test_costs_increase_with_condition_number(kappa, factor, gamma, n):
-    small = CostModel(condition_number=kappa, frobenius_norm=2.0, n=n, solver_error=gamma)
-    large = CostModel(condition_number=kappa * factor, frobenius_norm=2.0, n=n, solver_error=gamma)
-    assert cost_log_error_solver(large) > cost_log_error_solver(small)
-    assert cost_poly_error_solver(large) > cost_poly_error_solver(small)
+def test_costs_increase_with_kappa(kappa, factor, gamma, n):
+    large = kappa * factor
+    assert cost_log_error_solver(large, 2.0, n, gamma) > cost_log_error_solver(kappa, 2.0, n, gamma)
+    assert cost_poly_error_solver(large, n, gamma) > cost_poly_error_solver(kappa, n, gamma)
 
 
 @settings(max_examples=50, deadline=None)
@@ -274,31 +266,29 @@ def test_costs_increase_with_condition_number(kappa, factor, gamma, n):
 )
 def test_costs_increase_as_error_shrinks(gamma, shrink, n):
     # below gamma = 1/2 the floored log factor is active, so growth is strict
-    loose = CostModel(condition_number=3.0, frobenius_norm=2.0, n=n, solver_error=gamma)
-    tight = CostModel(
-        condition_number=3.0, frobenius_norm=2.0, n=n, solver_error=gamma * shrink
-    )
-    assert cost_log_error_solver(tight) > cost_log_error_solver(loose)
-    assert cost_poly_error_solver(tight) > cost_poly_error_solver(loose)
+    tight = gamma * shrink
+    assert cost_log_error_solver(3.0, 2.0, n, tight) > cost_log_error_solver(3.0, 2.0, n, gamma)
+    assert cost_poly_error_solver(3.0, n, tight) > cost_poly_error_solver(3.0, n, gamma)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 10**6), factor=st.integers(2, 100))
 def test_matched_cost_increases_with_n(n, factor):
-    small = CostModel(condition_number=2.0, n=n, error_exponent=3, condition_exponent=2)
-    large = CostModel(condition_number=2.0, n=n * factor, error_exponent=3, condition_exponent=2)
-    assert cost_matched_precision(large) > cost_matched_precision(small)
+    assert cost_matched_precision(2.0, n * factor, 3, 2) > cost_matched_precision(2.0, n, 3, 2)
 
 
-def test_cost_model_validation():
-    with pytest.raises(ConfigError):
-        CostModel(condition_number=0.5)
-    with pytest.raises(ConfigError):
-        CostModel(frobenius_norm=0.0)
-    with pytest.raises(ConfigError):
-        CostModel(solver_error=0.0)
-    with pytest.raises(ConfigError):
-        CostModel(n=0)
+def test_cost_formula_validation():
+    valid = {"kappa": 1.0, "frobenius": 1.0, "n": 2, "gamma": 0.5, "beta": 3.0, "c": 1.0}
+    bad = [("kappa", 0.5), ("frobenius", 0.0), ("gamma", 0.0), ("n", 0), ("gamma", 1.0),
+           ("beta", 0.0), ("c", 0.0)]
+    for formula in (cost_log_error_solver, cost_poly_error_solver, cost_matched_precision):
+        names = inspect.signature(formula).parameters
+        inputs = {name: valid[name] for name in names}
+        assert formula(**inputs) > 0
+        for name, value in bad:
+            if name in names:
+                with pytest.raises(ConfigError, match=f"`{name}`"):
+                    formula(**{**inputs, name: value})
 
 
 # ---------------------------------------------------------------------------

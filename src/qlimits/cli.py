@@ -36,6 +36,7 @@ from .scaling import (
     SweepConfig,
     bench_summary,
     fit_solver,
+    import_scipy_for,
     matching_experiment,
     matching_summary,
     measurement_experiment,
@@ -206,6 +207,7 @@ def cmd_fit(
     data = read_dataset_csv(dataset)
     if problem is not None and problem.dimension != data.dimension:
         raise ConfigError(f"problem dimension {problem.dimension} != dataset dimension {data.dimension}")
+    import_scipy_for(solver, problem.input_law if problem is not None else None)
     with single_blas_thread_or_warn():  # the report does not depend on the core count
         predictor = fit_solver(solver, data, kernel, solver_config)
         report = {

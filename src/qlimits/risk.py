@@ -108,10 +108,11 @@ def input_second_moment(problem: SyntheticProblem) -> float:
     d = problem.dimension
     if problem.input_law == "unit_sphere_uniform":
         return 1.0 / d
-    # `import qlimits` loads numpy and scipy.linalg, which exact_ls needs in
-    # every run, and nothing else from scipy: scipy.special loads here, on the
-    # clipped-Gaussian path alone, and scipy.stats, which costs about as much
-    # to import as all of qlimits, never loads.
+    # `import qlimits` loads no scipy: scipy.special loads here, on the
+    # clipped-Gaussian path alone, and maps scipy's OpenBLAS, so a sweep or fit
+    # on such inputs loads it before it pins BLAS (scaling.import_scipy_for).
+    # scipy.stats, which costs about as much to import as all of qlimits,
+    # never loads.
     from scipy.special import gammainc, gammaincc
 
     r2 = problem.input_radius**2

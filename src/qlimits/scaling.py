@@ -8,7 +8,11 @@ independent of serial vs parallel execution. Both paths run every loaded
 BLAS at one thread (the serial one for the sweep's duration, each pool worker
 for its lifetime), so N workers never start N BLAS threads each and a
 kernel solve rounds the same whatever the core count; where BLAS cannot be
-pinned, the sweep warns and runs with the default threads.
+pinned, the sweep warns and runs with the default threads. A pin covers only
+the libraries already mapped, and importing scipy maps its own OpenBLAS; so
+``import_scipy_for`` loads the scipy modules a config's cells call, and a
+config, each pool worker, the runtime ladder and ``qlimits fit`` call it
+before they pin.
 
 A sweep scores one or more arms, and all of them share each (n, trial)
 cell: one training draw, one solve, one scoring. The exact arm scores the
@@ -35,6 +39,9 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+# np.median and np.percentile import numpy.ma at their first call, which every
+# sweep makes; importing it with this module keeps that one-off cost in start-up
+import numpy.ma  # noqa: F401
 
 from .blas import pin_single_thread, single_blas_thread
 from .errors import ConfigError, NumericalError, QlimitsError
@@ -76,7 +83,7 @@ KRR_TRAIN_EXPONENT_RANGE = (2.3, 3.5)
 NYSTROM_EXPONENT_GAP_MIN = 0.7
 PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 DESK_SCALE_CAP = 8192
 
 
@@ -102,6 +109,17 @@ def _check_solver(solver: str, kernel: Kernel) -> None:
         raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVER_IDS}")
     if solver == "exact_ls" and kernel.kind != "linear":
         raise ConfigError(f"exact_ls fits a linear model and takes no {kernel.kind!r} kernel")
+
+
+def import_scipy_for(solver: str, input_law: str | None) -> None:
+    """Import the scipy modules that fitting ``solver`` and scoring it on
+    ``input_law`` inputs call: ``scipy.linalg`` for the solvers with an n x n
+    Cholesky or dsymv, ``scipy.special`` for clipped-Gaussian inputs. Each
+    maps scipy's OpenBLAS, so a caller that pins BLAS calls this first."""
+    if solver in ("krr", "early_stopping_gd", "divide_and_conquer"):
+        import scipy.linalg  # noqa: F401
+    if input_law == "gaussian_clipped":
+        import scipy.special  # noqa: F401
 
 
 def _check_grid(n_grid) -> tuple[int, ...]:
@@ -138,6 +156,7 @@ class SweepConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.noise is not None and self.solver != "exact_ls":
             raise ConfigError("the noisy pipeline composes with exact_ls only")
+        import_scipy_for(self.solver, self.problem.input_law)
 
 
 @dataclass(frozen=True)
@@ -269,8 +288,11 @@ def single_blas_thread_or_warn():
         yield
 
 
-def _pin_worker() -> None:
-    """Pool initializer: every loaded BLAS at one thread for the worker's lifetime."""
+def _pin_worker(config: SweepConfig) -> None:
+    """Pool initializer: load what the config's cells call, then every loaded
+    BLAS at one thread for the worker's lifetime. A worker that did not fork
+    from a loaded parent (a spawn or forkserver pool) loads it here."""
+    import_scipy_for(config.solver, config.problem.input_law)
     try:
         pin_single_thread()
     except QlimitsError as exc:
@@ -286,7 +308,9 @@ def _sweep_arms(
     tasks = [(config, schedules, n, t) for n in config.n_grid for t in range(config.trials)]
     if config.workers > 1:
         workers = min(config.workers, len(tasks))  # a forked pool starts all its workers at once
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_pin_worker, initargs=(config,)
+        ) as pool:
             cells = list(pool.map(_sweep_cell, tasks))
     else:
         with single_blas_thread_or_warn():
@@ -536,6 +560,8 @@ def runtime_benchmark(
     ).features
 
     solver_config = SolverConfig(lam=lam)
+    for sid in ids:
+        import_scipy_for(sid, problem.input_law)
     rows = []
     with single_blas_thread():
         for sid in ids:

@@ -11,7 +11,13 @@ Five training routes over the same dual/primal predictor types:
 Regularized systems are solved by Cholesky factorization; on breakdown the
 solver falls back to an eigendecomposition with eigenvalues floored at 1e-12.
 Every direct solve is residual-checked to 1e-10 relative; one that misses is
-refined once, and raises NumericalError if it misses again.
+refined once, and raises NumericalError if it misses again. The small systems
+(``exact_ls``'s d x d, ``nystrom``'s m x m) are factored by numpy's Cholesky
+and solved through its two triangular factors. Only KRR's n x n Cholesky
+(divide and conquer's blocks too) and early-stopped gradient descent's dsymv
+call scipy, and each imports it inside the function, so ``import qlimits``
+loads no scipy. Importing scipy maps its own OpenBLAS, so a caller that pins
+BLAS loads it first (``scaling.import_scipy_for``).
 
 Kernel evaluation is the test-time cost of a dual predictor (n_eval x n
 entries), so it runs in BLAS and allocates as little as it can.
@@ -53,7 +59,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigError,
@@ -295,23 +300,26 @@ def _gated(solve, m: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
 
 
 def _eig_clip_solver(m: np.ndarray):
-    evals, vecs = scipy.linalg.eigh(m)
+    evals, vecs = np.linalg.eigh(m)
     evals = np.maximum(evals, EIG_FLOOR)
     return lambda r: vecs @ ((vecs.T @ r) / evals)
 
 
 def _solve_spd(m: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Cholesky solve with eigendecomposition fallback and residual check."""
+    """Cholesky solve of a small system with eigendecomposition fallback and
+    residual check."""
     try:
-        factor = scipy.linalg.cho_factor(m, check_finite=False)
-        solve = lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        lower = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
         solve = _eig_clip_solver(m)
+    else:
+        # numpy has no triangular solve, so each factor goes through its LU solve
+        solve = lambda r: np.linalg.solve(lower.T, np.linalg.solve(lower, r))
     return _gated(solve, m, rhs, context)
 
 
 def _check_not_singular(m: np.ndarray, context: str) -> None:
-    evals = scipy.linalg.eigvalsh(m)
+    evals = np.linalg.eigvalsh(m)
     top = float(evals[-1])
     if top <= 0 or float(evals[0]) <= EIG_FLOOR * top:
         raise SingularSystemError(
@@ -347,6 +355,8 @@ def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = No
     The built-in kernels are PSD by construction, so the full eigencheck runs
     only on the cold path where Cholesky factorization breaks down.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     n = dataset.n_samples
     lam = resolve_lam(lam, n)
     if not lam > 0:
@@ -354,9 +364,9 @@ def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = No
     k = kernel.matrix(dataset.features, dataset.features)
     k.flat[:: n + 1] += lam * n  # in place: K becomes K + lam*n*I
     try:
-        factor = scipy.linalg.cho_factor(k, check_finite=False)
-        solve = lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        factor = cho_factor(k, check_finite=False)
+        solve = lambda r: cho_solve(factor, r, check_finite=False)
+    except np.linalg.LinAlgError:
         check_kernel_psd(kernel.matrix(dataset.features, dataset.features))
         solve = _eig_clip_solver(k)
     alpha = _gated(solve, k, dataset.labels, "krr")
@@ -365,7 +375,7 @@ def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = No
 
 def check_kernel_psd(k: np.ndarray) -> None:
     """Raise unless the matrix is PSD up to eigenvalues >= -1e-8 * scale."""
-    evals = scipy.linalg.eigvalsh((k + k.T) / 2.0)
+    evals = np.linalg.eigvalsh((k + k.T) / 2.0)
     if float(evals[0]) < -KERNEL_PSD_RTOL * max(float(np.max(np.abs(evals))), 1.0):
         raise KernelNotPSDError(
             f"kernel matrix has eigenvalue {evals[0]:.3e} below PSD tolerance"
@@ -378,7 +388,9 @@ def _symmetric_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     ``matrix.T`` is the Fortran-ordered view of a C-ordered matrix, so dsymv
     gets it without a copy, and its lower triangle is ``matrix``'s upper.
     """
-    return scipy.linalg.blas.dsymv(1.0, matrix.T, v, lower=1)
+    from scipy.linalg.blas import dsymv
+
+    return dsymv(1.0, matrix.T, v, lower=1)
 
 
 def top_eigenvalue(matrix: np.ndarray, seed: int = 0) -> float:

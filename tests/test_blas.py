@@ -1,12 +1,28 @@
 import ctypes.util
+import json
 import os
+import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg  # noqa: F401  (loads scipy's own OpenBLAS next to numpy's)
 
-from qlimits import QlimitsError, blas, runtime_benchmark, scaling
+import qlimits
+from qlimits import (
+    SOLVER_IDS,
+    Kernel,
+    QlimitsError,
+    blas,
+    make_problem,
+    runtime_benchmark,
+    sample_dataset,
+    scaling,
+    write_dataset_csv,
+)
+from qlimits.synth import INPUT_LAWS
 
 pytestmark = pytest.mark.skipif(
     not os.path.exists("/proc/self/maps"), reason="loaded BLAS libraries are found in /proc"
@@ -81,8 +97,15 @@ def test_pin_single_thread_changes_nothing_before_an_error(monkeypatch, two_thre
     assert blas.thread_counts() == before
 
 
+GAUSSIAN_KRR = scaling.SweepConfig(
+    n_grid=(16, 32, 64), trials=1, solver="krr", kernel=Kernel("gaussian", 1.0), n_eval=64
+)
+
+
 def test_sweep_pool_worker_runs_one_blas_thread(two_threads):
-    with ProcessPoolExecutor(max_workers=1, initializer=scaling._pin_worker) as pool:
+    with ProcessPoolExecutor(
+        max_workers=1, initializer=scaling._pin_worker, initargs=(GAUSSIAN_KRR,)
+    ) as pool:
         counts = pool.submit(blas.thread_counts).result()
     assert len(counts) >= 1
     assert set(counts.values()) == {1}
@@ -92,4 +115,91 @@ def test_sweep_pool_worker_runs_one_blas_thread(two_threads):
 def test_sweep_worker_that_cannot_pin_warns_and_runs(monkeypatch):
     monkeypatch.setattr(blas, "loaded_blas_paths", lambda: [LIBC])
     with pytest.warns(RuntimeWarning, match="libc"):
-        scaling._pin_worker()
+        scaling._pin_worker(GAUSSIAN_KRR)
+
+
+def _fresh_python(code: str, *args: str, stdin: bytes = b"") -> dict:
+    """Run ``code`` in a new interpreter with OpenBLAS at its default threads;
+    return the JSON object on the last line of its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qlimits.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, input=stdin,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    return json.loads(done.stdout.decode().splitlines()[-1])
+
+
+_SPAWNED_WORKER = """
+import json, pickle, sys
+from qlimits import blas, scaling
+config = pickle.loads(sys.stdin.buffer.read())  # as a spawned worker gets it, never validated here
+before = sorted(m for m in sys.modules if m.startswith("scipy"))
+scaling._pin_worker(config)
+print(json.dumps({"before": before, "counts": blas.thread_counts()}))
+"""
+
+
+def test_worker_that_did_not_fork_loads_scipy_before_it_pins():
+    # a spawn or forkserver worker starts from `import qlimits`, which loads no
+    # scipy, and unpickles its config without validating it; _pin_worker must
+    # still load (and so pin) the scipy OpenBLAS that a Gaussian krr cell calls
+    worker = _fresh_python(_SPAWNED_WORKER, stdin=pickle.dumps(GAUSSIAN_KRR))
+    assert worker["before"] == []
+    assert sorted(worker["counts"]) == blas.loaded_blas_paths()  # numpy's and scipy's here
+    assert set(worker["counts"].values()) == {1}
+
+
+_PIN_PROBE = """
+import json, sys
+from qlimits import Kernel, ProblemSpec, SweepConfig, blas, cli, runtime_benchmark, scaling
+
+inside = []
+
+def recording(fit):
+    def first_fit_records_the_pin(*args, **kwargs):
+        if not inside:
+            inside.append(blas.thread_counts())
+        return fit(*args, **kwargs)
+    return first_fit_records_the_pin
+
+scaling.fit_solver = recording(scaling.fit_solver)
+cli.fit_solver = recording(cli.fit_solver)
+exec(sys.argv[1])
+print(json.dumps({"inside": inside[0], "after": sorted(blas.thread_counts())}))
+"""
+
+
+def _assert_pinned_in_the_first_fit(run: str) -> None:
+    probe = _fresh_python(_PIN_PROBE, run)
+    assert set(probe["inside"].values()) == {1}, probe
+    # nothing loaded after the pin: every library the run used was pinned
+    assert sorted(probe["inside"]) == probe["after"], probe
+
+
+@pytest.mark.parametrize("input_law", INPUT_LAWS)
+@pytest.mark.parametrize("solver", SOLVER_IDS)
+def test_sweep_pins_every_blas_its_cells_load(solver, input_law):
+    kernel = 'Kernel("linear")' if solver == "exact_ls" else 'Kernel("gaussian", 1.0)'
+    _assert_pinned_in_the_first_fit(
+        f"scaling.sweep_excess_risk(SweepConfig(n_grid=(16, 32, 64), trials=1, solver={solver!r}, "
+        f"kernel={kernel}, problem=ProblemSpec(dimension=3, input_law={input_law!r}), n_eval=64))"
+    )
+
+
+def test_runtime_benchmark_pins_every_blas_its_solvers_load():
+    _assert_pinned_in_the_first_fit(
+        "runtime_benchmark(n_grid=(16, 32, 64), reps=1, test_points=8, timer_window=1e-4)"
+    )
+
+
+def test_fit_pins_every_blas_its_scoring_loads(tmp_path):
+    problem = {"dimension": 3, "noise_std": 0.5, "input_law": "gaussian_clipped"}
+    write_dataset_csv(sample_dataset(make_problem(**problem), 32, 1), tmp_path / "data.csv")
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({
+        "dataset": str(tmp_path / "data.csv"), "solver": "exact_ls", "problem": problem,
+        "out_predictor": str(tmp_path / "fit.pred.json"), "out_report": str(tmp_path / "fit.report.json"),
+    }))
+    _assert_pinned_in_the_first_fit(f"assert cli.main(['fit', '--config', {str(config)!r}]) == 0")

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -326,38 +327,53 @@ def test_excess_risks_checks_dimensions_on_both_paths():
             excess_risks(predictors, problem, 100, 0)
 
 
-_LAZY_IMPORT_PROBE = """
-import sys, numpy as np, qlimits
-from qlimits import blas
-heavy = ("scipy.stats", "scipy.spatial", "scipy.special")
-print(sorted(m for m in sys.modules if m.startswith(heavy)))
-before = sorted(blas.thread_counts())
+_NO_SCIPY_PROBE = """
+import json, sys
+import numpy as np
+import qlimits
+from qlimits import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import qlimits": scipy_modules()}
 a = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
-print(qlimits.Kernel("gaussian", 0.7).matrix(a, a[::-1]).tobytes().hex())
-print(sorted(m for m in sys.modules if m.startswith(heavy)))
-print(qlimits.input_second_moment(qlimits.make_problem(3, 0.1, "gaussian_clipped")).hex())
-print(before == sorted(blas.thread_counts()))
+kernel_hex = qlimits.Kernel("gaussian", 0.7).matrix(a, a[::-1]).tobytes().hex()
+loaded["Kernel.matrix"] = scipy_modules()
+config_dir = sys.argv[1]
+for run in sys.argv[2:]:  # named <command>[-<what>], configured in <run>.json
+    assert cli.main([run.split("-")[0], "--config", f"{config_dir}/{run}.json"]) == 0, run
+    loaded[run] = scipy_modules()
+moment = qlimits.input_second_moment(qlimits.make_problem(3, 0.1, "gaussian_clipped"))
+print(json.dumps({"loaded": loaded, "kernel_hex": kernel_hex, "moment_hex": moment.hex()}))
 """
 
 
-def test_import_loads_no_scipy_stats_spatial_or_special():
-    # scipy.stats alone costs about as much to import as the whole package, and
-    # scipy.spatial and scipy.special are most of what is left after numpy and
-    # scipy.linalg; only clipped-Gaussian inputs use scipy.special, and nothing
-    # uses the other two.
+def test_import_loads_no_scipy(tmp_path):
+    # import scipy.linalg alone is about half of a linear run's start-up; these
+    # runs call no scipy, so they must not load any of it
+    configs = {
+        "cost": {"algorithm": "poly_error", "kappa": 2.0, "gamma": 0.1, "n": [64, 256]},
+        "generate": {"problem": {"dimension": 3, "seed": 1}, "n": 32},
+        "sweep-linear": {"n_grid": [16, 32, 64], "trials": 2, "workers": 1},
+        "sweep-nystrom": {"n_grid": [16, 32, 64], "trials": 2, "workers": 1, "solver": "nystrom",
+                          "kernel": {"kind": "gaussian", "bandwidth": 1.0}, "n_eval": 64},
+    }
+    for run, config in configs.items():
+        out = {"out": str(tmp_path / f"{run}.csv")} if run in ("cost", "generate") else {
+            "out_csv": str(tmp_path / f"{run}.csv"), "out_json": str(tmp_path / f"{run}.out.json")}
+        (tmp_path / f"{run}.json").write_text(json.dumps({**config, **out}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(qlimits.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", _LAZY_IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path), *configs],
+        env=env, capture_output=True, text=True, check=True,
     )
-    loaded, kernel_hex, loaded_after_kernel, moment_hex, same_blas = done.stdout.splitlines()
-    assert loaded == "[]"
-    # a Gaussian kernel loads nothing, and gives the bytes it gives in this process
-    assert loaded_after_kernel == "[]"
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["loaded"] == {step: [] for step in ("import qlimits", "Kernel.matrix", *configs)}
+    # a Gaussian kernel gives the bytes it gives in this process
     a = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
-    assert kernel_hex == Kernel("gaussian", 0.7).matrix(a, a[::-1]).tobytes().hex()
+    assert probe["kernel_hex"] == Kernel("gaussian", 0.7).matrix(a, a[::-1]).tobytes().hex()
     # the lazily imported gammainc gives the value of the module-level import
     r2 = make_problem(3, 0.1, "gaussian_clipped").input_radius ** 2
-    assert moment_hex == float(gammainc(2.5, r2 / 2) + (r2 / 3) * gammaincc(1.5, r2 / 2)).hex()
-    # loading scipy.special maps no new BLAS, so a sweep's earlier pin still covers every library
-    assert same_blas == "True"
+    assert probe["moment_hex"] == float(gammainc(2.5, r2 / 2) + (r2 / 3) * gammaincc(1.5, r2 / 2)).hex()

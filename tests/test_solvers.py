@@ -20,7 +20,9 @@ from qlimits import (
     empirical_risk,
     exact_ls,
     excess_risk,
+    fit_solver,
     krr,
+    linear_weights,
     make_problem,
     nystrom,
     predict,
@@ -399,16 +401,74 @@ def test_nystrom_rank_deficient_at_zero_lam_raises():
         nystrom(ds, LINEAR_KERNEL, SolverConfig(lam=0.0, landmarks=2, seed=8))
 
 
-@pytest.mark.parametrize("kernel", [LINEAR_KERNEL, GAUSS])
-def test_nystrom_raises_when_its_solve_fails_the_residual_gate(kernel, monkeypatch):
+@pytest.mark.parametrize(
+    "solver, kernel",
+    [("nystrom", LINEAR_KERNEL), ("nystrom", GAUSS), ("exact_ls", LINEAR_KERNEL)],
+    ids=["nystrom-linear", "nystrom-gaussian", "exact_ls-linear"],
+)
+def test_small_solve_that_fails_the_residual_gate_raises_naming_its_solver(solver, kernel, monkeypatch):
     # no fallback returns a solution that the gate did not pass
     def failing_gate(solve, m, rhs, context):
         raise NumericalError(f"{context}: residual gate failed")
 
     monkeypatch.setattr(solvers, "_gated", failing_gate)
     _, ds = _random_ds(40, 3, sigma=0.3, seed=27)
-    with pytest.raises(NumericalError, match="nystrom"):
-        nystrom(ds, kernel, SolverConfig(lam=0.05, seed=9))
+    with pytest.raises(NumericalError, match=solver):
+        fit_solver(solver, ds, kernel, SolverConfig(lam=0.05, seed=9))
+
+
+def _scipy_solve_spd(paths: list):
+    """The small-system solve as it ran on scipy: cho_factor/cho_solve, or
+    the eigh-clipped fallback where Cholesky breaks down, gated alike; each
+    call appends the path it took to ``paths``."""
+    def solve_spd(m, rhs, context):
+        try:
+            factor = scipy.linalg.cho_factor(m, check_finite=False)
+            solve = lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False)
+            paths.append("cholesky")
+        except scipy.linalg.LinAlgError:
+            evals, vecs = scipy.linalg.eigh(m)
+            evals = np.maximum(evals, solvers.EIG_FLOOR)
+            solve = lambda r: vecs @ ((vecs.T @ r) / evals)
+            paths.append("eig_clip")
+        return solvers._gated(solve, m, rhs, context)
+    return solve_spd
+
+
+def _relative_gap(new, old):
+    return float(np.linalg.norm(new - old) / np.linalg.norm(old))
+
+
+@pytest.mark.parametrize("law", INPUT_LAWS)
+@pytest.mark.parametrize("d", [1, 3, 10, 60])
+def test_exact_ls_agrees_with_the_scipy_cholesky_solve(d, law, monkeypatch):
+    problem = make_problem(d, 0.5, law, seed=d)
+    ds = sample_dataset(problem, 256, seed=d + 1)  # full rank, so lam = 0 is solvable
+    for lam in (0.0, 1e-10, None, 1e3):  # None is n^(-1/2)
+        numpy_weights = exact_ls(ds, lam).weights
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_solve_spd", _scipy_solve_spd([]))
+            scipy_weights = exact_ls(ds, lam).weights
+        assert _relative_gap(numpy_weights, scipy_weights) <= 1e-12, lam
+
+
+@pytest.mark.parametrize("law", INPUT_LAWS)
+def test_linear_nystrom_agrees_with_the_scipy_solve_through_the_clipped_fallback(law, monkeypatch):
+    # the squared m x m system is singular for m > d, so most of these fits take
+    # the eigenvalue-clipped solve; coefficients along its null space are
+    # rounding noise, so the predictors are compared through their weights
+    problem = make_problem(10, 0.5, law, seed=0)
+    paths = []
+    for n in (64, 256, 1024, 4096):
+        for trial in range(5):
+            ds = sample_dataset(problem, n, derive_seed(0, "data", n, trial))
+            config = SolverConfig(seed=trial)
+            numpy_fit = nystrom(ds, LINEAR_KERNEL, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_solve_spd", _scipy_solve_spd(paths))
+                scipy_fit = nystrom(ds, LINEAR_KERNEL, config)
+            assert _relative_gap(linear_weights(numpy_fit), linear_weights(scipy_fit)) <= 1e-12, (n, trial)
+    assert paths.count("eig_clip") >= 10  # of 20: the fallback is what this compares
 
 
 def test_nystrom_rejects_too_many_landmarks():

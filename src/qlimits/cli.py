@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import inspect
 import json
-import math
 import os
 import sys
 import types
@@ -107,8 +106,9 @@ def _typed(value, kind, key: str, context: str):
     raise ConfigError(f"field `{key}` in {context} must be {_describe(kind)}, got {value!r}")
 
 
-def _build(target, obj, context: str, **given):
-    """Call ``target``, a dataclass or function, with the JSON object ``obj``.
+def _arguments(target, obj, context: str, **given) -> dict:
+    """The keyword arguments that call ``target``, a dataclass or function,
+    with the JSON object ``obj``.
 
     The keys are the target's parameter names, less the parameters that
     ``given`` supplies; unknown keys are rejected, unless the target takes
@@ -131,7 +131,21 @@ def _build(target, obj, context: str, **given):
     if missing:
         raise ConfigError(f"missing required field(s) {missing} in {context}")
     typed = {k: _typed(v, hints[k], k, context) for k, v in obj.items() if k in keys}
-    return target(**typed, **rest, **given)
+    return {**typed, **rest, **given}
+
+
+def _build(target, obj, context: str, **given):
+    """``target`` called with ``obj`` (see ``_arguments``)."""
+    return target(**_arguments(target, obj, context, **given))
+
+
+def _echo(target, arguments: dict) -> dict:
+    """Every parameter of ``target``, as given in ``arguments`` or by its
+    default, dataclasses as objects: a config block that reruns the call."""
+    bound = inspect.signature(target).bind(**arguments)
+    bound.apply_defaults()
+    return {key: dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+            for key, value in bound.arguments.items()}
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
@@ -204,15 +218,17 @@ def cmd_fit(
     n_eval: int = SweepConfig.n_eval,
     eval_seed: int = 0,
 ) -> int:
+    config = _echo(cmd_fit, locals())  # before any other local is bound
     data = read_dataset_csv(dataset)
     if problem is not None and problem.dimension != data.dimension:
         raise ConfigError(f"problem dimension {problem.dimension} != dataset dimension {data.dimension}")
-    import_scipy_for(solver, problem.input_law if problem is not None else None)
+    import_scipy_for(solver, kernel, problem.input_law if problem is not None else None)
     with single_blas_thread_or_warn():  # the report does not depend on the core count
         predictor = fit_solver(solver, data, kernel, solver_config)
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "fit",
+            "config": config,
             "solver": solver,
             "n": data.n_samples,
             "d": data.dimension,
@@ -319,17 +335,13 @@ def cmd_cost(
 
     rows = []
     for size in listed(n):
-        sqrt_n = algorithm == "log_error" and frobenius == "sqrt_n"
-        if sqrt_n and size < 1:
-            raise ConfigError(f"`n` must be >= 1 for frobenius \"sqrt_n\", got {size}")
-        frob = math.sqrt(size) if sqrt_n else frobenius
         for k in listed(kappa):
             if algorithm == "matched":
                 cost = cost_matched_precision(k, size, beta, c)  # rejects n < 1 before n^(-1/2)
                 rows.append(("matched", size, k, float(size) ** -0.5, cost))
                 continue
             for g in listed(gamma):
-                cost = (cost_log_error_solver(k, frob, size, g) if algorithm == "log_error"
+                cost = (cost_log_error_solver(k, frobenius, size, g) if algorithm == "log_error"
                         else cost_poly_error_solver(k, size, g))
                 rows.append((algorithm, size, k, g, cost))
     write_csv(out, ("algorithm", "n", "kappa", "gamma", "cost_units"), rows)
@@ -339,13 +351,15 @@ def cmd_cost(
 
 def cmd_bench(out_csv: str, out_json: str, **options) -> int:
     """The remaining keys are runtime_benchmark's, ``cap`` among them."""
-    report = _build(runtime_benchmark, options, "bench config")
+    arguments = _arguments(runtime_benchmark, options, "bench config")
+    report = runtime_benchmark(**arguments)
     if report.reps == 1:
         print("warning: reps=1 gives a single timing sample per cell", file=sys.stderr)
     write_bench_csv(out_csv, report)
     _write_json(out_json, {
         "schema_version": SCHEMA_VERSION,
         "command": "bench",
+        "config": {"out_csv": out_csv, "out_json": out_json, **_echo(runtime_benchmark, arguments)},
         "reps": report.reps,
         "summary": bench_summary(report),
         "train_fits": {sid: dataclasses.asdict(fit) for sid, fit in report.train_fits.items()},

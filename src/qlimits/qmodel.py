@@ -31,6 +31,7 @@ import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Literal
 
 import numpy as np
 
@@ -103,21 +104,26 @@ class NoiseSchedule:
 
 
 def _shift(weights: np.ndarray, magnitude: float, seed: int, stream: str) -> np.ndarray:
-    """weights + magnitude * u for a unit direction u drawn from ``stream`` of ``seed``."""
+    """weights + magnitude * u, as a new array, for a unit direction u drawn
+    from ``stream`` of ``seed``; a magnitude of 0 draws nothing."""
     if not (np.isfinite(magnitude) and magnitude >= 0):
         raise ConfigError(f"magnitude must be >= 0, got {magnitude}")
     w = np.asarray(weights, dtype=np.float64)
+    if magnitude == 0:  # each stream is its own child of seed, so skipping one moves no other
+        return w.copy()
     u = unit_vector(child_rng(seed, stream), w.shape[0])
     return w + magnitude * u
 
 
 def perturb_solution(weights: np.ndarray, magnitude: float, seed: int = 0) -> np.ndarray:
-    """Solver-precision channel: shifts by exactly ``magnitude`` in a seeded random direction."""
+    """Solver-precision channel: shifts by exactly ``magnitude`` in a seeded
+    random direction; a magnitude of 0 draws no direction."""
     return _shift(weights, magnitude, seed, "solver-perturbation")
 
 
 def tomography_estimate(weights: np.ndarray, tau: float, seed: int = 0) -> np.ndarray:
-    """Classical readout of the state: shifts by exactly ``tau`` in a seeded random direction."""
+    """Classical readout of the state: shifts by exactly ``tau`` in a seeded
+    random direction; a ``tau`` of 0 draws no direction."""
     return _shift(weights, tau, seed, "tomography")
 
 
@@ -191,7 +197,12 @@ def _check(kappa: float, n: int, gamma: float | None = None, **positive: float |
         raise ConfigError(f"`n` must be >= 1, got {n}")
     if gamma is not None and not 0 < gamma < 1:
         raise ConfigError(f"`gamma` must be in (0, 1) for cost evaluation, got {gamma}")
-    for name, value in positive.items():
+    _check_positive(**positive)
+
+
+def _check_positive(**values: float | None) -> None:
+    """Each of ``values`` finite and > 0."""
+    for name, value in values.items():
         if value is None or not (math.isfinite(value) and value > 0):
             raise ConfigError(f"`{name}` must be > 0, got {value}")
 
@@ -212,10 +223,16 @@ def _finite(formula):
 
 
 @_finite
-def cost_log_error_solver(kappa: float, frobenius: float, n: int, gamma: float) -> float:
+def cost_log_error_solver(
+    kappa: float, frobenius: float | Literal["sqrt_n"], n: int, gamma: float
+) -> float:
     """Frobenius-bounded solver with logarithmic error dependency: frobenius *
-    kappa * log2(n) * log2(kappa + 1) * log2(1/gamma), logs floored at 1."""
-    _check(kappa, n, gamma, frobenius=frobenius)
+    kappa * log2(n) * log2(kappa + 1) * log2(1/gamma), logs floored at 1.
+    A ``frobenius`` of ``"sqrt_n"`` is sqrt(n), taken once n is checked."""
+    _check(kappa, n, gamma)
+    if frobenius == "sqrt_n":
+        frobenius = math.sqrt(n)
+    _check_positive(frobenius=frobenius)
     return frobenius * kappa * _log_factor(n) * _log_factor(kappa + 1.0) * _log_factor(1.0 / gamma)
 
 

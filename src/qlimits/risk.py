@@ -110,7 +110,8 @@ def input_second_moment(problem: SyntheticProblem) -> float:
         return 1.0 / d
     # `import qlimits` loads no scipy: scipy.special loads here, on the
     # clipped-Gaussian path alone, and maps scipy's OpenBLAS, so a sweep or fit
-    # on such inputs loads it before it pins BLAS (scaling.import_scipy_for).
+    # that scores a linear predictor on such inputs loads it before it pins
+    # BLAS (scaling.import_scipy_for).
     # scipy.stats, which costs about as much to import as all of qlimits,
     # never loads.
     from scipy.special import gammainc, gammaincc

@@ -2,17 +2,20 @@
 
 Sweeps evaluate a solver over a grid of training sizes, many seeded trials
 per size, and aggregate excess risk by median and interquartile range.
-All per-cell randomness is derived from the master seed and the cell's
-(n, trial) coordinates, so results are bit-identical across reruns and
-independent of serial vs parallel execution. Both paths run every loaded
-BLAS at one thread (the serial one for the sweep's duration, each pool worker
-for its lifetime), so N workers never start N BLAS threads each and a
-kernel solve rounds the same whatever the core count; where BLAS cannot be
-pinned, the sweep warns and runs with the default threads. A pin covers only
-the libraries already mapped, and importing scipy maps its own OpenBLAS; so
-``import_scipy_for`` loads the scipy modules a config's cells call, and a
-config, each pool worker, the runtime ladder and ``qlimits fit`` call it
-before they pin.
+A sweep builds its problem once and hands it to every cell. All per-cell
+randomness is derived from the master seed and the cell's (n, trial)
+coordinates, so results are bit-identical across reruns and independent of
+serial vs parallel execution. Only a sweep of more than one worker imports
+the process pool, so ``import qlimits`` and a serial sweep load no
+``multiprocessing``. Both paths run every loaded BLAS at one thread (the
+serial one for the sweep's duration, each pool worker for its lifetime), so
+N workers never start N BLAS threads each and a kernel solve rounds the same
+whatever the core count; where BLAS cannot be pinned, the sweep warns and
+runs with the default threads. A pin covers only the libraries already
+mapped, and importing scipy maps its own OpenBLAS; so ``import_scipy_for``
+loads the scipy modules a config's cells call (which depend on its solver,
+kernel and input law), and a config, each pool worker, the runtime ladder
+and ``qlimits fit`` call it before they pin.
 
 A sweep scores one or more arms, and all of them share each (n, trial)
 cell: one training draw, one solve, one scoring. The exact arm scores the
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -83,7 +85,7 @@ KRR_TRAIN_EXPONENT_RANGE = (2.3, 3.5)
 NYSTROM_EXPONENT_GAP_MIN = 0.7
 PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 DESK_SCALE_CAP = 8192
 
 
@@ -111,14 +113,16 @@ def _check_solver(solver: str, kernel: Kernel) -> None:
         raise ConfigError(f"exact_ls fits a linear model and takes no {kernel.kind!r} kernel")
 
 
-def import_scipy_for(solver: str, input_law: str | None) -> None:
-    """Import the scipy modules that fitting ``solver`` and scoring it on
-    ``input_law`` inputs call: ``scipy.linalg`` for the solvers with an n x n
-    Cholesky or dsymv, ``scipy.special`` for clipped-Gaussian inputs. Each
-    maps scipy's OpenBLAS, so a caller that pins BLAS calls this first."""
+def import_scipy_for(solver: str, kernel: Kernel, input_law: str | None) -> None:
+    """Import the scipy modules that fitting ``solver`` under ``kernel`` and
+    scoring it on ``input_law`` inputs call: ``scipy.linalg`` for the solvers
+    with an n x n Cholesky or dsymv, ``scipy.special`` for the closed-form
+    risk of a linear predictor on clipped-Gaussian inputs (a Gaussian-kernel
+    predictor is scored by Monte Carlo, which reads no scipy). Each maps
+    scipy's OpenBLAS, so a caller that pins BLAS calls this first."""
     if solver in ("krr", "early_stopping_gd", "divide_and_conquer"):
         import scipy.linalg  # noqa: F401
-    if input_law == "gaussian_clipped":
+    if kernel.kind == "linear" and input_law == "gaussian_clipped":
         import scipy.special  # noqa: F401
 
 
@@ -156,7 +160,7 @@ class SweepConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.noise is not None and self.solver != "exact_ls":
             raise ConfigError("the noisy pipeline composes with exact_ls only")
-        import_scipy_for(self.solver, self.problem.input_law)
+        import_scipy_for(self.solver, self.kernel, self.problem.input_law)
 
 
 @dataclass(frozen=True)
@@ -206,21 +210,23 @@ def _failed(exc: QlimitsError) -> tuple:
     return float("nan"), float("nan"), (type(exc).__name__, str(exc))
 
 
-def _sweep_cell(task: tuple[SweepConfig, tuple[NoiseSchedule | None, ...], int, int]) -> tuple:
+def _sweep_cell(
+    task: tuple[SweepConfig, SyntheticProblem, tuple[NoiseSchedule | None, ...], int, int]
+) -> tuple:
     """One (n, trial) cell scored for every arm; ``config.noise`` is not read.
 
-    The cell draws its training set, fits ``config.solver`` and scores every
-    arm's predictor in one ``excess_risks`` call (which shares its evaluation
+    ``problem`` is ``config.problem``, built once by the sweep. The cell draws
+    its training set from it, fits ``config.solver`` and scores every arm's
+    predictor in one ``excess_risks`` call (which shares its evaluation
     sample, where it draws one). An arm of None scores the fit; a
     NoiseSchedule arm scores the fit's weights after the error channels at
     n, so it needs exact_ls. Returns one (excess, std_error, error) per arm,
     ``error`` being None or (exception type, message). A failed draw, fit or
     evaluation fails every arm; a failed channel fails its own arm only.
     """
-    config, arms, n, trial = task
+    config, problem, arms, n, trial = task
     seed = config.master_seed
     try:
-        problem = config.problem.build()
         dataset = sample_dataset(problem, n, derive_seed(seed, "data", n, trial))
         fitted = fit_solver(config.solver, dataset, config.kernel, config.solver_config)
     except QlimitsError as exc:
@@ -292,7 +298,7 @@ def _pin_worker(config: SweepConfig) -> None:
     """Pool initializer: load what the config's cells call, then every loaded
     BLAS at one thread for the worker's lifetime. A worker that did not fork
     from a loaded parent (a spawn or forkserver pool) loads it here."""
-    import_scipy_for(config.solver, config.problem.input_law)
+    import_scipy_for(config.solver, config.kernel, config.problem.input_law)
     try:
         pin_single_thread()
     except QlimitsError as exc:
@@ -305,8 +311,12 @@ def _sweep_arms(
     """One pass over the cells of ``config``, scoring every (label, arm) pair
     (see _sweep_cell); one table per arm, failed cells flagged, not fatal."""
     schedules = tuple(arm for _, arm in arms)
-    tasks = [(config, schedules, n, t) for n in config.n_grid for t in range(config.trials)]
+    problem = config.problem.build()
+    tasks = [(config, problem, schedules, n, t) for n in config.n_grid for t in range(config.trials)]
     if config.workers > 1:
+        # imported here, so a serial sweep loads no multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(config.workers, len(tasks))  # a forked pool starts all its workers at once
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pin_worker, initargs=(config,)
@@ -561,7 +571,7 @@ def runtime_benchmark(
 
     solver_config = SolverConfig(lam=lam)
     for sid in ids:
-        import_scipy_for(sid, problem.input_law)
+        import_scipy_for(sid, kernel, problem.input_law)
     rows = []
     with single_blas_thread():
         for sid in ids:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes.util
 import inspect
 import json
@@ -21,7 +22,7 @@ from qlimits import (
     write_dataset_csv,
 )
 from qlimits import NumericalError, blas, scaling
-from qlimits.cli import cmd_cost, main
+from qlimits.cli import cmd_cost, cmd_fit, main
 from qlimits.qmodel import (
     complexity_table,
     cost_log_error_solver,
@@ -63,7 +64,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     problem = make_problem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 9
+    assert echo["schema_version"] == 10
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -242,6 +243,38 @@ def test_fit_that_cannot_pin_blas_warns_and_runs(tmp_path, monkeypatch):
     assert math.isfinite(json.loads(report)["excess_risk"])
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"solver": "exact_ls"},
+        {"solver": "exact_ls", "problem": {"dimension": 3, "input_law": "gaussian_clipped",
+                                           "seed": 5}, "solver_config": {"lam": 0.05}},
+        {"solver": "nystrom", "kernel": {"kind": "gaussian", "bandwidth": 1.0},
+         "problem": {"dimension": 3, "seed": 5}, "n_eval": 500, "eval_seed": 2},
+    ],
+    ids=["no-problem", "linear-clipped", "nystrom-gaussian"],
+)
+def test_fit_echo_reruns_the_fit(tmp_path, options):
+    data = tmp_path / "train.csv"
+    write_dataset_csv(sample_dataset(make_problem(3, 0.5, seed=5), 64, seed=6), data)
+    payload = {"dataset": str(data), **options, "out_predictor": str(tmp_path / "pred.json"),
+               "out_report": str(tmp_path / "report.json")}
+    assert _run(tmp_path, "fit", payload) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    echo = report["config"]
+    # every key: the given ones as given, blocks completed by their defaults
+    assert set(echo) == set(inspect.signature(cmd_fit).parameters)
+    for key, value in payload.items():
+        assert echo[key] == (echo[key] | value if isinstance(value, dict) else value)
+    assert _run(tmp_path, "fit", echo, "--set", f"out_predictor={tmp_path / 'again.pred.json'}",
+                "--set", f"out_report={tmp_path / 'again.report.json'}") == 0
+    assert (tmp_path / "again.pred.json").read_bytes() == (tmp_path / "pred.json").read_bytes()
+    again = json.loads((tmp_path / "again.report.json").read_text())
+    assert again["config"] == echo | {"out_predictor": str(tmp_path / "again.pred.json"),
+                                      "out_report": str(tmp_path / "again.report.json")}
+    assert again | {"config": echo} == report
+
+
 def test_fit_unknown_solver_exits_config(tmp_path, capsys):
     data = tmp_path / "train.csv"
     write_dataset_csv(sample_dataset(make_problem(2, 0.1, seed=1), 10, seed=2), data)
@@ -333,7 +366,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 9
+    assert summary["schema_version"] == 10
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]
@@ -506,12 +539,13 @@ def test_sweep_rejects_exact_ls_under_a_gaussian_kernel(tmp_path, capsys):
 def test_sweep_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     started = []
 
-    class Recording(scaling.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(scaling, "ProcessPoolExecutor", Recording)
+    # the name a sweep imports when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     payload = _sweep_payload(tmp_path, n_grid=[8, 16, 32], trials=1)
     assert _run(tmp_path, "sweep", payload) == 0
     serial = (tmp_path / "sweep.csv").read_bytes()
@@ -719,6 +753,24 @@ def test_bench_small_grid_with_single_rep_warns(tmp_path, capsys):
     summary = json.loads((tmp_path / "bench.json").read_text())
     assert summary["summary"]["timed_out"] is False
     assert "exact_ls" in summary["train_fits"]
+
+
+def test_bench_echo_reruns_the_bench(tmp_path):
+    payload = {
+        "solver_ids": ["exact_ls", "nystrom"],
+        "n_grid": [64, 128, 256],
+        "reps": 2,
+        "timer_window": 0.001,
+        "out_csv": str(tmp_path / "bench.csv"),
+        "out_json": str(tmp_path / "bench.json"),
+    }
+    assert _run(tmp_path, "bench", payload) == 0
+    echo = json.loads((tmp_path / "bench.json").read_text())["config"]
+    assert set(echo) == {"out_csv", "out_json", *inspect.signature(scaling.runtime_benchmark).parameters}
+    assert {key: echo[key] for key in payload} == payload
+    assert echo["kernel"] == {"kind": "linear", "bandwidth": None} and echo["cap"] == 8192
+    assert _run(tmp_path, "bench", echo) == 0
+    assert json.loads((tmp_path / "bench.json").read_text())["config"] == echo
 
 
 def test_bench_rejects_grid_over_cap(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import inspect
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,15 +27,24 @@ from qlimits import (
     sample_dataset,
     tomography_estimate,
 )
+from qlimits import qmodel
 from qlimits.rng import derive_seed
 
 
 # ---------------------------------------------------------------------------
 # perturbation channels
 
-def test_perturb_zero_magnitude_is_identity():
+def test_perturb_zero_magnitude_is_identity(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a zero shift drew a direction")
+
+    monkeypatch.setattr(qmodel, "unit_vector", no_draw)
     w = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(perturb_solution(w, 0.0, seed=1), w)
+    for channel in (perturb_solution, tomography_estimate):
+        shifted = channel(w, 0.0, seed=1)
+        np.testing.assert_array_equal(shifted, w)
+        shifted[0] = 9.0  # a new array, not the caller's
+        assert w[0] == 1.0
 
 
 @pytest.mark.parametrize("magnitude", [1e-3, 0.1, 2.0])
@@ -204,6 +214,12 @@ def test_log_error_cost_unit_case():
 def test_log_error_cost_worked_example():
     cost = cost_log_error_solver(kappa=10, frobenius=64.0, n=4096, gamma=2.0**-6)
     assert cost == pytest.approx(159410.60898680665, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 2**20 + 1])
+def test_log_error_cost_of_sqrt_n_frobenius_is_the_explicit_sqrt(n):
+    sqrt_n = cost_log_error_solver(2.5, "sqrt_n", n, 0.1)
+    assert sqrt_n.hex() == cost_log_error_solver(2.5, math.sqrt(n), n, 0.1).hex()
 
 
 def test_log_error_cost_rejects_error_at_one():

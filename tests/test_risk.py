@@ -333,31 +333,38 @@ import numpy as np
 import qlimits
 from qlimits import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+UNLOADED = ("scipy", "multiprocessing", "concurrent.futures.process")
 
-loaded = {"import qlimits": scipy_modules()}
+def unloaded_modules():
+    return sorted(m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in UNLOADED))
+
+loaded = {"import qlimits": unloaded_modules()}
 a = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
 kernel_hex = qlimits.Kernel("gaussian", 0.7).matrix(a, a[::-1]).tobytes().hex()
-loaded["Kernel.matrix"] = scipy_modules()
+loaded["Kernel.matrix"] = unloaded_modules()
 config_dir = sys.argv[1]
 for run in sys.argv[2:]:  # named <command>[-<what>], configured in <run>.json
     assert cli.main([run.split("-")[0], "--config", f"{config_dir}/{run}.json"]) == 0, run
-    loaded[run] = scipy_modules()
+    loaded[run] = unloaded_modules()
 moment = qlimits.input_second_moment(qlimits.make_problem(3, 0.1, "gaussian_clipped"))
 print(json.dumps({"loaded": loaded, "kernel_hex": kernel_hex, "moment_hex": moment.hex()}))
 """
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # import scipy.linalg alone is about half of a linear run's start-up; these
-    # runs call no scipy, so they must not load any of it
+    # import scipy.linalg alone is about half of a linear run's start-up, and a
+    # process pool's machinery (multiprocessing, socket, subprocess, logging)
+    # about 1.8 MB of a serial sweep's peak; these runs call neither, so they
+    # must not load any of it
+    gaussian = {"n_grid": [16, 32, 64], "trials": 2, "workers": 1, "solver": "nystrom",
+                "kernel": {"kind": "gaussian", "bandwidth": 1.0}, "n_eval": 64}
     configs = {
         "cost": {"algorithm": "poly_error", "kappa": 2.0, "gamma": 0.1, "n": [64, 256]},
         "generate": {"problem": {"dimension": 3, "seed": 1}, "n": 32},
         "sweep-linear": {"n_grid": [16, 32, 64], "trials": 2, "workers": 1},
-        "sweep-nystrom": {"n_grid": [16, 32, 64], "trials": 2, "workers": 1, "solver": "nystrom",
-                          "kernel": {"kind": "gaussian", "bandwidth": 1.0}, "n_eval": 64},
+        "sweep-nystrom": gaussian,
+        # a Gaussian predictor is scored by Monte Carlo, so clipped inputs need no scipy.special
+        "sweep-nystromclipped": {**gaussian, "problem": {"input_law": "gaussian_clipped"}},
     }
     for run, config in configs.items():
         out = {"out": str(tmp_path / f"{run}.csv")} if run in ("cost", "generate") else {

@@ -307,18 +307,35 @@ def cmd_sweep(
     return EXIT_OK
 
 
+_COST_FORMULAS = {
+    "log_error": cost_log_error_solver,
+    "poly_error": cost_poly_error_solver,
+    "matched": cost_matched_precision,
+}
+
+
 def cmd_cost(
     algorithm: Literal["table", "log_error", "poly_error", "matched"],
     out: str,
-    kappa: float | tuple[float, ...] = 1.0,
-    gamma: float | tuple[float, ...] = 0.5,
-    n: int | tuple[int, ...] = 2,
-    frobenius: float | Literal["sqrt_n"] = "sqrt_n",
+    kappa: float | tuple[float, ...] | None = None,
+    gamma: float | tuple[float, ...] | None = None,
+    n: int | tuple[int, ...] | None = None,
+    frobenius: float | Literal["sqrt_n"] | None = None,
     beta: float | None = None,
     c: float | None = None,
 ) -> int:
     """``kappa``, ``gamma`` and ``n`` are a value or a list; the rows run over
-    every combination. ``matched`` reads ``beta`` and ``c`` and pins gamma."""
+    every combination. Each algorithm reads the parameters of its formula
+    (``table`` reads none, and ``matched`` pins gamma), and any other key is
+    an error. An absent or null key takes its default: kappa 1, gamma 0.5,
+    n 2 and frobenius ``"sqrt_n"``."""
+    given = [key for key, value in locals().items() if value is not None]  # before other locals
+    reads = {"algorithm", "out"}
+    if algorithm != "table":
+        reads |= set(inspect.signature(_COST_FORMULAS[algorithm]).parameters)
+    unread = [key for key in given if key not in reads]
+    if unread:
+        raise ConfigError(f"algorithm {algorithm!r} does not read {', '.join(f'`{k}`' for k in unread)}")
     if algorithm == "table":
         rows = [
             (e.algorithm, str(e.train_exponent), str(e.test_exponent),
@@ -330,19 +347,20 @@ def cmd_cost(
         print(f"wrote {len(rows)} ladder rows to {out}")
         return EXIT_OK
 
-    def listed(value) -> tuple:
+    def listed(value, default) -> tuple:
+        value = default if value is None else value
         return value if isinstance(value, tuple) else (value,)
 
     rows = []
-    for size in listed(n):
-        for k in listed(kappa):
+    for size in listed(n, 2):
+        for k in listed(kappa, 1.0):
             if algorithm == "matched":
                 cost = cost_matched_precision(k, size, beta, c)  # rejects n < 1 before n^(-1/2)
                 rows.append(("matched", size, k, float(size) ** -0.5, cost))
                 continue
-            for g in listed(gamma):
-                cost = (cost_log_error_solver(k, frobenius, size, g) if algorithm == "log_error"
-                        else cost_poly_error_solver(k, size, g))
+            for g in listed(gamma, 0.5):
+                cost = (cost_log_error_solver(k, "sqrt_n" if frobenius is None else frobenius, size, g)
+                        if algorithm == "log_error" else cost_poly_error_solver(k, size, g))
                 rows.append((algorithm, size, k, g, cost))
     write_csv(out, ("algorithm", "n", "kappa", "gamma", "cost_units"), rows)
     print(f"wrote {len(rows)} cost rows to {out}")

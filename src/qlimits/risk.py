@@ -134,7 +134,7 @@ def excess_risks(
     predictors: Sequence[Predictor],
     problem: SyntheticProblem,
     n_eval: int,
-    seed: int,
+    seed: int | None,
 ) -> tuple[tuple[float, float], ...]:
     """(excess risk, standard error) of every predictor.
 

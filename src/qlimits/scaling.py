@@ -1,7 +1,9 @@
 """Experiment harness: excess-risk sweeps, power-law fits, runtime benchmarks.
 
 Sweeps evaluate a solver over a grid of training sizes, many seeded trials
-per size, and aggregate excess risk by median and interquartile range.
+per size, and aggregate excess risk by median and interquartile range. A
+row reads them from one sort of its values, with the bits of ``np.median``
+and ``np.percentile`` but without the ``numpy.ma`` that those two load.
 A sweep builds its problem once and hands it to every cell. All per-cell
 randomness is derived from the master seed and the cell's (n, trial)
 coordinates, so results are bit-identical across reruns and independent of
@@ -27,9 +29,10 @@ injected error, and each arm's table equals that of a sweep of the arm alone;
 the matching and measurement experiments are two named arm lists over it.
 
 Cells are scored by ``risk.excess_risks``: a linear predictor's excess risk
-is exact, ``s |w - w*|^2`` with standard error 0, and nothing is drawn; only
-Gaussian-kernel predictors are scored on ``n_eval`` points, by the mean of
-their squared distance to the clean target. Either way a median excess risk
+is exact, ``s |w - w*|^2`` with standard error 0, and nothing is drawn, so a
+linear-kernel cell derives no evaluation seed; only Gaussian-kernel
+predictors are scored on ``n_eval`` points, by the mean of their squared
+distance to the clean target. Either way a median excess risk
 is a median of means of squares, so it is never negative.
 """
 
@@ -41,9 +44,6 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-# np.median and np.percentile import numpy.ma at their first call, which every
-# sweep makes; importing it with this module keeps that one-off cost in start-up
-import numpy.ma  # noqa: F401
 
 from .blas import pin_single_thread, single_blas_thread
 from .errors import ConfigError, NumericalError, QlimitsError
@@ -233,6 +233,8 @@ def _sweep_cell(
         return (_failed(exc),) * len(arms)
     noisy = any(arm is not None for arm in arms)
     noise_seed = derive_seed(seed, "noise", n, trial) if noisy else None  # shared by the arms
+    # every predictor of a linear-kernel cell is linear, so excess_risks draws no sample
+    eval_seed = None if config.kernel.kind == "linear" else derive_seed(seed, "eval", n, trial)
     outcomes, predictors = {}, {}
     for i, arm in enumerate(arms):
         try:
@@ -245,14 +247,37 @@ def _sweep_cell(
         try:
             scored = [
                 (*pair, None) for pair in excess_risks(
-                    tuple(predictors.values()), problem, config.n_eval,
-                    seed=derive_seed(seed, "eval", n, trial),
+                    tuple(predictors.values()), problem, config.n_eval, seed=eval_seed
                 )
             ]
         except QlimitsError as exc:
             scored = [_failed(exc)] * len(predictors)
         outcomes.update(zip(predictors, scored))
     return tuple(outcomes[i] for i in range(len(arms)))
+
+
+def _order_stat(s: np.ndarray, q: float) -> float:
+    """The ``q`` quantile of the sorted array ``s``, bit for bit as
+    ``np.median`` (q = 0.5) or ``np.percentile(s, 100 q)`` gives it. Those
+    load ``numpy.ma`` at their first call and partition their input on every
+    call; a sweep row sorts its values once and reads each statistic here.
+
+    A percentile is numpy's linear one: at k = (n - 1) q it lies between
+    a = s[floor(k)] and b, the next value, at t = k - floor(k), and is
+    ``a + (b - a) t`` for t < 0.5, else ``b - (b - a) (1 - t)``. The median of
+    an even count is instead the mean of the middle two, ``(a + b) / 2``. A
+    NaN, which sorts last, gives NaN. (Only the sign of a zero can differ from
+    numpy's, where ``s`` holds -0.0, which compares equal to 0.0.)
+    """
+    if np.isnan(s[-1]):
+        return float("nan")
+    k = (len(s) - 1) * q
+    i = int(k)
+    t = k - i
+    a, b = float(s[i]), float(s[min(i + 1, len(s) - 1)])
+    if q == 0.5:
+        return (a + b) / 2 if t else a
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 def _sweep_row(n: int, outcomes: list[tuple]) -> SweepRow:
@@ -265,12 +290,12 @@ def _sweep_row(n: int, outcomes: list[tuple]) -> SweepRow:
     failures = tuple((kind, count, first) for kind, (count, first) in by_kind.items())
     if not ok:
         return SweepRow(n, float("nan"), float("nan"), float("nan"), 0, len(errors), failures)
-    values = np.array([v for v, _ in ok])
+    values = np.sort([v for v, _ in ok])
     return SweepRow(
         n=n,
-        median_excess=float(np.median(values)),
-        iqr_excess=float(np.percentile(values, 75) - np.percentile(values, 25)),
-        median_std_error=float(np.median(np.array([se for _, se in ok]))),
+        median_excess=_order_stat(values, 0.5),
+        iqr_excess=_order_stat(values, 0.75) - _order_stat(values, 0.25),
+        median_std_error=_order_stat(np.sort([se for _, se in ok]), 0.5),
         trials_ok=len(ok),
         trials_failed=len(errors),
         failures=failures,
@@ -612,8 +637,8 @@ def _bench_cell(sid, n, kernel, solver_config, problem, test_x, reps, timeout_s,
     return BenchRow(
         solver=sid,
         n=n,
-        train_seconds=float(np.median(train_times)),
-        test_seconds_per_point=float(np.median(test_times)) / len(test_x),
+        train_seconds=_order_stat(np.sort(train_times), 0.5),
+        test_seconds_per_point=_order_stat(np.sort(test_times), 0.5) / len(test_x),
         timed_out=False,
     )
 

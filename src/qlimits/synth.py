@@ -124,13 +124,15 @@ def unit_vector(rng: np.random.Generator, dimension: int) -> np.ndarray:
 
 def _sample_inputs(problem: SyntheticProblem, n: int, rng: np.random.Generator) -> np.ndarray:
     x = rng.standard_normal((n, problem.dimension))
+    # np.linalg.norm's sum of squares, without the copy its conj() makes; x is
+    # then scaled in place, so a draw holds one n x d temporary
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
     if problem.input_law == "unit_sphere_uniform":
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
         # A zero draw has probability zero; guard against it anyway.
         norms[norms < 1e-12] = 1.0
-        return x / norms
+        x /= norms[:, None]
+        return x
     radius = problem.input_radius
-    norms = np.linalg.norm(x, axis=1)
     over = norms > radius
     if np.any(over):
         x[over] *= (radius / norms[over])[:, None]

@@ -660,11 +660,18 @@ def test_cost_rejects_non_integer_n(tmp_path, n, capsys):
     assert not out.exists()
 
 
+_COST_READS = {  # algorithm -> the inputs it reads besides kappa and n
+    "log_error": {"gamma": [0.3, 0.01], "frobenius": 2.5},
+    "poly_error": {"gamma": [0.3, 0.01]},
+    "matched": {"beta": 3, "c": 2},
+}
+
+
 @pytest.mark.parametrize("algorithm", ["log_error", "poly_error", "matched"])
 @pytest.mark.parametrize("n", [-1, 0])
 def test_cost_rejects_size_below_one_before_sqrt(tmp_path, algorithm, n, capsys):
     out = tmp_path / "c.csv"
-    payload = {"algorithm": algorithm, "gamma": 0.1, "n": n, "beta": 3, "c": 1, "out": str(out)}
+    payload = {"algorithm": algorithm, **_COST_READS[algorithm], "n": n, "out": str(out)}
     assert _run(tmp_path, "cost", payload) == 2
     assert "`n` must be >= 1" in capsys.readouterr().err
     assert not out.exists()
@@ -705,15 +712,15 @@ _COST_FORMULAS = {
 @pytest.mark.parametrize("algorithm", sorted(_COST_FORMULAS))
 def test_cost_rows_are_direct_formula_calls_in_grid_order(tmp_path, algorithm):
     # no input equals 1, so swapped arguments change the cost
-    sizes, kappas, gammas = [16, 1000], [2.0, 7.5], [0.3, 0.01]
+    sizes, kappas = [16, 1000], [2.0, 7.5]
     out = tmp_path / "c.csv"
-    payload = {"algorithm": algorithm, "n": sizes, "kappa": kappas, "gamma": gammas,
-               "frobenius": 2.5, "beta": 3, "c": 2, "out": str(out)}
+    payload = {"algorithm": algorithm, **_COST_READS[algorithm], "n": sizes, "kappa": kappas,
+               "out": str(out)}
     assert _run(tmp_path, "cost", payload) == 0
     expected = []
     for size in sizes:
         for k in kappas:
-            for g in gammas if algorithm != "matched" else [float(size) ** -0.5]:
+            for g in _COST_READS[algorithm].get("gamma", [float(size) ** -0.5]):
                 expected.append((algorithm, size, k, g, _COST_FORMULAS[algorithm](size, k, g)))
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [(a, int(n), float(k), float(g), float(cost)) for a, n, k, g, cost in rows] == expected
@@ -728,12 +735,29 @@ def test_cost_keys_are_the_formula_parameter_names():
     assert names == {"kappa", "frobenius", "n", "gamma", "beta", "c"}
 
 
-def test_cost_poly_error_ignores_the_frobenius_it_does_not_read(tmp_path):
-    payload = {"algorithm": "poly_error", "kappa": 2, "gamma": [0.1], "n": [1024]}
+_COST_UNREAD = {  # algorithm -> a payload it runs on, and each key it does not read
+    "table": ({}, ["kappa", "gamma", "n", "frobenius", "beta", "c"]),
+    "log_error": ({"gamma": 0.1, "n": [64]}, ["beta", "c"]),
+    "poly_error": ({"kappa": 2, "gamma": [0.1], "n": [1024]}, ["frobenius", "beta", "c"]),
+    "matched": ({"n": [64], "beta": 3, "c": 2}, ["gamma", "frobenius"]),
+}
+
+
+@pytest.mark.parametrize("algorithm, key", [
+    (algorithm, key) for algorithm, (_, keys) in _COST_UNREAD.items() for key in keys
+])
+def test_cost_rejects_a_key_its_algorithm_does_not_read(tmp_path, algorithm, key, capsys):
+    payload = {"algorithm": algorithm, **_COST_UNREAD[algorithm][0]}
     assert _run(tmp_path, "cost", {**payload, "out": str(tmp_path / "a.csv")}) == 0
-    with_frobenius = {**payload, "frobenius": 0, "out": str(tmp_path / "b.csv")}
-    assert _run(tmp_path, "cost", with_frobenius) == 0
+    # null is absent, so the same rows
+    nulled = {**payload, key: None, "out": str(tmp_path / "b.csv")}
+    assert _run(tmp_path, "cost", nulled) == 0
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    capsys.readouterr()
+    given = {**payload, key: 2, "out": str(tmp_path / "c.csv")}  # a valid value of every key
+    assert _run(tmp_path, "cost", given) == 2
+    assert f"algorithm {algorithm!r} does not read `{key}`" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 # ---------------------------------------------------------------------------

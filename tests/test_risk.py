@@ -333,7 +333,7 @@ import numpy as np
 import qlimits
 from qlimits import cli
 
-UNLOADED = ("scipy", "multiprocessing", "concurrent.futures.process")
+UNLOADED = ("scipy", "multiprocessing", "concurrent.futures.process", "numpy.ma")
 
 def unloaded_modules():
     return sorted(m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in UNLOADED))
@@ -352,15 +352,17 @@ print(json.dumps({"loaded": loaded, "kernel_hex": kernel_hex, "moment_hex": mome
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # import scipy.linalg alone is about half of a linear run's start-up, and a
+    # import scipy.linalg alone is about half of a linear run's start-up, a
     # process pool's machinery (multiprocessing, socket, subprocess, logging)
-    # about 1.8 MB of a serial sweep's peak; these runs call neither, so they
+    # about 1.8 MB of a serial sweep's peak, and numpy.ma (which np.median and
+    # np.percentile load) about 0.75 MB; these runs call none of them, so they
     # must not load any of it
     gaussian = {"n_grid": [16, 32, 64], "trials": 2, "workers": 1, "solver": "nystrom",
                 "kernel": {"kind": "gaussian", "bandwidth": 1.0}, "n_eval": 64}
     configs = {
         "cost": {"algorithm": "poly_error", "kappa": 2.0, "gamma": 0.1, "n": [64, 256]},
         "generate": {"problem": {"dimension": 3, "seed": 1}, "n": 32},
+        "bench": {"solver_ids": ["exact_ls"], "n_grid": [16, 32, 64], "reps": 1, "timer_window": 0.001},
         "sweep-linear": {"n_grid": [16, 32, 64], "trials": 2, "workers": 1},
         "sweep-nystrom": gaussian,
         # a Gaussian predictor is scored by Monte Carlo, so clipped inputs need no scipy.special

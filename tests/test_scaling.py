@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -508,6 +509,91 @@ def test_gaussian_kernel_cell_is_fit_then_one_monte_carlo_estimate(solver):
             )
         assert (row.median_excess, row.median_std_error) == (excess, std_error)
         assert 0 < std_error < 0.05 * excess
+
+
+_SEED_STREAMS = {  # run -> (sweep, derive_seed calls per cell by stream)
+    "rate": (lambda: sweep_excess_risk(FAST_CONFIG), {"data": 1}),
+    "linear-nystrom": (
+        lambda: sweep_excess_risk(dataclasses.replace(FAST_CONFIG, solver="nystrom")), {"data": 1}
+    ),
+    "matching": (lambda: matching_experiment(FAST_CONFIG), {"data": 1, "noise": 1}),
+    "gaussian-nystrom": (
+        lambda: sweep_excess_risk(
+            dataclasses.replace(FAST_CONFIG, solver="nystrom", kernel=Kernel("gaussian", 1.0))
+        ),
+        {"data": 1, "eval": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_SEED_STREAMS))
+def test_a_cell_derives_its_evaluation_seed_only_when_it_draws(run, monkeypatch, tmp_path):
+    # under the linear kernel every predictor is scored in closed form and
+    # no evaluation sample is drawn, so no "eval" seed is derived for it
+    sweep, per_cell = _SEED_STREAMS[run]
+
+    def tables():
+        result = sweep()
+        return list(result.arm_tables().values()) if isinstance(result, PairedReport) else [result]
+
+    write_sweep_csv(tmp_path / "plain.csv", tables())
+    streams = Counter()
+
+    def counting(master_seed, *path):
+        streams[path[0]] += 1
+        return derive_seed(master_seed, *path)
+
+    monkeypatch.setattr(scaling, "derive_seed", counting)
+    write_sweep_csv(tmp_path / "counted.csv", tables())
+    cells = len(FAST_CONFIG.n_grid) * FAST_CONFIG.trials
+    assert streams == {stream: calls * cells for stream, calls in per_cell.items()}
+    assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+# finite values drawn from a few of their own, so ties are common; -0.0 + 0.0
+# is 0.0, since numpy's partition orders -0.0 and 0.0 (which compare equal)
+# its own way and a zero's sign can then differ
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+_TIED = st.lists(_FINITE, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool) | _FINITE, min_size=1, max_size=60)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_TIED)
+def test_order_stat_has_the_bits_of_numpy_median_and_percentile(values):
+    s = np.sort(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = (np.median(values), np.percentile(values, 25), np.percentile(values, 75))
+    got = tuple(scaling._order_stat(s, q) for q in (0.5, 0.25, 0.75))
+    assert [v.hex() for v in got] == [float(v).hex() for v in expected]
+
+
+def test_order_stat_of_a_nan_is_nan():
+    assert all(math.isnan(scaling._order_stat(np.sort([1.0, math.nan, 2.0]), q)) for q in (0.25, 0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1.0), st.booleans()), min_size=1, max_size=40
+    )
+)
+def test_sweep_row_statistics_are_the_numpy_calls_on_its_ok_cells(cells):
+    outcomes = [
+        (math.nan, math.nan, ("NumericalError", "lost")) if failed else (v, se, None)
+        for v, se, failed in cells
+    ]
+    row = scaling._sweep_row(64, outcomes)
+    ok = [(v, se) for v, se, failed in cells if not failed]
+    assert (row.trials_ok, row.trials_failed) == (len(ok), len(cells) - len(ok))
+    if not ok:
+        assert math.isnan(row.median_excess) and math.isnan(row.iqr_excess)
+        return
+    values = np.array([v for v, _ in ok])
+    assert row.median_excess.hex() == float(np.median(values)).hex()
+    assert row.iqr_excess.hex() == float(np.percentile(values, 75) - np.percentile(values, 25)).hex()
+    assert row.median_std_error.hex() == float(np.median(np.array([se for _, se in ok]))).hex()
 
 
 @pytest.mark.parametrize("experiment", [matching_experiment, measurement_experiment])

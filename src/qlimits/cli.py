@@ -307,36 +307,38 @@ def cmd_sweep(
     return EXIT_OK
 
 
-_COST_FORMULAS = {
+_COST_FORMULAS = {  # algorithm -> formula; it reads the keys named by its parameters
     "log_error": cost_log_error_solver,
     "poly_error": cost_poly_error_solver,
     "matched": cost_matched_precision,
 }
+# the value of a key that a formula reads and the config leaves out
+_COST_DEFAULTS = {"kappa": 1.0, "gamma": 0.5, "n": 2, "frobenius": "sqrt_n", "beta": None, "c": None}
+_ABSENT = object()  # cmd_cost's default: the key is not in the config
 
 
 def cmd_cost(
     algorithm: Literal["table", "log_error", "poly_error", "matched"],
     out: str,
-    kappa: float | tuple[float, ...] | None = None,
-    gamma: float | tuple[float, ...] | None = None,
-    n: int | tuple[int, ...] | None = None,
-    frobenius: float | Literal["sqrt_n"] | None = None,
-    beta: float | None = None,
-    c: float | None = None,
+    kappa: float | tuple[float, ...] = _ABSENT,
+    gamma: float | tuple[float, ...] = _ABSENT,
+    n: int | tuple[int, ...] = _ABSENT,
+    frobenius: float | Literal["sqrt_n"] = _ABSENT,
+    beta: float | None = _ABSENT,
+    c: float | None = _ABSENT,
 ) -> int:
     """``kappa``, ``gamma`` and ``n`` are a value or a list; the rows run over
-    every combination. Each algorithm reads the parameters of its formula
-    (``table`` reads none, and ``matched`` pins gamma), and any other key is
-    an error. An absent or null key takes its default: kappa 1, gamma 0.5,
-    n 2 and frobenius ``"sqrt_n"``."""
-    given = [key for key, value in locals().items() if value is not None]  # before other locals
-    reads = {"algorithm", "out"}
-    if algorithm != "table":
-        reads |= set(inspect.signature(_COST_FORMULAS[algorithm]).parameters)
+    every combination. Each algorithm reads the keys of its formula's
+    parameters (``table`` reads none, and ``matched`` pins gamma), any other
+    key is an error, and an absent key takes its ``_COST_DEFAULTS`` value."""
+    keys = {"kappa": kappa, "gamma": gamma, "n": n, "frobenius": frobenius, "beta": beta, "c": c}
+    given = {key: value for key, value in keys.items() if value is not _ABSENT}
+    formula = _COST_FORMULAS.get(algorithm)  # None for the table
+    reads = inspect.signature(formula).parameters if formula else {}
     unread = [key for key in given if key not in reads]
     if unread:
         raise ConfigError(f"algorithm {algorithm!r} does not read {', '.join(f'`{k}`' for k in unread)}")
-    if algorithm == "table":
+    if formula is None:
         rows = [
             (e.algorithm, str(e.train_exponent), str(e.test_exponent),
              e.is_quantum, e.test_includes_retraining)
@@ -347,21 +349,18 @@ def cmd_cost(
         print(f"wrote {len(rows)} ladder rows to {out}")
         return EXIT_OK
 
-    def listed(value, default) -> tuple:
-        value = default if value is None else value
+    def listed(value) -> tuple:
         return value if isinstance(value, tuple) else (value,)
 
+    inputs = {**_COST_DEFAULTS, **given}
     rows = []
-    for size in listed(n, 2):
-        for k in listed(kappa, 1.0):
-            if algorithm == "matched":
-                cost = cost_matched_precision(k, size, beta, c)  # rejects n < 1 before n^(-1/2)
-                rows.append(("matched", size, k, float(size) ** -0.5, cost))
-                continue
-            for g in listed(gamma, 0.5):
-                cost = (cost_log_error_solver(k, "sqrt_n" if frobenius is None else frobenius, size, g)
-                        if algorithm == "log_error" else cost_poly_error_solver(k, size, g))
-                rows.append((algorithm, size, k, g, cost))
+    for size in listed(inputs["n"]):
+        for k in listed(inputs["kappa"]):
+            for g in listed(inputs["gamma"]) if "gamma" in reads else (None,):
+                point = {**inputs, "n": size, "kappa": k, "gamma": g}
+                cost = formula(**{key: point[key] for key in reads})
+                # matched pins gamma to n^(-1/2), taken once its formula has checked n >= 1
+                rows.append((algorithm, size, k, float(size) ** -0.5 if g is None else g, cost))
     write_csv(out, ("algorithm", "n", "kappa", "gamma", "cost_units"), rows)
     print(f"wrote {len(rows)} cost rows to {out}")
     return EXIT_OK

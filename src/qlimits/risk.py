@@ -19,7 +19,7 @@ invariant under permutation of the data and reproducible across platforms.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,14 +134,15 @@ def excess_risks(
     predictors: Sequence[Predictor],
     problem: SyntheticProblem,
     n_eval: int,
-    seed: int | None,
+    seed: int | Callable[[], int],
 ) -> tuple[tuple[float, float], ...]:
     """(excess risk, standard error) of every predictor.
 
     With every predictor linear, each is ``s * |w - w*|^2`` with standard
     error 0.0, and ``n_eval`` and ``seed`` are not read. Otherwise each is
     the mean of ``(f(x) - x.w*)^2`` over the one sample of ``n_eval`` points
-    drawn from ``seed``, with its standard error.
+    drawn from ``seed``, with its standard error. A ``seed`` that is a
+    function is called for the seed only then, when the sample is drawn.
     """
     for predictor in predictors:
         _check_dims(predictor, problem.dimension)
@@ -151,7 +152,7 @@ def excess_risks(
         return tuple(
             (s * pairwise_sum(np.sort((w - problem.target_weights) ** 2)), 0.0) for w in weights
         )
-    fresh = sample_dataset(problem, n_eval, seed)
+    fresh = sample_dataset(problem, n_eval, seed() if callable(seed) else seed)
     clean = fresh.features @ problem.target_weights
     return tuple(_mean_and_std_error(_squared_errors(p, fresh.features, clean)) for p in predictors)
 

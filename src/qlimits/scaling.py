@@ -29,11 +29,11 @@ injected error, and each arm's table equals that of a sweep of the arm alone;
 the matching and measurement experiments are two named arm lists over it.
 
 Cells are scored by ``risk.excess_risks``: a linear predictor's excess risk
-is exact, ``s |w - w*|^2`` with standard error 0, and nothing is drawn, so a
-linear-kernel cell derives no evaluation seed; only Gaussian-kernel
-predictors are scored on ``n_eval`` points, by the mean of their squared
-distance to the clean target. Either way a median excess risk
-is a median of means of squares, so it is never negative.
+is exact, ``s |w - w*|^2`` with standard error 0, and nothing is drawn, nor
+is an evaluation seed derived; only Gaussian-kernel predictors are scored
+on ``n_eval`` points, by the mean of their squared distance to the clean
+target. Either way a median excess risk is a median of means of squares, so
+it is never negative.
 """
 
 from __future__ import annotations
@@ -233,8 +233,6 @@ def _sweep_cell(
         return (_failed(exc),) * len(arms)
     noisy = any(arm is not None for arm in arms)
     noise_seed = derive_seed(seed, "noise", n, trial) if noisy else None  # shared by the arms
-    # every predictor of a linear-kernel cell is linear, so excess_risks draws no sample
-    eval_seed = None if config.kernel.kind == "linear" else derive_seed(seed, "eval", n, trial)
     outcomes, predictors = {}, {}
     for i, arm in enumerate(arms):
         try:
@@ -247,7 +245,8 @@ def _sweep_cell(
         try:
             scored = [
                 (*pair, None) for pair in excess_risks(
-                    tuple(predictors.values()), problem, config.n_eval, seed=eval_seed
+                    tuple(predictors.values()), problem, config.n_eval,
+                    seed=lambda: derive_seed(seed, "eval", n, trial),  # derived only if it draws
                 )
             ]
         except QlimitsError as exc:

@@ -660,8 +660,8 @@ def test_cost_rejects_non_integer_n(tmp_path, n, capsys):
     assert not out.exists()
 
 
-_COST_READS = {  # algorithm -> the inputs it reads besides kappa and n
-    "log_error": {"gamma": [0.3, 0.01], "frobenius": 2.5},
+_COST_READS = {  # algorithm -> inputs it reads besides kappa and n; frobenius stays "sqrt_n"
+    "log_error": {"gamma": [0.3, 0.01]},
     "poly_error": {"gamma": [0.3, 0.01]},
     "matched": {"beta": 3, "c": 2},
 }
@@ -716,6 +716,8 @@ def test_cost_rows_are_direct_formula_calls_in_grid_order(tmp_path, algorithm):
     out = tmp_path / "c.csv"
     payload = {"algorithm": algorithm, **_COST_READS[algorithm], "n": sizes, "kappa": kappas,
                "out": str(out)}
+    if algorithm == "log_error":
+        payload["frobenius"] = 2.5
     assert _run(tmp_path, "cost", payload) == 0
     expected = []
     for size in sizes:
@@ -749,15 +751,20 @@ _COST_UNREAD = {  # algorithm -> a payload it runs on, and each key it does not 
 def test_cost_rejects_a_key_its_algorithm_does_not_read(tmp_path, algorithm, key, capsys):
     payload = {"algorithm": algorithm, **_COST_UNREAD[algorithm][0]}
     assert _run(tmp_path, "cost", {**payload, "out": str(tmp_path / "a.csv")}) == 0
-    # null is absent, so the same rows
-    nulled = {**payload, key: None, "out": str(tmp_path / "b.csv")}
-    assert _run(tmp_path, "cost", nulled) == 0
-    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
     capsys.readouterr()
-    given = {**payload, key: 2, "out": str(tmp_path / "c.csv")}  # a valid value of every key
+    given = {**payload, key: 2, "out": str(tmp_path / "b.csv")}  # a valid value of every key
     assert _run(tmp_path, "cost", given) == 2
     assert f"algorithm {algorithm!r} does not read `{key}`" in capsys.readouterr().err
-    assert not (tmp_path / "c.csv").exists()
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["kappa", "gamma", "n", "frobenius"])
+def test_cost_rejects_a_null_input(tmp_path, key, capsys):
+    # a read key given as null is not taken for an absent one
+    out = tmp_path / "c.csv"
+    assert _run(tmp_path, "cost", {"algorithm": "log_error", key: None, "out": str(out)}) == 2
+    assert f"field `{key}` in cost config must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,23 @@ def test_excess_risks_monte_carlo_path_is_the_old_estimate():
         assert excess_risk(predictor, problem, 5000, 21) == value
 
 
+def test_excess_risks_calls_a_seed_function_only_when_it_draws():
+    problem = make_problem(3, 0.5, seed=20)
+    data = sample_dataset(problem, 16, seed=22)
+    linear, gaussian = exact_ls(data), krr(data, Kernel("gaussian", 1.0))
+    calls = []
+
+    def seed():
+        calls.append(None)
+        return 21
+
+    assert excess_risks((linear,), problem, 500, seed) == excess_risks((linear,), problem, 500, 21)
+    assert calls == []
+    pair = (linear, gaussian)
+    assert excess_risks(pair, problem, 500, seed) == excess_risks(pair, problem, 500, 21)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("law", INPUT_LAWS)
 def test_clean_target_estimate_agrees_with_the_noisy_label_one(law):
     problem = make_problem(10, 0.5, law, seed=50)

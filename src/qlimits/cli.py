@@ -222,7 +222,7 @@ def cmd_fit(
     data = read_dataset_csv(dataset)
     if problem is not None and problem.dimension != data.dimension:
         raise ConfigError(f"problem dimension {problem.dimension} != dataset dimension {data.dimension}")
-    import_scipy_for(solver, kernel, problem.input_law if problem is not None else None)
+    import_scipy_for(kernel, problem.input_law if problem is not None else None)
     with single_blas_thread_or_warn():  # the report does not depend on the core count
         predictor = fit_solver(solver, data, kernel, solver_config)
         report = {

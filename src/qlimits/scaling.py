@@ -14,10 +14,12 @@ serial one for the sweep's duration, each pool worker for its lifetime), so
 N workers never start N BLAS threads each and a kernel solve rounds the same
 whatever the core count; where BLAS cannot be pinned, the sweep warns and
 runs with the default threads. A pin covers only the libraries already
-mapped, and importing scipy maps its own OpenBLAS; so ``import_scipy_for``
-loads the scipy modules a config's cells call (which depend on its solver,
-kernel and input law), and a config, each pool worker, the runtime ladder
-and ``qlimits fit`` call it before they pin.
+mapped, and importing scipy maps its own OpenBLAS. Every solver runs in the
+BLAS that numpy links, so the one scipy module a run can call is
+``scipy.special``, for the closed-form risk of a linear predictor on
+clipped-Gaussian inputs; ``import_scipy_for`` loads it for such a config,
+and a config, each pool worker, the runtime ladder and ``qlimits fit`` call
+it before they pin.
 
 A sweep scores one or more arms, and all of them share each (n, trial)
 cell: one training draw, one solve, one scoring. The exact arm scores the
@@ -113,15 +115,12 @@ def _check_solver(solver: str, kernel: Kernel) -> None:
         raise ConfigError(f"exact_ls fits a linear model and takes no {kernel.kind!r} kernel")
 
 
-def import_scipy_for(solver: str, kernel: Kernel, input_law: str | None) -> None:
-    """Import the scipy modules that fitting ``solver`` under ``kernel`` and
-    scoring it on ``input_law`` inputs call: ``scipy.linalg`` for the solvers
-    with an n x n Cholesky or dsymv, ``scipy.special`` for the closed-form
-    risk of a linear predictor on clipped-Gaussian inputs (a Gaussian-kernel
-    predictor is scored by Monte Carlo, which reads no scipy). Each maps
-    scipy's OpenBLAS, so a caller that pins BLAS calls this first."""
-    if solver in ("krr", "early_stopping_gd", "divide_and_conquer"):
-        import scipy.linalg  # noqa: F401
+def import_scipy_for(kernel: Kernel, input_law: str | None) -> None:
+    """Import ``scipy.special`` when scoring a ``kernel`` predictor on
+    ``input_law`` inputs calls it: the closed-form risk of a linear predictor
+    on clipped-Gaussian inputs (a Gaussian-kernel predictor is scored by
+    Monte Carlo, which reads no scipy). It maps scipy's OpenBLAS, so a caller
+    that pins BLAS calls this first."""
     if kernel.kind == "linear" and input_law == "gaussian_clipped":
         import scipy.special  # noqa: F401
 
@@ -160,7 +159,7 @@ class SweepConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.noise is not None and self.solver != "exact_ls":
             raise ConfigError("the noisy pipeline composes with exact_ls only")
-        import_scipy_for(self.solver, self.kernel, self.problem.input_law)
+        import_scipy_for(self.kernel, self.problem.input_law)
 
 
 @dataclass(frozen=True)
@@ -322,7 +321,7 @@ def _pin_worker(config: SweepConfig) -> None:
     """Pool initializer: load what the config's cells call, then every loaded
     BLAS at one thread for the worker's lifetime. A worker that did not fork
     from a loaded parent (a spawn or forkserver pool) loads it here."""
-    import_scipy_for(config.solver, config.kernel, config.problem.input_law)
+    import_scipy_for(config.kernel, config.problem.input_law)
     try:
         pin_single_thread()
     except QlimitsError as exc:
@@ -594,8 +593,7 @@ def runtime_benchmark(
     ).features
 
     solver_config = SolverConfig(lam=lam)
-    for sid in ids:
-        import_scipy_for(sid, kernel, problem.input_law)
+    import_scipy_for(kernel, problem.input_law)
     rows = []
     with single_blas_thread():
         for sid in ids:

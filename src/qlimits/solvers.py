@@ -13,11 +13,12 @@ solver falls back to an eigendecomposition with eigenvalues floored at 1e-12.
 Every direct solve is residual-checked to 1e-10 relative; one that misses is
 refined once, and raises NumericalError if it misses again. The small systems
 (``exact_ls``'s d x d, ``nystrom``'s m x m) are factored by numpy's Cholesky
-and solved through its two triangular factors. Only KRR's n x n Cholesky
-(divide and conquer's blocks too) and early-stopped gradient descent's dsymv
-call scipy, and each imports it inside the function, so ``import qlimits``
-loads no scipy. Importing scipy maps its own OpenBLAS, so a caller that pins
-BLAS loads it first (``scaling.import_scipy_for``).
+and solved through its two triangular factors. KRR's n x n system (divide
+and conquer's blocks too) is factored by LAPACK's ``dpotrf('U')`` on a
+Fortran-ordered copy of K + lam*n*I and solved by ``dpotrs``, and
+early-stopped gradient descent's products are ``dsymv`` calls: all three
+run in the BLAS that numpy links, through ``qlimits.blas``, so no solver
+imports scipy or maps a second BLAS.
 
 Kernel evaluation is the test-time cost of a dual predictor (n_eval x n
 entries), so it runs in BLAS and allocates as little as it can.
@@ -60,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import cholesky_solve, cholesky_upper, lower_symmetric_product
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -355,8 +357,6 @@ def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = No
     The built-in kernels are PSD by construction, so the full eigencheck runs
     only on the cold path where Cholesky factorization breaks down.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     n = dataset.n_samples
     lam = resolve_lam(lam, n)
     if not lam > 0:
@@ -364,8 +364,8 @@ def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = No
     k = kernel.matrix(dataset.features, dataset.features)
     k.flat[:: n + 1] += lam * n  # in place: K becomes K + lam*n*I
     try:
-        factor = cho_factor(k, check_finite=False)
-        solve = lambda r: cho_solve(factor, r, check_finite=False)
+        factor = cholesky_upper(k)  # a Fortran-ordered copy; criterion 7's KRR exponent needs it
+        solve = lambda r: cholesky_solve(factor, r)
     except np.linalg.LinAlgError:
         check_kernel_psd(kernel.matrix(dataset.features, dataset.features))
         solve = _eig_clip_solver(k)
@@ -388,9 +388,7 @@ def _symmetric_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     ``matrix.T`` is the Fortran-ordered view of a C-ordered matrix, so dsymv
     gets it without a copy, and its lower triangle is ``matrix``'s upper.
     """
-    from scipy.linalg.blas import dsymv
-
-    return dsymv(1.0, matrix.T, v, lower=1)
+    return lower_symmetric_product(matrix.T, v)
 
 
 def top_eigenvalue(matrix: np.ndarray, seed: int = 0) -> float:

@@ -135,19 +135,37 @@ _SPAWNED_WORKER = """
 import json, pickle, sys
 from qlimits import blas, scaling
 config = pickle.loads(sys.stdin.buffer.read())  # as a spawned worker gets it, never validated here
-before = sorted(m for m in sys.modules if m.startswith("scipy"))
+scipy_modules = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+before = scipy_modules()
 scaling._pin_worker(config)
-print(json.dumps({"before": before, "counts": blas.thread_counts()}))
+print(json.dumps({"before": before, "after": scipy_modules(), "counts": blas.thread_counts()}))
 """
+
+LINEAR_CLIPPED = scaling.SweepConfig(
+    n_grid=(16, 32, 64), trials=1, problem=scaling.ProblemSpec(dimension=3, input_law="gaussian_clipped")
+)
+
+
+def test_worker_that_did_not_fork_pins_numpys_one_blas_for_a_gaussian_krr():
+    # a spawn or forkserver worker starts from `import qlimits`, which loads no
+    # scipy; a Gaussian krr cell factors in numpy's own BLAS, so the worker
+    # loads no scipy and pins the one BLAS numpy maps
+    worker = _fresh_python(_SPAWNED_WORKER, stdin=pickle.dumps(GAUSSIAN_KRR))
+    assert worker["before"] == worker["after"] == []
+    assert len(worker["counts"]) == 1
+    assert set(worker["counts"]) <= set(blas.loaded_blas_paths())
+    assert set(worker["counts"].values()) == {1}
 
 
 def test_worker_that_did_not_fork_loads_scipy_before_it_pins():
-    # a spawn or forkserver worker starts from `import qlimits`, which loads no
-    # scipy, and unpickles its config without validating it; _pin_worker must
-    # still load (and so pin) the scipy OpenBLAS that a Gaussian krr cell calls
-    worker = _fresh_python(_SPAWNED_WORKER, stdin=pickle.dumps(GAUSSIAN_KRR))
+    # the one scipy module a cell can call is scipy.special, for the closed-form
+    # risk of a linear predictor on clipped inputs; a worker that unpickles such
+    # a config without validating it must still load (and so pin) scipy's OpenBLAS
+    worker = _fresh_python(_SPAWNED_WORKER, stdin=pickle.dumps(LINEAR_CLIPPED))
     assert worker["before"] == []
+    assert "scipy.special" in worker["after"]
     assert sorted(worker["counts"]) == blas.loaded_blas_paths()  # numpy's and scipy's here
+    assert len(worker["counts"]) == 2
     assert set(worker["counts"].values()) == {1}
 
 
@@ -203,3 +221,93 @@ def test_fit_pins_every_blas_its_scoring_loads(tmp_path):
         "out_predictor": str(tmp_path / "fit.pred.json"), "out_report": str(tmp_path / "fit.report.json"),
     }))
     _assert_pinned_in_the_first_fit(f"assert cli.main(['fit', '--config', {str(config)!r}]) == 0")
+
+
+# ---------------------------------------------------------------------------
+# LAPACK of the BLAS that numpy links
+
+
+def _spd(n: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def _strided(a: np.ndarray) -> np.ndarray:
+    """A non-contiguous view with ``a``'s values."""
+    return np.stack((a, a), axis=-1)[..., 0]
+
+
+LAYOUTS = {
+    "transposed": lambda a: a.T,
+    "strided": _strided,
+    "float32": lambda a: a.astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_lapack_entry_points_give_the_bits_of_their_float64_layout(layout):
+    # each entry point passes a Fortran-ordered float64 matrix and a contiguous
+    # float64 vector; any other input is copied to that layout first
+    change = LAYOUTS[layout]
+    spd = _spd(40, 3)
+    factor = blas.cholesky_upper(spd)
+    v = np.random.default_rng(4).standard_normal(40)
+
+    def matrix(a):
+        a = change(a)
+        return a, np.asfortranarray(a, dtype=np.float64)
+
+    def vector(x):
+        x = change(x)  # a vector's transpose is itself
+        return x, np.ascontiguousarray(x, dtype=np.float64)
+
+    changed, plain = matrix(spd)
+    assert blas.cholesky_upper(changed).tobytes() == blas.cholesky_upper(plain).tobytes()
+    for (f, f_plain), (b, b_plain) in [(matrix(factor), (v, v)), ((factor, factor), vector(v))]:
+        assert blas.cholesky_solve(f, b).tobytes() == blas.cholesky_solve(f_plain, b_plain).tobytes()
+    for (a, a_plain), (x, x_plain) in [(matrix(spd), (v, v)), ((spd, spd), vector(v))]:
+        assert (blas.lower_symmetric_product(a, x).tobytes()
+                == blas.lower_symmetric_product(a_plain, x_plain).tobytes())
+
+
+def test_lapack_entry_points_compute_what_they_name():
+    spd = _spd(30, 5)
+    junk = 1e3 * np.random.default_rng(7).standard_normal((30, 30))
+    v = np.random.default_rng(6).standard_normal(30)
+    # the factor reads only the upper triangle, the product only the lower
+    factor = blas.cholesky_upper(np.triu(spd) + np.tril(junk, -1))
+    upper = np.triu(factor)
+    assert np.abs(upper.T @ upper - spd).max() <= 1e-13 * np.abs(spd).max()
+    assert np.abs(spd @ blas.cholesky_solve(factor, v) - v).max() <= 1e-12 * np.abs(v).max()
+    product = blas.lower_symmetric_product(np.tril(spd) + np.triu(junk, 1), v)
+    assert np.abs(product - spd @ v).max() <= 1e-13 * np.abs(spd @ v).max()
+    assert v.tobytes() == np.random.default_rng(6).standard_normal(30).tobytes()  # inputs unchanged
+
+
+def test_cholesky_of_an_indefinite_matrix_raises_linalg_error():
+    with pytest.raises(np.linalg.LinAlgError, match="order 2"):
+        blas.cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_lapack_entry_points_reject_mismatched_shapes():
+    with pytest.raises(qlimits.DimensionMismatchError):
+        blas.cholesky_upper(np.ones((2, 3)))
+    with pytest.raises(qlimits.DimensionMismatchError):
+        blas.cholesky_solve(np.eye(3), np.ones(4))
+    with pytest.raises(qlimits.DimensionMismatchError):
+        blas.lower_symmetric_product(np.eye(3), np.ones((3, 1)))
+
+
+def test_library_without_lapack_names_raises_naming_it():
+    with pytest.raises(QlimitsError, match="libc.*dpotrf, dpotrs and dsymv"):
+        blas._find_lapack(LIBC)
+
+
+def test_sweep_without_lapack_records_the_reason_in_its_failed_cells(monkeypatch):
+    monkeypatch.setattr(blas, "_LAPACK_HOST", LIBC)
+    table = scaling.sweep_excess_risk(GAUSSIAN_KRR)
+    assert [(r.trials_ok, r.trials_failed) for r in table.rows] == [(0, 1)] * 3
+    for row in table.rows:
+        ((kind, count, message),) = row.failures
+        assert (kind, count) == ("QlimitsError", 1)
+        assert "libc" in message and "dpotrf" in message

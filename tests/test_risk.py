@@ -369,25 +369,37 @@ print(json.dumps({"loaded": loaded, "kernel_hex": kernel_hex, "moment_hex": mome
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # import scipy.linalg alone is about half of a linear run's start-up, a
+    # import scipy.linalg alone is about half of a kernel run's start-up, a
     # process pool's machinery (multiprocessing, socket, subprocess, logging)
     # about 1.8 MB of a serial sweep's peak, and numpy.ma (which np.median and
-    # np.percentile load) about 0.75 MB; these runs call none of them, so they
-    # must not load any of it
+    # np.percentile load, and scipy loads too) about 0.75 MB; these runs call
+    # none of them, so they must not load any of it. The kernel solvers'
+    # Cholesky and dsymv run in numpy's own BLAS (qlimits.blas).
+    gaussian_kernel = {"kind": "gaussian", "bandwidth": 1.0}
     gaussian = {"n_grid": [16, 32, 64], "trials": 2, "workers": 1, "solver": "nystrom",
-                "kernel": {"kind": "gaussian", "bandwidth": 1.0}, "n_eval": 64}
+                "kernel": gaussian_kernel, "n_eval": 64}
     configs = {
         "cost": {"algorithm": "poly_error", "kappa": 2.0, "gamma": 0.1, "n": [64, 256]},
         "generate": {"problem": {"dimension": 3, "seed": 1}, "n": 32},
         "bench": {"solver_ids": ["exact_ls"], "n_grid": [16, 32, 64], "reps": 1, "timer_window": 0.001},
+        "bench-krr": {"solver_ids": ["krr"], "n_grid": [16, 32, 64], "reps": 1, "timer_window": 0.001},
+        "fit-krr": {"dataset": str(tmp_path / "generate.csv"), "solver": "krr", "kernel": gaussian_kernel},
         "sweep-linear": {"n_grid": [16, 32, 64], "trials": 2, "workers": 1},
         "sweep-nystrom": gaussian,
         # a Gaussian predictor is scored by Monte Carlo, so clipped inputs need no scipy.special
         "sweep-nystromclipped": {**gaussian, "problem": {"input_law": "gaussian_clipped"}},
+        "sweep-krr": {**gaussian, "solver": "krr"},
+        "sweep-gd": {**gaussian, "solver": "early_stopping_gd"},
+        "sweep-dnc": {**gaussian, "solver": "divide_and_conquer", "solver_config": {"partitions": 2}},
     }
     for run, config in configs.items():
-        out = {"out": str(tmp_path / f"{run}.csv")} if run in ("cost", "generate") else {
-            "out_csv": str(tmp_path / f"{run}.csv"), "out_json": str(tmp_path / f"{run}.out.json")}
+        if run in ("cost", "generate"):
+            out = {"out": str(tmp_path / f"{run}.csv")}
+        elif run.startswith("fit"):
+            out = {"out_predictor": str(tmp_path / f"{run}.pred.json"),
+                   "out_report": str(tmp_path / f"{run}.report.json")}
+        else:
+            out = {"out_csv": str(tmp_path / f"{run}.csv"), "out_json": str(tmp_path / f"{run}.out.json")}
         (tmp_path / f"{run}.json").write_text(json.dumps({**config, **out}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(qlimits.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

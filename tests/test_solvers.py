@@ -29,7 +29,7 @@ from qlimits import (
     predict_batch,
     sample_dataset,
 )
-from qlimits import solvers
+from qlimits import blas, solvers
 from qlimits.errors import KernelNotPSDError
 from qlimits.rng import child_rng, derive_seed
 from qlimits.solvers import (
@@ -469,6 +469,46 @@ def test_linear_nystrom_agrees_with_the_scipy_solve_through_the_clipped_fallback
                 scipy_fit = nystrom(ds, LINEAR_KERNEL, config)
             assert _relative_gap(linear_weights(numpy_fit), linear_weights(scipy_fit)) <= 1e-12, (n, trial)
     assert paths.count("eig_clip") >= 10  # of 20: the fallback is what this compares
+
+
+def _patch_scipy_lapack(patch) -> None:
+    """The n x n Cholesky and dsymv as they ran on scipy: cho_factor, cho_solve
+    and scipy's dsymv in place of qlimits.blas's entry points."""
+    patch.setattr(solvers, "cholesky_upper", lambda k: scipy.linalg.cho_factor(k, check_finite=False))
+    patch.setattr(solvers, "cholesky_solve", lambda f, r: scipy.linalg.cho_solve(f, r, check_finite=False))
+    patch.setattr(solvers, "lower_symmetric_product",
+                  lambda a, x: scipy.linalg.blas.dsymv(1.0, a, x, lower=1))
+
+
+def _coefficients(fit):
+    return fit.weights if isinstance(fit, PrimalPredictor) else fit.coefficients
+
+
+@pytest.mark.parametrize("kernel", [LINEAR_KERNEL, GAUSS], ids=["linear", "gaussian"])
+@pytest.mark.parametrize("solver", ["krr", "early_stopping_gd", "divide_and_conquer"])
+def test_kernel_solvers_agree_with_the_scipy_lapack_calls(solver, kernel, monkeypatch):
+    problem = make_problem(10, 0.5, seed=3)
+    for n in (64, 256, 1024, 2048):
+        ds = sample_dataset(problem, n, derive_seed(0, "data", n))
+        config = SolverConfig(partitions=4, seed=n)
+        numpy_fit = fit_solver(solver, ds, kernel, config)
+        with monkeypatch.context() as patch:
+            _patch_scipy_lapack(patch)
+            scipy_fit = fit_solver(solver, ds, kernel, config)
+        assert _relative_gap(_coefficients(numpy_fit), _coefficients(scipy_fit)) <= 1e-12, n
+
+
+def test_krr_cholesky_breakdown_takes_the_clipped_eigen_solve(monkeypatch):
+    _, ds = _random_ds(80, 3, sigma=0.3, seed=5)
+    expected = krr(ds, GAUSS, 0.01).coefficients
+    clipped = []
+    eig_clip_solver = solvers._eig_clip_solver
+    # dpotrf itself breaks down: -K has a negative leading minor of order 1
+    monkeypatch.setattr(solvers, "cholesky_upper", lambda k: blas.cholesky_upper(-k))
+    monkeypatch.setattr(solvers, "_eig_clip_solver", lambda m: clipped.append(m) or eig_clip_solver(m))
+    fallback = krr(ds, GAUSS, 0.01).coefficients
+    assert len(clipped) == 1
+    assert _relative_gap(fallback, expected) <= 1e-10
 
 
 def test_nystrom_rejects_too_many_landmarks():

@@ -3,7 +3,9 @@ reach the LAPACK routines of the BLAS that numpy links.
 
 numpy and scipy each ship their own OpenBLAS, exported under different
 symbol prefixes (``scipy_openblas_...64_`` in numpy's copy,
-``scipy_openblas_...`` in scipy's). The libraries are found in
+``scipy_openblas_...`` in scipy's). qlimits imports no scipy, but a caller
+that does maps the second one, so a pin covers every library mapped when it
+is set. The libraries are found in
 ``/proc/self/maps`` and driven through ctypes, so no extra package is
 needed. A BLAS that cannot be set to one thread and read back at one
 thread (MKL, BLIS, a reference BLAS, or no ``/proc``) is an error: timing a

@@ -35,7 +35,6 @@ from .scaling import (
     SweepConfig,
     bench_summary,
     fit_solver,
-    import_scipy_for,
     matching_experiment,
     matching_summary,
     measurement_experiment,
@@ -222,7 +221,6 @@ def cmd_fit(
     data = read_dataset_csv(dataset)
     if problem is not None and problem.dimension != data.dimension:
         raise ConfigError(f"problem dimension {problem.dimension} != dataset dimension {data.dimension}")
-    import_scipy_for(kernel, problem.input_law if problem is not None else None)
     with single_blas_thread_or_warn():  # the report does not depend on the core count
         predictor = fit_solver(solver, data, kernel, solver_config)
         report = {
@@ -277,8 +275,11 @@ def cmd_sweep(
 ) -> int:
     """The remaining keys are SweepConfig's; ``matching`` and ``measurement``
     hold the options of matching_experiment and measurement_experiment.
-    Without ``workers`` the sweep runs one worker per core."""
-    workers = (os.cpu_count() or 1) if workers is None else workers
+    Without ``workers`` the sweep runs one worker per core this process may
+    run on (its CPU affinity, where the platform has one)."""
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     config = _build(SweepConfig, sweep, "sweep config", workers=workers)
     payload = {
         "schema_version": SCHEMA_VERSION,

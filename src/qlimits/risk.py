@@ -19,6 +19,7 @@ invariant under permutation of the data and reproducible across platforms.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -98,6 +99,21 @@ def expected_risk_mc(
     return RiskEstimate(value=value, std_error=std_error, n_eval=n_eval)
 
 
+def _upper_gamma(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) at an integer or half-integer
+    ``a > 0``: the finite sum of ``e^-x x^j / Gamma(j + 1)`` over j = a - 1,
+    a - 2, ... down to 0 or 1/2, plus ``erfc(sqrt x)`` at a half-integer. Each
+    term is the last times ``x / j``, so none overflows."""
+    j = a % 1.0
+    term = math.exp(-x) * x**j / math.gamma(j + 1)
+    total = math.erfc(math.sqrt(x)) if j else 0.0
+    while j < a:
+        total += term
+        j += 1
+        term *= x / j
+    return total
+
+
 def input_second_moment(problem: SyntheticProblem) -> float:
     """``s`` with ``E[x x^T] = s I`` under the problem's input law.
 
@@ -108,17 +124,9 @@ def input_second_moment(problem: SyntheticProblem) -> float:
     d = problem.dimension
     if problem.input_law == "unit_sphere_uniform":
         return 1.0 / d
-    # `import qlimits` loads no scipy: scipy.special loads here, on the
-    # clipped-Gaussian path alone, and maps scipy's OpenBLAS, so a sweep or fit
-    # that scores a linear predictor on such inputs loads it before it pins
-    # BLAS (scaling.import_scipy_for).
-    # scipy.stats, which costs about as much to import as all of qlimits,
-    # never loads.
-    from scipy.special import gammainc, gammaincc
-
     r2 = problem.input_radius**2
-    # P(chi2_k <= x) = gammainc(k/2, x/2), its complement gammaincc
-    return float(gammainc((d + 2) / 2, r2 / 2) + (r2 / d) * gammaincc(d / 2, r2 / 2))
+    # P(chi2_k > y) = Q(k/2, y/2)
+    return 1.0 - _upper_gamma((d + 2) / 2, r2 / 2) + (r2 / d) * _upper_gamma(d / 2, r2 / 2)
 
 
 def linear_weights(predictor: Predictor) -> np.ndarray | None:

@@ -14,12 +14,8 @@ serial one for the sweep's duration, each pool worker for its lifetime), so
 N workers never start N BLAS threads each and a kernel solve rounds the same
 whatever the core count; where BLAS cannot be pinned, the sweep warns and
 runs with the default threads. A pin covers only the libraries already
-mapped, and importing scipy maps its own OpenBLAS. Every solver runs in the
-BLAS that numpy links, so the one scipy module a run can call is
-``scipy.special``, for the closed-form risk of a linear predictor on
-clipped-Gaussian inputs; ``import_scipy_for`` loads it for such a config,
-and a config, each pool worker, the runtime ladder and ``qlimits fit`` call
-it before they pin.
+mapped; every solver and scoring path runs in the BLAS that numpy links and
+imports no scipy, so no run maps a library after its pin.
 
 A sweep scores one or more arms, and all of them share each (n, trial)
 cell: one training draw, one solve, one scoring. The exact arm scores the
@@ -87,7 +83,7 @@ KRR_TRAIN_EXPONENT_RANGE = (2.3, 3.5)
 NYSTROM_EXPONENT_GAP_MIN = 0.7
 PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 DESK_SCALE_CAP = 8192
 
 
@@ -113,16 +109,6 @@ def _check_solver(solver: str, kernel: Kernel) -> None:
         raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVER_IDS}")
     if solver == "exact_ls" and kernel.kind != "linear":
         raise ConfigError(f"exact_ls fits a linear model and takes no {kernel.kind!r} kernel")
-
-
-def import_scipy_for(kernel: Kernel, input_law: str | None) -> None:
-    """Import ``scipy.special`` when scoring a ``kernel`` predictor on
-    ``input_law`` inputs calls it: the closed-form risk of a linear predictor
-    on clipped-Gaussian inputs (a Gaussian-kernel predictor is scored by
-    Monte Carlo, which reads no scipy). It maps scipy's OpenBLAS, so a caller
-    that pins BLAS calls this first."""
-    if kernel.kind == "linear" and input_law == "gaussian_clipped":
-        import scipy.special  # noqa: F401
 
 
 def _check_grid(n_grid) -> tuple[int, ...]:
@@ -159,7 +145,6 @@ class SweepConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.noise is not None and self.solver != "exact_ls":
             raise ConfigError("the noisy pipeline composes with exact_ls only")
-        import_scipy_for(self.kernel, self.problem.input_law)
 
 
 @dataclass(frozen=True)
@@ -317,11 +302,11 @@ def single_blas_thread_or_warn():
         yield
 
 
-def _pin_worker(config: SweepConfig) -> None:
-    """Pool initializer: load what the config's cells call, then every loaded
-    BLAS at one thread for the worker's lifetime. A worker that did not fork
-    from a loaded parent (a spawn or forkserver pool) loads it here."""
-    import_scipy_for(config.kernel, config.problem.input_law)
+def _pin_worker() -> None:
+    """Pool initializer: every loaded BLAS at one thread for the worker's
+    lifetime. A worker's cells call only numpy's BLAS, which ``import qlimits``
+    has mapped, so a worker that did not fork (a spawn or forkserver pool)
+    pins it too."""
     try:
         pin_single_thread()
     except QlimitsError as exc:
@@ -341,9 +326,7 @@ def _sweep_arms(
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(config.workers, len(tasks))  # a forked pool starts all its workers at once
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pin_worker, initargs=(config,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker) as pool:
             cells = list(pool.map(_sweep_cell, tasks))
     else:
         with single_blas_thread_or_warn():
@@ -593,7 +576,6 @@ def runtime_benchmark(
     ).features
 
     solver_config = SolverConfig(lam=lam)
-    import_scipy_for(kernel, problem.input_law)
     rows = []
     with single_blas_thread():
         for sid in ids:

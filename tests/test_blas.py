@@ -103,9 +103,7 @@ GAUSSIAN_KRR = scaling.SweepConfig(
 
 
 def test_sweep_pool_worker_runs_one_blas_thread(two_threads):
-    with ProcessPoolExecutor(
-        max_workers=1, initializer=scaling._pin_worker, initargs=(GAUSSIAN_KRR,)
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=1, initializer=scaling._pin_worker) as pool:
         counts = pool.submit(blas.thread_counts).result()
     assert len(counts) >= 1
     assert set(counts.values()) == {1}
@@ -115,7 +113,7 @@ def test_sweep_pool_worker_runs_one_blas_thread(two_threads):
 def test_sweep_worker_that_cannot_pin_warns_and_runs(monkeypatch):
     monkeypatch.setattr(blas, "loaded_blas_paths", lambda: [LIBC])
     with pytest.warns(RuntimeWarning, match="libc"):
-        scaling._pin_worker(GAUSSIAN_KRR)
+        scaling._pin_worker()
 
 
 def _fresh_python(code: str, *args: str, stdin: bytes = b"") -> dict:
@@ -134,10 +132,12 @@ def _fresh_python(code: str, *args: str, stdin: bytes = b"") -> dict:
 _SPAWNED_WORKER = """
 import json, pickle, sys
 from qlimits import blas, scaling
-config = pickle.loads(sys.stdin.buffer.read())  # as a spawned worker gets it, never validated here
+config = pickle.loads(sys.stdin.buffer.read())  # as a spawned worker gets its cells, never validated here
 scipy_modules = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 before = scipy_modules()
-scaling._pin_worker(config)
+scaling._pin_worker()
+((excess, _, error),) = scaling._sweep_cell((config, config.problem.build(), (None,), config.n_grid[0], 0))
+assert error is None and excess > 0, error
 print(json.dumps({"before": before, "after": scipy_modules(), "counts": blas.thread_counts()}))
 """
 
@@ -146,26 +146,16 @@ LINEAR_CLIPPED = scaling.SweepConfig(
 )
 
 
-def test_worker_that_did_not_fork_pins_numpys_one_blas_for_a_gaussian_krr():
+@pytest.mark.parametrize("config", [GAUSSIAN_KRR, LINEAR_CLIPPED], ids=["gaussian_krr", "linear_clipped"])
+def test_worker_that_did_not_fork_pins_numpys_one_blas(config):
     # a spawn or forkserver worker starts from `import qlimits`, which loads no
-    # scipy; a Gaussian krr cell factors in numpy's own BLAS, so the worker
-    # loads no scipy and pins the one BLAS numpy maps
-    worker = _fresh_python(_SPAWNED_WORKER, stdin=pickle.dumps(GAUSSIAN_KRR))
+    # scipy; a Gaussian krr cell factors in numpy's own BLAS and a linear cell on
+    # clipped inputs takes its second moment from `math`, so the worker loads
+    # no scipy before or after its pin and pins the one BLAS numpy maps
+    worker = _fresh_python(_SPAWNED_WORKER, stdin=pickle.dumps(config))
     assert worker["before"] == worker["after"] == []
     assert len(worker["counts"]) == 1
     assert set(worker["counts"]) <= set(blas.loaded_blas_paths())
-    assert set(worker["counts"].values()) == {1}
-
-
-def test_worker_that_did_not_fork_loads_scipy_before_it_pins():
-    # the one scipy module a cell can call is scipy.special, for the closed-form
-    # risk of a linear predictor on clipped inputs; a worker that unpickles such
-    # a config without validating it must still load (and so pin) scipy's OpenBLAS
-    worker = _fresh_python(_SPAWNED_WORKER, stdin=pickle.dumps(LINEAR_CLIPPED))
-    assert worker["before"] == []
-    assert "scipy.special" in worker["after"]
-    assert sorted(worker["counts"]) == blas.loaded_blas_paths()  # numpy's and scipy's here
-    assert len(worker["counts"]) == 2
     assert set(worker["counts"].values()) == {1}
 
 

@@ -64,7 +64,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     problem = make_problem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 10
+    assert echo["schema_version"] == 11
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -366,7 +366,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 10
+    assert summary["schema_version"] == 11
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]
@@ -441,11 +441,22 @@ def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
 def test_sweep_without_workers_runs_one_worker_per_core(tmp_path, monkeypatch):
     payload = _sweep_payload(tmp_path)
     del payload["workers"]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # a platform without affinity
     for cores, workers in ((None, 1), (2, 2)):  # os.cpu_count() is None when unknown
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert _run(tmp_path, "sweep", payload) == 0
         summary = json.loads((tmp_path / "sweep.json").read_text())
         assert summary["config"]["workers"] == workers
+
+
+def test_sweep_without_workers_runs_one_worker_per_core_it_may_use(tmp_path, monkeypatch):
+    # under taskset or a cpuset the process may run on fewer cores than the host has
+    payload = _sweep_payload(tmp_path)
+    del payload["workers"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _run(tmp_path, "sweep", payload) == 0
+    assert json.loads((tmp_path / "sweep.json").read_text())["config"]["workers"] == 1
 
 
 def test_sweep_set_override(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincc
 
 import qlimits
 from qlimits import (
@@ -245,6 +244,20 @@ def test_input_second_moment_matches_a_direct_draw(law, d):
     assert moment == pytest.approx(oracle, rel=1e-10)
 
 
+def test_clipped_second_moment_gives_the_bits_of_scipys_incomplete_gamma_form():
+    from scipy.special import gammainc, gammaincc  # the oracle; qlimits imports no scipy
+
+    for d in range(1, 601):
+        problem = make_problem(d, 0.1, "gaussian_clipped", seed=d)
+        r2 = problem.input_radius**2
+        oracle = float(gammainc((d + 2) / 2, r2 / 2) + (r2 / d) * gammaincc(d / 2, r2 / 2))
+        moment = input_second_moment(problem)
+        if d == 1:  # the one d whose last bit differs
+            assert abs(moment - oracle) <= math.ulp(oracle), (moment.hex(), oracle.hex())
+        else:
+            assert moment.hex() == oracle.hex(), d
+
+
 @pytest.mark.parametrize("law", INPUT_LAWS)
 def test_closed_form_agrees_with_monte_carlo(law):
     problem = make_problem(10, 0.5, law, seed=30)
@@ -363,9 +376,37 @@ config_dir = sys.argv[1]
 for run in sys.argv[2:]:  # named <command>[-<what>], configured in <run>.json
     assert cli.main([run.split("-")[0], "--config", f"{config_dir}/{run}.json"]) == 0, run
     loaded[run] = unloaded_modules()
-moment = qlimits.input_second_moment(qlimits.make_problem(3, 0.1, "gaussian_clipped"))
-print(json.dumps({"loaded": loaded, "kernel_hex": kernel_hex, "moment_hex": moment.hex()}))
+print(json.dumps({"loaded": loaded, "kernel_hex": kernel_hex}))
 """
+
+_GAUSSIAN_KERNEL = {"kind": "gaussian", "bandwidth": 1.0}
+_CLIPPED = {"dimension": 3, "seed": 1, "input_law": "gaussian_clipped"}
+
+
+def _run_in_a_fresh_python(code: str, tmp_path, configs: dict) -> tuple[dict, dict]:
+    """Write each run's config, with its outputs in ``tmp_path``, then run
+    ``code`` on them in a new interpreter; return the JSON object on the last
+    line of its stdout and the output files of every run."""
+    outputs = {}
+    for run, config in configs.items():
+        command = run.split("-")[0]
+        if command in ("cost", "generate"):
+            out = {"out": str(tmp_path / f"{run}.csv")}
+        elif command == "fit":
+            out = {"out_predictor": str(tmp_path / f"{run}.pred.json"),
+                   "out_report": str(tmp_path / f"{run}.report.json")}
+        else:
+            out = {"out_csv": str(tmp_path / f"{run}.csv"), "out_json": str(tmp_path / f"{run}.out.json")}
+        outputs[run] = [tmp_path / path for path in out.values()]
+        (tmp_path / f"{run}.json").write_text(json.dumps({**config, **out}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qlimits.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *configs],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1]), outputs
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -374,44 +415,67 @@ def test_import_loads_no_scipy(tmp_path):
     # about 1.8 MB of a serial sweep's peak, and numpy.ma (which np.median and
     # np.percentile load, and scipy loads too) about 0.75 MB; these runs call
     # none of them, so they must not load any of it. The kernel solvers'
-    # Cholesky and dsymv run in numpy's own BLAS (qlimits.blas).
-    gaussian_kernel = {"kind": "gaussian", "bandwidth": 1.0}
+    # Cholesky and dsymv run in numpy's own BLAS (qlimits.blas), and a linear
+    # predictor's closed-form risk on clipped inputs takes its moment from math.
     gaussian = {"n_grid": [16, 32, 64], "trials": 2, "workers": 1, "solver": "nystrom",
-                "kernel": gaussian_kernel, "n_eval": 64}
+                "kernel": _GAUSSIAN_KERNEL, "n_eval": 64}
+    linear = {"n_grid": [16, 32, 64], "trials": 2, "workers": 1}
     configs = {
         "cost": {"algorithm": "poly_error", "kappa": 2.0, "gamma": 0.1, "n": [64, 256]},
         "generate": {"problem": {"dimension": 3, "seed": 1}, "n": 32},
         "bench": {"solver_ids": ["exact_ls"], "n_grid": [16, 32, 64], "reps": 1, "timer_window": 0.001},
         "bench-krr": {"solver_ids": ["krr"], "n_grid": [16, 32, 64], "reps": 1, "timer_window": 0.001},
-        "fit-krr": {"dataset": str(tmp_path / "generate.csv"), "solver": "krr", "kernel": gaussian_kernel},
-        "sweep-linear": {"n_grid": [16, 32, 64], "trials": 2, "workers": 1},
+        "fit-krr": {"dataset": str(tmp_path / "generate.csv"), "solver": "krr", "kernel": _GAUSSIAN_KERNEL},
+        "fit-linearclipped": {"dataset": str(tmp_path / "generate.csv"), "solver": "exact_ls",
+                              "problem": _CLIPPED},
+        "sweep-linear": linear,
+        "sweep-linearclipped": {**linear, "problem": {"input_law": "gaussian_clipped"}},
         "sweep-nystrom": gaussian,
-        # a Gaussian predictor is scored by Monte Carlo, so clipped inputs need no scipy.special
         "sweep-nystromclipped": {**gaussian, "problem": {"input_law": "gaussian_clipped"}},
         "sweep-krr": {**gaussian, "solver": "krr"},
         "sweep-gd": {**gaussian, "solver": "early_stopping_gd"},
         "sweep-dnc": {**gaussian, "solver": "divide_and_conquer", "solver_config": {"partitions": 2}},
     }
-    for run, config in configs.items():
-        if run in ("cost", "generate"):
-            out = {"out": str(tmp_path / f"{run}.csv")}
-        elif run.startswith("fit"):
-            out = {"out_predictor": str(tmp_path / f"{run}.pred.json"),
-                   "out_report": str(tmp_path / f"{run}.report.json")}
-        else:
-            out = {"out_csv": str(tmp_path / f"{run}.csv"), "out_json": str(tmp_path / f"{run}.out.json")}
-        (tmp_path / f"{run}.json").write_text(json.dumps({**config, **out}))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qlimits.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path), *configs],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    probe = json.loads(done.stdout.splitlines()[-1])
+    probe, _ = _run_in_a_fresh_python(_NO_SCIPY_PROBE, tmp_path, configs)
     assert probe["loaded"] == {step: [] for step in ("import qlimits", "Kernel.matrix", *configs)}
     # a Gaussian kernel gives the bytes it gives in this process
     a = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
     assert probe["kernel_hex"] == Kernel("gaussian", 0.7).matrix(a, a[::-1]).tobytes().hex()
-    # the lazily imported gammainc gives the value of the module-level import
-    r2 = make_problem(3, 0.1, "gaussian_clipped").input_radius ** 2
-    assert probe["moment_hex"] == float(gammainc(2.5, r2 / 2) + (r2 / 3) * gammaincc(1.5, r2 / 2)).hex()
+
+
+_WITHOUT_SCIPY_PROBE = """
+import importlib.abc, json, sys
+
+class NotInstalled(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+sys.meta_path.insert(0, NotInstalled())
+from qlimits import cli
+config_dir = sys.argv[1]
+print(json.dumps({run: cli.main([run.split("-")[0], "--config", f"{config_dir}/{run}.json"])
+                  for run in sys.argv[2:]}))
+"""
+
+
+def test_every_command_runs_where_scipy_is_not_installed(tmp_path):
+    linear_clipped = {"n_grid": [16, 32, 64], "trials": 2, "workers": 1, "problem": _CLIPPED}
+    configs = {
+        "generate": {"problem": _CLIPPED, "n": 32},
+        "cost": {"algorithm": "poly_error", "kappa": 2.0, "gamma": 0.1, "n": [64, 256]},
+        "bench": {"solver_ids": ["exact_ls"], "n_grid": [16, 32, 64], "reps": 1, "timer_window": 0.001},
+        "fit-linearclipped": {"dataset": str(tmp_path / "generate.csv"), "solver": "exact_ls",
+                              "problem": _CLIPPED},
+        "fit-krr": {"dataset": str(tmp_path / "generate.csv"), "solver": "krr",
+                    "kernel": _GAUSSIAN_KERNEL, "problem": _CLIPPED, "n_eval": 64},
+        "sweep-rate": linear_clipped,
+        "sweep-measurement": {**linear_clipped, "mode": "measurement"},
+    }
+    exits, outputs = _run_in_a_fresh_python(_WITHOUT_SCIPY_PROBE, tmp_path, configs)
+    assert exits == {run: 0 for run in configs}
+    for run, files in outputs.items():
+        for path in files:
+            assert path.stat().st_size > 0, (run, path.name)

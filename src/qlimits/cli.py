@@ -274,9 +274,14 @@ def cmd_sweep(
     **sweep,
 ) -> int:
     """The remaining keys are SweepConfig's; ``matching`` and ``measurement``
-    hold the options of matching_experiment and measurement_experiment.
-    Without ``workers`` the sweep runs one worker per core this process may
-    run on (its CPU affinity, where the platform has one)."""
+    hold the options of matching_experiment and measurement_experiment, and
+    a mode that does not read a block must not be given it. Without
+    ``workers`` the sweep runs one worker per core this process may run on
+    (its CPU affinity, where the platform has one)."""
+    unread = [key for key, block in (("matching", matching), ("measurement", measurement))
+              if block is not None and key != mode]
+    if unread:
+        raise ConfigError(f"mode {mode!r} does not read {', '.join(f'`{k}`' for k in unread)}")
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)

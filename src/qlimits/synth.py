@@ -20,6 +20,9 @@ INPUT_LAWS = ("unit_sphere_uniform", "gaussian_clipped")
 
 GAUSSIAN_CLIP_FACTOR = 3.0
 
+# Entries of x squared at a time for the input norms (64 KiB of float64)
+NORM_BLOCK_ENTRIES = 1 << 13
+
 
 @dataclass(frozen=True, eq=False)
 class SyntheticProblem:
@@ -124,9 +127,15 @@ def unit_vector(rng: np.random.Generator, dimension: int) -> np.ndarray:
 
 def _sample_inputs(problem: SyntheticProblem, n: int, rng: np.random.Generator) -> np.ndarray:
     x = rng.standard_normal((n, problem.dimension))
-    # np.linalg.norm's sum of squares, without the copy its conj() makes; x is
-    # then scaled in place, so a draw holds one n x d temporary
-    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    # np.linalg.norm's sum of squares, without the copy its conj() makes, taken
+    # one row block at a time; x is then scaled in place, so a draw holds x, its
+    # n norms and one block of squares, never a second n x d array
+    norms = np.empty(n)
+    rows = max(1, NORM_BLOCK_ENTRIES // problem.dimension)
+    for start in range(0, n, rows):
+        block = x[start:start + rows]
+        np.add.reduce(block * block, axis=1, out=norms[start:start + rows])
+    np.sqrt(norms, out=norms)
     if problem.input_law == "unit_sphere_uniform":
         # A zero draw has probability zero; guard against it anyway.
         norms[norms < 1e-12] = 1.0
@@ -145,11 +154,13 @@ def sample_dataset(problem: SyntheticProblem, n: int, seed: int = 0) -> Dataset:
         raise ConfigError(f"sample size `n` must be >= 1, got {n}")
     rng = child_rng(seed, "dataset")
     x = _sample_inputs(problem, n, rng)
-    clean = x @ problem.target_weights
+    labels = x @ problem.target_weights
     if problem.noise_std > 0:
-        labels = clean + problem.noise_std * rng.standard_normal(n)
-    else:
-        labels = clean
+        # clean + noise_std * z in place; the noise vector is dropped before Dataset checks x
+        noise = rng.standard_normal(n)
+        noise *= problem.noise_std
+        labels += noise
+        del noise
     return Dataset(features=x, labels=labels, seed=seed)
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import ctypes.util
+import hashlib
 import inspect
 import json
 import math
@@ -31,6 +32,7 @@ from qlimits.qmodel import (
 )
 from qlimits.rng import derive_seed
 from qlimits.solvers import load_predictor, predictor_to_json
+from test_benchmark_workloads import _reference_environment_differs
 
 
 def _write_config(path, payload):
@@ -229,6 +231,34 @@ def _gaussian_krr_fit(tmp_path):
     return (tmp_path / "pred.json").read_bytes(), (tmp_path / "report.json").read_bytes()
 
 
+# The sha256 of each file written by README's example generate config, then by
+# a Gaussian krr fit of that dataset scored against its problem on the default
+# n_eval points: both draws go through sample_dataset. They were written in
+# the environment of test_benchmark_workloads.REFERENCE_SHA256.
+REFERENCE_GENERATE_FIT_SHA256 = {
+    "train.csv": "cf5c8caae461058ecbd95675531fd68080eeba900928be550a837d2763b6f354",
+    "train.csv.config.json": "69d6551159af280f7e2c470f9f4382c1cfe76d17a3c7a0d51410231b8de2fe0c",
+    "krr.pred.json": "f85cd1ee1b54df4f85439aa667a1a05197f95eee45d9f7fefcd84956b4adeb39",
+    "krr.report.json": "cbd64cea1a82366551a47c348f15d600072006839b571e247060798e84155eec",
+}
+
+
+def test_generate_and_fit_write_the_reference_bytes(tmp_path, monkeypatch):
+    differs = _reference_environment_differs()
+    if differs is not None:
+        pytest.skip(f"not the environment that wrote the reference sha256s: {differs}")
+    monkeypatch.chdir(tmp_path)  # relative paths, as in README, so the echoes match too
+    problem = {"dimension": 10, "noise_std": 0.5, "seed": 0}
+    assert _run(tmp_path, "generate", {"problem": problem, "n": 1024, "out": "train.csv"}) == 0
+    assert _run(tmp_path, "fit", {
+        "dataset": "train.csv", "solver": "krr", "kernel": {"kind": "gaussian", "bandwidth": 1.0},
+        "problem": problem, "out_predictor": "krr.pred.json", "out_report": "krr.report.json",
+    }) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in REFERENCE_GENERATE_FIT_SHA256}
+    assert digests == REFERENCE_GENERATE_FIT_SHA256
+
+
 def test_fit_output_does_not_depend_on_preset_blas_threads(tmp_path, preset_blas_threads):
     preset_blas_threads(1)
     single = _gaussian_krr_fit(tmp_path)
@@ -410,11 +440,27 @@ def test_sweep_unknown_key_rejected(tmp_path, capsys):
         {"mode": "measurement", "measurement": {"degraded_rule": "cubic"}},
         {"workers_flag": 2},
         {"noise": {"gamma_rule": {"kind": "matched"}}},
+        {"mode": "matching", "measurement": {"regime": "bogus"}},
+        {"matching": {"matched_c0": 0.1}},
     ],
 )
 def test_sweep_rejects_unknown_names(tmp_path, override):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path, **override)) == 2
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "mode,block",
+    [("rate", "matching"), ("rate", "measurement"), ("matching", "measurement"),
+     ("measurement", "matching")],
+)
+def test_sweep_rejects_a_block_its_mode_does_not_read(tmp_path, capsys, mode, block):
+    payload = _sweep_payload(tmp_path, mode=mode, **{block: {}})
+    assert _run(tmp_path, "sweep", payload) == 2
+    err = capsys.readouterr().err
+    assert f"mode {mode!r}" in err and f"`{block}`" in err
+    assert not (tmp_path / "sweep.csv").exists()
+    assert _run(tmp_path, "sweep", {**payload, block: None}) == 0  # a null block is no block
 
 
 @pytest.mark.parametrize(

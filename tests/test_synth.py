@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from qlimits import (
     sample_dataset,
     write_dataset_csv,
 )
+from qlimits.rng import child_rng
+from qlimits.synth import NORM_BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("sigma,expected", [(0.0, 0.0), (0.5, 0.25), (2.0, 4.0)])
@@ -133,3 +137,52 @@ def test_sampling_invariants(d, sigma, law, seed, n):
     assert np.all(np.isfinite(ds.features)) and np.all(np.isfinite(ds.labels))
     norms = np.linalg.norm(ds.features, axis=1)
     assert np.all(norms <= problem.input_radius * (1 + 1e-12))
+
+
+def _sample_dataset_with_full_temporaries(problem, n, seed):
+    """The draw as it was written before its norms were taken by row blocks:
+    one n x d ``x * x`` for the norms, and labels ``clean + sigma * z``."""
+    rng = child_rng(seed, "dataset")
+    x = rng.standard_normal((n, problem.dimension))
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    if problem.input_law == "unit_sphere_uniform":
+        norms[norms < 1e-12] = 1.0
+        x /= norms[:, None]
+    else:
+        radius = problem.input_radius
+        over = norms > radius
+        if np.any(over):
+            x[over] *= (radius / norms[over])[:, None]
+    clean = x @ problem.target_weights
+    if problem.noise_std > 0:
+        return x, clean + problem.noise_std * rng.standard_normal(n)
+    return x, clean
+
+
+@pytest.mark.parametrize("law", ["unit_sphere_uniform", "gaussian_clipped"])
+@pytest.mark.parametrize("d", [1, 3, 10, 64])
+def test_blocked_draw_keeps_every_bit_of_the_full_temporary_draw(law, d):
+    block = NORM_BLOCK_ENTRIES // d  # rows of x squared at a time
+    for n in sorted({1, block - 1, block, block + 1, 3 * block + 7, 8192}):
+        for sigma in (0.0, 0.5):
+            problem = make_problem(d, sigma, input_law=law, seed=d)
+            ds = sample_dataset(problem, n, seed=n)
+            x, labels = _sample_dataset_with_full_temporaries(problem, n, n)
+            assert ds.features.tobytes() == x.tobytes(), (n, sigma)
+            assert ds.labels.tobytes() == labels.tobytes(), (n, sigma)
+
+
+@pytest.mark.parametrize("law", ["unit_sphere_uniform", "gaussian_clipped"])
+def test_draw_holds_no_second_n_by_d_array(law):
+    # x itself, one block of squares and a few n-vectors (norms, labels, noise,
+    # Dataset's finiteness mask of n x d bytes); an n x d temporary is 10 more
+    n, d = 8192, 10
+    problem = make_problem(d, 0.5, input_law=law, seed=1)
+    sample_dataset(problem, n, seed=0)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        ds = sample_dataset(problem, n, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ds.features.nbytes + 8 * NORM_BLOCK_ENTRIES + 3 * 8 * n

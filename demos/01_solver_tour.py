@@ -9,18 +9,18 @@ from qlimits import (
     Kernel,
     LINEAR_KERNEL,
     SolverConfig,
+    SyntheticProblem,
     divide_and_conquer,
     early_stopping_gd,
     exact_ls,
     excess_risk,
     krr,
-    make_problem,
     nystrom,
     sample_dataset,
 )
 
 N = 1024
-problem = make_problem(dimension=10, noise_std=0.5, seed=0)
+problem = SyntheticProblem(dimension=10, noise_std=0.5, seed=0)
 train = sample_dataset(problem, N, seed=1)
 lam = N**-0.5
 gauss = Kernel("gaussian", bandwidth=1.0)

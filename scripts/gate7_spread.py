@@ -7,10 +7,10 @@ Each run calls ``runtime_benchmark`` with the config of
 ``tests/test_acceptance.py::test_criterion_7_runtime_ladder`` in a new Python
 process, so no run inherits another's heap. It reports, per run, the KRR train
 exponent, the krr - nystrom exponent gap, the primal (exact_ls) test exponent,
-whether gate 7's bounds hold, the median train time of every solver at every n,
-and the minor page faults the process itself took (``resource.getrusage``).
-Then it prints the median, quartiles and range of each exponent. It reports
-only: the bounds are read from ``qlimits.scaling``, and nothing is retried.
+whether gate 7's bounds hold (the verdicts of ``scaling.bench_summary``), the
+median train time of every solver at every n, and the minor page faults the
+process itself took (``resource.getrusage``). Then it prints the median,
+quartiles and range of each exponent. It reports only: nothing is retried.
 """
 
 from __future__ import annotations
@@ -29,19 +29,15 @@ GATE7 = {"solver_ids": ("exact_ls", "krr", "nystrom"), "n_grid": (256, 512, 1024
 def one_run() -> dict:
     """Gate 7's ladder in this process, with its exponents and this process's minor faults."""
     from qlimits import runtime_benchmark
-    from qlimits.scaling import KRR_TRAIN_EXPONENT_RANGE, NYSTROM_EXPONENT_GAP_MIN, PRIMAL_TEST_EXPONENT_RANGE
+    from qlimits.scaling import bench_summary
 
     report = runtime_benchmark(**GATE7)
-    krr = report.train_fits["krr"].exponent
-    gap = krr - report.train_fits["nystrom"].exponent
-    test = report.test_fits["exact_ls"].exponent
-    lo, hi = KRR_TRAIN_EXPONENT_RANGE
-    tlo, thi = PRIMAL_TEST_EXPONENT_RANGE
+    summary = bench_summary(report)
     return {
-        "krr_train_exponent": krr,
-        "krr_nystrom_gap": gap,
-        "primal_test_exponent": test,
-        "passes": (lo <= krr <= hi and gap >= NYSTROM_EXPONENT_GAP_MIN and tlo <= test <= thi
+        "krr_train_exponent": summary["train_exponents"]["krr"],
+        "krr_nystrom_gap": summary["nystrom_gap"],
+        "primal_test_exponent": summary["test_exponents"]["exact_ls"],
+        "passes": (summary["krr_train_ok"] and summary["nystrom_gap_ok"] and summary["primal_test_ok"]
                    and not report.any_timed_out),
         "train_seconds": {sid: {str(r.n): r.train_seconds for r in report.rows if r.solver == sid}
                           for sid in GATE7["solver_ids"]},

@@ -48,7 +48,6 @@ from .scaling import (
     SOLVER_IDS,
     BenchReport,
     PairedReport,
-    ProblemSpec,
     ScalingFit,
     SweepConfig,
     SweepTable,
@@ -79,7 +78,6 @@ from .solvers import (
 from .synth import (
     Dataset,
     SyntheticProblem,
-    make_problem,
     read_dataset_csv,
     sample_dataset,
     write_dataset_csv,

@@ -31,7 +31,6 @@ from .qmodel import complexity_table, cost_log_error_solver, cost_matched_precis
 from .risk import RiskEstimate, empirical_risk, excess_risks
 from .scaling import (
     SCHEMA_VERSION,
-    ProblemSpec,
     SweepConfig,
     bench_summary,
     fit_solver,
@@ -49,7 +48,7 @@ from .scaling import (
     write_sweep_csv,
 )
 from .solvers import LINEAR_KERNEL, Kernel, SolverConfig, save_predictor
-from .synth import read_dataset_csv, sample_dataset, write_dataset_csv
+from .synth import SyntheticProblem, read_dataset_csv, sample_dataset, write_dataset_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -190,17 +189,16 @@ def _write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # commands; each one's parameters are its config keys
 
-def cmd_generate(n: int, out: str, problem: ProblemSpec = ProblemSpec()) -> int:
+def cmd_generate(n: int, out: str, problem: SyntheticProblem = SyntheticProblem()) -> int:
     """Draw ``n`` samples of ``problem`` with its ``seed``."""
-    truth = problem.build()
-    dataset = sample_dataset(truth, n, problem.seed)
+    dataset = sample_dataset(problem, n, problem.seed)
     write_dataset_csv(dataset, out)
     _write_json(out + ".config.json", {
         "schema_version": SCHEMA_VERSION,
         "command": "generate",
         "problem": dataclasses.asdict(problem), "n": n, "out": out,
-        "input_radius": truth.input_radius,
-        "bayes_risk": truth.bayes_risk,
+        "input_radius": problem.input_radius,
+        "bayes_risk": problem.bayes_risk,
     })
     print(f"wrote {n} samples to {out}")
     return EXIT_OK
@@ -213,7 +211,7 @@ def cmd_fit(
     out_report: str,
     kernel: Kernel = LINEAR_KERNEL,
     solver_config: SolverConfig = SolverConfig(),
-    problem: ProblemSpec | None = None,
+    problem: SyntheticProblem | None = None,
     n_eval: int = SweepConfig.n_eval,
     eval_seed: int = 0,
 ) -> int:
@@ -236,13 +234,12 @@ def cmd_fit(
             "bayes_risk": None,
         }
         if problem is not None:
-            truth = problem.build()
             # exact for a linear predictor, else scored on n_eval points
-            ((excess, std_error),) = excess_risks((predictor,), truth, n_eval, eval_seed)
-            estimate = RiskEstimate(truth.bayes_risk + excess, std_error, n_eval)
+            ((excess, std_error),) = excess_risks((predictor,), problem, n_eval, eval_seed)
+            estimate = RiskEstimate(problem.bayes_risk + excess, std_error, n_eval)
             report["expected_risk"] = dataclasses.asdict(estimate)
             report["excess_risk"] = excess
-            report["bayes_risk"] = truth.bayes_risk
+            report["bayes_risk"] = problem.bayes_risk
     save_predictor(predictor, out_predictor)
     _write_json(out_report, report)
     print(f"wrote predictor to {out_predictor} and report to {out_report}")

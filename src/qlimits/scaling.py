@@ -4,7 +4,7 @@ Sweeps evaluate a solver over a grid of training sizes, many seeded trials
 per size, and aggregate excess risk by median and interquartile range. A
 row reads them from one sort of its values, with the bits of ``np.median``
 and ``np.percentile`` but without the ``numpy.ma`` that those two load.
-A sweep builds its problem once and hands it to every cell. All per-cell
+Every cell reads the one ``SyntheticProblem`` its config holds. All per-cell
 randomness is derived from the master seed and the cell's (n, trial)
 coordinates, so results are bit-identical across reruns and independent of
 serial vs parallel execution. Only a sweep of more than one worker imports
@@ -64,7 +64,7 @@ from .solvers import (  # the five solvers are called by name, through fit_solve
     nystrom,
     predict_batch,
 )
-from .synth import Dataset, SyntheticProblem, make_problem, sample_dataset
+from .synth import Dataset, SyntheticProblem, sample_dataset
 
 SOLVER_IDS = ("exact_ls", "krr", "early_stopping_gd", "divide_and_conquer", "nystrom")
 BENCH_SOLVER_IDS = ("exact_ls", "krr", "nystrom")  # the runtime ladder's default rows
@@ -85,22 +85,6 @@ PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 
 SCHEMA_VERSION = 11
 DESK_SCALE_CAP = 8192
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Recipe for a synthetic problem (kept JSON-friendly for configs)."""
-
-    dimension: int = 10
-    noise_std: float = 0.5
-    input_law: str = "unit_sphere_uniform"
-    seed: int = 0
-
-    def __post_init__(self):
-        self.build()  # SyntheticProblem rejects a bad dimension, noise_std or input_law
-
-    def build(self) -> SyntheticProblem:
-        return make_problem(self.dimension, self.noise_std, self.input_law, self.seed)
 
 
 def _check_solver(solver: str, kernel: Kernel) -> None:
@@ -128,7 +112,7 @@ class SweepConfig:
     solver: str = "exact_ls"
     solver_config: SolverConfig = field(default_factory=SolverConfig)
     kernel: Kernel = LINEAR_KERNEL
-    problem: ProblemSpec = field(default_factory=ProblemSpec)
+    problem: SyntheticProblem = field(default_factory=SyntheticProblem)
     noise: NoiseSchedule | None = None
     n_eval: int = 100_000
     master_seed: int = 0
@@ -194,22 +178,20 @@ def _failed(exc: QlimitsError) -> tuple:
     return float("nan"), float("nan"), (type(exc).__name__, str(exc))
 
 
-def _sweep_cell(
-    task: tuple[SweepConfig, SyntheticProblem, tuple[NoiseSchedule | None, ...], int, int]
-) -> tuple:
+def _sweep_cell(task: tuple[SweepConfig, tuple[NoiseSchedule | None, ...], int, int]) -> tuple:
     """One (n, trial) cell scored for every arm; ``config.noise`` is not read.
 
-    ``problem`` is ``config.problem``, built once by the sweep. The cell draws
-    its training set from it, fits ``config.solver`` and scores every arm's
-    predictor in one ``excess_risks`` call (which shares its evaluation
-    sample, where it draws one). An arm of None scores the fit; a
-    NoiseSchedule arm scores the fit's weights after the error channels at
-    n, so it needs exact_ls. Returns one (excess, std_error, error) per arm,
-    ``error`` being None or (exception type, message). A failed draw, fit or
-    evaluation fails every arm; a failed channel fails its own arm only.
+    The cell draws its training set from ``config.problem``, fits
+    ``config.solver`` and scores every arm's predictor in one
+    ``excess_risks`` call (which shares its evaluation sample, where it
+    draws one). An arm of None scores the fit; a NoiseSchedule arm scores
+    the fit's weights after the error channels at n, so it needs exact_ls.
+    Returns one (excess, std_error, error) per arm, ``error`` being None or
+    (exception type, message). A failed draw, fit or evaluation fails every
+    arm; a failed channel fails its own arm only.
     """
-    config, problem, arms, n, trial = task
-    seed = config.master_seed
+    config, arms, n, trial = task
+    problem, seed = config.problem, config.master_seed
     try:
         dataset = sample_dataset(problem, n, derive_seed(seed, "data", n, trial))
         fitted = fit_solver(config.solver, dataset, config.kernel, config.solver_config)
@@ -319,8 +301,7 @@ def _sweep_arms(
     """One pass over the cells of ``config``, scoring every (label, arm) pair
     (see _sweep_cell); one table per arm, failed cells flagged, not fatal."""
     schedules = tuple(arm for _, arm in arms)
-    problem = config.problem.build()
-    tasks = [(config, problem, schedules, n, t) for n in config.n_grid for t in range(config.trials)]
+    tasks = [(config, schedules, n, t) for n in config.n_grid for t in range(config.trials)]
     if config.workers > 1:
         # imported here, so a serial sweep loads no multiprocessing machinery
         from concurrent.futures import ProcessPoolExecutor
@@ -408,6 +389,14 @@ def _fit_arm(table: SweepTable, pairs) -> ScalingFit:
 # ---------------------------------------------------------------------------
 # paired experiments
 
+def _ratio(a: float, e: float) -> float:
+    """``a / e``, 1.0 where they are equal; over a zero ``e`` it is inf, or NaN
+    for a NaN ``a`` (a median is never negative), where float division raises."""
+    if a == e:
+        return 1.0
+    return a * float("inf") if e == 0.0 else a / e
+
+
 @dataclass(frozen=True)
 class PairedReport:
     """Excess risk of noisy solver arms against the exact solve.
@@ -426,7 +415,7 @@ class PairedReport:
         """Per-n median excess risk of ``arm`` over the exact arm; 1.0 where
         they are equal, which covers the degenerate zero-injection arm exactly."""
         return [
-            (e.n, 1.0 if a.median_excess == e.median_excess else a.median_excess / e.median_excess)
+            (e.n, _ratio(a.median_excess, e.median_excess))
             for e, a in zip(self.tables["exact"].rows, self.tables[arm].rows)
         ]
 
@@ -570,7 +559,7 @@ def runtime_benchmark(
         raise ConfigError(f"reps must be >= 1, got {reps}")
     if not (timeout_s > 0 and timer_window > 0):
         raise ConfigError(f"timeout_s and timer_window must be > 0, got {timeout_s}, {timer_window}")
-    problem = make_problem(dimension, noise_std, seed=master_seed)
+    problem = SyntheticProblem(dimension, noise_std, seed=master_seed)
     test_x = sample_dataset(
         problem, test_points, derive_seed(master_seed, "bench-test")
     ).features

@@ -2,13 +2,15 @@
 
 A problem is a linear target ``y = w*.x + noise`` with Gaussian label noise,
 so the Bayes risk equals the noise variance exactly and excess risk can be
-measured against ground truth. Inputs are bounded by construction: either
-uniform on the unit sphere (norm exactly 1) or standard Gaussian clipped to
-radius ``3 * sqrt(d)``.
+measured against ground truth. Four scalars determine it: the dimension, the
+noise level, the input law and the seed from which ``w*`` is drawn. Inputs
+are bounded by construction: either uniform on the unit sphere (norm exactly
+1) or standard Gaussian clipped to radius ``3 * sqrt(d)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,38 +26,45 @@ GAUSSIAN_CLIP_FACTOR = 3.0
 NORM_BLOCK_ENTRIES = 1 << 13
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SyntheticProblem:
     """Known data distribution: linear target plus Gaussian label noise.
 
-    ``bayes_risk`` is ``noise_std ** 2`` by construction; the target itself
-    achieves it, so the hypothesis class of linear functions has no
-    irreducible deficit.
+    The four fields determine it and are the keys of a config's ``problem``
+    block. ``target_weights``, a read-only direction drawn uniformly from
+    ``seed``, is an attribute but not a field, so equality, hashing and
+    ``dataclasses.asdict`` go by the four scalars. ``bayes_risk`` is
+    ``noise_std ** 2`` by construction; the target itself achieves it, so the
+    hypothesis class of linear functions has no irreducible deficit.
     """
 
-    dimension: int
-    target_weights: np.ndarray
-    noise_std: float
+    dimension: int = 10
+    noise_std: float = 0.5
     input_law: str = "unit_sphere_uniform"
+    seed: int = 0
 
     def __post_init__(self):
+        # checked before the draw, since unit_vector never returns at dimension 0
         if self.dimension < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
-        if not np.isfinite(self.noise_std) or self.noise_std < 0:
-            raise ConfigError(f"noise_std must be a nonnegative real, got {self.noise_std}")
+        noise_std = float(self.noise_std)
+        if not np.isfinite(noise_std) or noise_std < 0:
+            raise ConfigError(f"noise_std must be a nonnegative real, got {noise_std}")
         if self.input_law not in INPUT_LAWS:
             raise ConfigError(f"unknown input_law {self.input_law!r}, expected one of {INPUT_LAWS}")
-        w = np.asarray(self.target_weights, dtype=np.float64)
-        if w.shape != (self.dimension,):
-            raise ConfigError(
-                f"target_weights shape {w.shape} does not match dimension {self.dimension}"
-            )
-        if not np.all(np.isfinite(w)):
-            raise ConfigError("target_weights must be finite")
-        if np.linalg.norm(w) == 0.0:
-            raise ConfigError("target_weights must be nonzero")
+        object.__setattr__(self, "noise_std", noise_std)
+        w = unit_vector(child_rng(self.seed, "target"), self.dimension)
         w.flags.writeable = False
         object.__setattr__(self, "target_weights", w)
+
+    def __reduce__(self):
+        # a pickled problem (as a pool worker receives) redraws its weights from the fields
+        return SyntheticProblem, (self.dimension, self.noise_std, self.input_law, self.seed)
+
+    def build(self) -> SyntheticProblem:
+        """This problem; kept because the benchmark's set-up
+        (``perfbench/child.py``) calls ``problem.build()``."""
+        return self
 
     @property
     def bayes_risk(self) -> float:
@@ -84,7 +93,7 @@ class Dataset:
             raise ConfigError(f"features must be a (n >= 1, d) matrix, got shape {x.shape}")
         if y.shape != (x.shape[0],):
             raise ConfigError(f"labels shape {y.shape} does not match {x.shape[0]} samples")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (_all_finite(x) and _all_finite(y)):
             raise ConfigError("dataset entries must be finite")
         x.flags.writeable = False
         y.flags.writeable = False
@@ -100,20 +109,10 @@ class Dataset:
         return self.features.shape[1]
 
 
-def make_problem(
-    dimension: int,
-    noise_std: float,
-    input_law: str = "unit_sphere_uniform",
-    seed: int = 0,
-) -> SyntheticProblem:
-    """Draw target weights uniformly on the unit sphere (seeded)."""
-    if dimension < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dimension}")
-    rng = child_rng(seed, "target")
-    w = unit_vector(rng, dimension)
-    return SyntheticProblem(
-        dimension=dimension, target_weights=w, noise_std=float(noise_std), input_law=input_law
-    )
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, read from its min and max (both
+    propagate NaN), so no mask the size of ``a`` is made."""
+    return a.size == 0 or (math.isfinite(a.min()) and math.isfinite(a.max()))
 
 
 def unit_vector(rng: np.random.Generator, dimension: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from qlimits import (
     PrimalPredictor,
     SolverConfig,
     SweepConfig,
+    SyntheticProblem,
     algorithmic_error_bound_check,
     complexity_table,
     divide_and_conquer,
@@ -35,7 +36,6 @@ from qlimits import (
     exact_ls,
     fit_scaling,
     krr,
-    make_problem,
     matching_experiment,
     measurement_experiment,
     nystrom,
@@ -94,7 +94,7 @@ def test_criterion_1_estimation_rate():
 
 def test_criterion_2_algorithmic_error_bound():
     start = time.time()
-    problem = make_problem(10, 0.5, seed=0)
+    problem = SyntheticProblem(10, 0.5, seed=0)
     dataset = sample_dataset(problem, 512, seed=1)
     exact = exact_ls(dataset, 512**-0.5)
     magnitudes = [10.0**e for e in (-3.0, -2.5, -2.0, -1.5, -1.0)]
@@ -168,7 +168,7 @@ def test_criterion_4b_under_budget_degrades_rate(measurement_report):
 
 def test_criterion_5_solver_equivalences():
     start = time.time()
-    problem = make_problem(5, 0.3, seed=2)
+    problem = SyntheticProblem(5, 0.3, seed=2)
     dataset = sample_dataset(problem, 120, seed=3)
     probe = sample_dataset(problem, 100, seed=4).features
     lam = 0.05
@@ -187,7 +187,7 @@ def test_criterion_5_solver_equivalences():
     primal = exact_ls(dataset, lam)
     krr_gap = np.max(np.abs(predict_batch(reference, probe) - predict_batch(primal, probe)))
 
-    noiseless = sample_dataset(make_problem(5, 0.0, seed=5), 200, seed=6)
+    noiseless = sample_dataset(SyntheticProblem(5, 0.0, seed=5), 200, seed=6)
     descended = early_stopping_gd(noiseless, LINEAR_KERNEL, SolverConfig(max_iters=10_000))
     target = exact_ls(noiseless, 0.0)
     gd_gap = np.max(np.abs(descended.weights - target.weights))

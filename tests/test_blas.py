@@ -15,8 +15,8 @@ from qlimits import (
     SOLVER_IDS,
     Kernel,
     QlimitsError,
+    SyntheticProblem,
     blas,
-    make_problem,
     runtime_benchmark,
     sample_dataset,
     scaling,
@@ -136,13 +136,13 @@ config = pickle.loads(sys.stdin.buffer.read())  # as a spawned worker gets its c
 scipy_modules = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 before = scipy_modules()
 scaling._pin_worker()
-((excess, _, error),) = scaling._sweep_cell((config, config.problem.build(), (None,), config.n_grid[0], 0))
+((excess, _, error),) = scaling._sweep_cell((config, (None,), config.n_grid[0], 0))
 assert error is None and excess > 0, error
 print(json.dumps({"before": before, "after": scipy_modules(), "counts": blas.thread_counts()}))
 """
 
 LINEAR_CLIPPED = scaling.SweepConfig(
-    n_grid=(16, 32, 64), trials=1, problem=scaling.ProblemSpec(dimension=3, input_law="gaussian_clipped")
+    n_grid=(16, 32, 64), trials=1, problem=scaling.SyntheticProblem(dimension=3, input_law="gaussian_clipped")
 )
 
 
@@ -161,7 +161,7 @@ def test_worker_that_did_not_fork_pins_numpys_one_blas(config):
 
 _PIN_PROBE = """
 import json, sys
-from qlimits import Kernel, ProblemSpec, SweepConfig, blas, cli, runtime_benchmark, scaling
+from qlimits import Kernel, SweepConfig, SyntheticProblem, blas, cli, runtime_benchmark, scaling
 
 inside = []
 
@@ -192,7 +192,7 @@ def test_sweep_pins_every_blas_its_cells_load(solver, input_law):
     kernel = 'Kernel("linear")' if solver == "exact_ls" else 'Kernel("gaussian", 1.0)'
     _assert_pinned_in_the_first_fit(
         f"scaling.sweep_excess_risk(SweepConfig(n_grid=(16, 32, 64), trials=1, solver={solver!r}, "
-        f"kernel={kernel}, problem=ProblemSpec(dimension=3, input_law={input_law!r}), n_eval=64))"
+        f"kernel={kernel}, problem=SyntheticProblem(dimension=3, input_law={input_law!r}), n_eval=64))"
     )
 
 
@@ -204,7 +204,7 @@ def test_runtime_benchmark_pins_every_blas_its_solvers_load():
 
 def test_fit_pins_every_blas_its_scoring_loads(tmp_path):
     problem = {"dimension": 3, "noise_std": 0.5, "input_law": "gaussian_clipped"}
-    write_dataset_csv(sample_dataset(make_problem(**problem), 32, 1), tmp_path / "data.csv")
+    write_dataset_csv(sample_dataset(SyntheticProblem(**problem), 32, 1), tmp_path / "data.csv")
     config = tmp_path / "fit.json"
     config.write_text(json.dumps({
         "dataset": str(tmp_path / "data.csv"), "solver": "exact_ls", "problem": problem,

@@ -14,10 +14,10 @@ from qlimits import (
     LINEAR_KERNEL,
     SOLVER_IDS,
     SolverConfig,
+    SyntheticProblem,
     excess_risk,
     excess_risks,
     fit_solver,
-    make_problem,
     read_dataset_csv,
     sample_dataset,
     write_dataset_csv,
@@ -63,7 +63,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     payload = {"problem": {"dimension": 2, "noise_std": 0.0, "seed": 1}, "n": 4, "out": str(out)}
     assert _run(tmp_path, "generate", payload) == 0
     ds = read_dataset_csv(out)
-    problem = make_problem(2, 0.0, seed=1)
+    problem = SyntheticProblem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
     assert echo["schema_version"] == 11
@@ -131,7 +131,7 @@ def test_fit_identity_design(tmp_path):
 
 
 def test_fit_divide_and_conquer_single_block_matches_krr(tmp_path):
-    problem = make_problem(3, 0.3, seed=5)
+    problem = SyntheticProblem(3, 0.3, seed=5)
     data = tmp_path / "train.csv"
     write_dataset_csv(sample_dataset(problem, 40, seed=6), data)
     reports = {}
@@ -156,7 +156,7 @@ def test_fit_divide_and_conquer_single_block_matches_krr(tmp_path):
 
 @pytest.mark.parametrize("solver", SOLVER_IDS)
 def test_fit_every_solver(tmp_path, solver):
-    problem = make_problem(3, 0.3, seed=5)
+    problem = SyntheticProblem(3, 0.3, seed=5)
     data = tmp_path / "train.csv"
     write_dataset_csv(sample_dataset(problem, 40, seed=6), data)
     payload = {
@@ -179,7 +179,7 @@ def test_fit_every_solver(tmp_path, solver):
 
 
 def test_fit_scores_a_linear_predictor_exactly(tmp_path):
-    problem = make_problem(5, 0.5, seed=7)
+    problem = SyntheticProblem(5, 0.5, seed=7)
     data = tmp_path / "train.csv"
     write_dataset_csv(sample_dataset(problem, 4096, seed=8), data)
     payload = {
@@ -205,7 +205,7 @@ def test_fit_scores_a_gaussian_predictor_on_its_evaluation_sample(tmp_path):
     predictor = load_predictor(tmp_path / "pred.json")
     with blas.single_blas_thread():  # as the fit scored it
         ((excess, std_error),) = excess_risks(
-            (predictor,), make_problem(10, 0.5, seed=3), n_eval=3000, seed=0
+            (predictor,), SyntheticProblem(10, 0.5, seed=3), n_eval=3000, seed=0
         )
     assert report["excess_risk"] == excess
     assert report["expected_risk"] == {
@@ -217,7 +217,7 @@ def test_fit_scores_a_gaussian_predictor_on_its_evaluation_sample(tmp_path):
 def _gaussian_krr_fit(tmp_path):
     """A fit large enough that an unpinned BLAS rounds it differently at 2 threads."""
     data = tmp_path / "train.csv"
-    write_dataset_csv(sample_dataset(make_problem(10, 0.5, seed=3), 600, seed=4), data)
+    write_dataset_csv(sample_dataset(SyntheticProblem(10, 0.5, seed=3), 600, seed=4), data)
     payload = {
         "dataset": str(data),
         "solver": "krr",
@@ -286,7 +286,7 @@ def test_fit_that_cannot_pin_blas_warns_and_runs(tmp_path, monkeypatch):
 )
 def test_fit_echo_reruns_the_fit(tmp_path, options):
     data = tmp_path / "train.csv"
-    write_dataset_csv(sample_dataset(make_problem(3, 0.5, seed=5), 64, seed=6), data)
+    write_dataset_csv(sample_dataset(SyntheticProblem(3, 0.5, seed=5), 64, seed=6), data)
     payload = {"dataset": str(data), **options, "out_predictor": str(tmp_path / "pred.json"),
                "out_report": str(tmp_path / "report.json")}
     assert _run(tmp_path, "fit", payload) == 0
@@ -307,7 +307,7 @@ def test_fit_echo_reruns_the_fit(tmp_path, options):
 
 def test_fit_unknown_solver_exits_config(tmp_path, capsys):
     data = tmp_path / "train.csv"
-    write_dataset_csv(sample_dataset(make_problem(2, 0.1, seed=1), 10, seed=2), data)
+    write_dataset_csv(sample_dataset(SyntheticProblem(2, 0.1, seed=1), 10, seed=2), data)
     payload = {
         "dataset": str(data),
         "solver": "sgd",
@@ -322,7 +322,7 @@ def test_fit_unknown_solver_exits_config(tmp_path, capsys):
 @pytest.mark.parametrize("problem", [{"dimension": 0}, {"bogus": 1}, {"dimension": 2}])
 def test_fit_rejected_config_writes_no_file(tmp_path, problem):
     data = tmp_path / "train.csv"
-    write_dataset_csv(sample_dataset(make_problem(3, 0.1, seed=1), 10, seed=2), data)
+    write_dataset_csv(sample_dataset(SyntheticProblem(3, 0.1, seed=1), 10, seed=2), data)
     payload = {
         "dataset": str(data),
         "solver": "exact_ls",
@@ -337,7 +337,7 @@ def test_fit_rejected_config_writes_no_file(tmp_path, problem):
 
 def test_fit_rejects_exact_ls_under_a_gaussian_kernel(tmp_path, capsys):
     data = tmp_path / "train.csv"
-    write_dataset_csv(sample_dataset(make_problem(3, 0.1, seed=1), 10, seed=2), data)
+    write_dataset_csv(sample_dataset(SyntheticProblem(3, 0.1, seed=1), 10, seed=2), data)
     payload = _fit_payload(tmp_path, data, None)
     payload["kernel"] = {"kind": "gaussian", "bandwidth": 1.0}
     assert _run(tmp_path, "fit", payload) == 2
@@ -547,6 +547,29 @@ def test_sweep_measurement_mode(tmp_path):
     summary = json.loads((tmp_path / "sweep.json").read_text())
     assert {"budget", "degraded"} == set(summary["ratios"])
     assert "degraded_exponent" in summary["summary"]
+
+
+@pytest.mark.parametrize("mode, code, message", [
+    ("matching", 0, "wrote "),
+    ("measurement", 2, "config error: fit requires positive finite values; got inf at n=4"),
+])
+def test_paired_sweep_over_a_zero_exact_median(tmp_path, capsys, mode, code, message):
+    # noiseless d = 1 interpolation: the exact arm's medians are 0.0, ~1e-32 and 0.0
+    payload = _sweep_payload(
+        tmp_path, mode=mode, n_grid=[4, 8, 16], trials=1,
+        problem={"dimension": 1, "noise_std": 0.0}, solver_config={"lam": 0.0},
+    )
+    assert _run(tmp_path, "sweep", payload) == code
+    assert "exact,4,median_excess_risk,0\n" in (tmp_path / "sweep.csv").read_text()
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert "Traceback" not in captured.err
+    if mode == "matching":
+        summary = json.loads((tmp_path / "sweep.json").read_text())["summary"]
+        assert summary["matched_ok"] is False
+        assert summary["max_ratio_matched"] == float("inf")
+    else:
+        assert not (tmp_path / "sweep.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from qlimits import (
     ConfigError,
     NoiseSchedule,
     PrimalPredictor,
+    SyntheticProblem,
     algorithmic_error_bound_check,
     apply_channels,
     complexity_table,
@@ -19,7 +20,6 @@ from qlimits import (
     cost_poly_error_solver,
     exact_ls,
     fit_scaling,
-    make_problem,
     perturb_solution,
     predict_batch,
     quantum_ls_pipeline,
@@ -108,7 +108,7 @@ def test_noise_model_validation():
 # pipeline
 
 def test_pipeline_noiseless_equals_exact_solver():
-    problem = make_problem(6, 0.4, seed=1)
+    problem = SyntheticProblem(6, 0.4, seed=1)
     ds = sample_dataset(problem, 100, seed=2)
     noiseless = NoiseSchedule(regime="exact", gamma_value=0.0)
     np.testing.assert_array_equal(
@@ -117,7 +117,7 @@ def test_pipeline_noiseless_equals_exact_solver():
 
 
 def test_pipeline_is_exact_solve_then_both_channels():
-    ds = sample_dataset(make_problem(6, 0.4, seed=1), 100, seed=2)
+    ds = sample_dataset(SyntheticProblem(6, 0.4, seed=1), 100, seed=2)
     noise = NoiseSchedule(regime="heisenberg", gamma_value=0.05, m_value=9)
     w = exact_ls(ds, 0.1).weights
     staged = tomography_estimate(perturb_solution(w, 0.05, seed=6), 1 / 9, seed=6)
@@ -127,7 +127,7 @@ def test_pipeline_is_exact_solve_then_both_channels():
 
 def test_pipeline_empirical_risk_gap_within_lipschitz_bound():
     # solver error only (exact readout): the risk gap obeys the k*gamma bound
-    problem = make_problem(10, 0.5, seed=8)
+    problem = SyntheticProblem(10, 0.5, seed=8)
     ds = sample_dataset(problem, 1024, seed=9)
     gamma = 0.1
     exact = exact_ls(ds, 0.1)
@@ -138,7 +138,7 @@ def test_pipeline_empirical_risk_gap_within_lipschitz_bound():
 
 
 def test_pipeline_prediction_error_bounded_by_total_shift():
-    problem = make_problem(8, 0.5, seed=4)
+    problem = SyntheticProblem(8, 0.5, seed=4)
     ds = sample_dataset(problem, 200, seed=5)
     noise = NoiseSchedule(regime="shot_noise", gamma_value=0.05, m_value=400)
     exact = exact_ls(ds, 0.1)
@@ -153,7 +153,7 @@ def test_pipeline_prediction_error_bounded_by_total_shift():
 # algorithmic-error bound
 
 def _bound_fixture(n=512, seed=0):
-    problem = make_problem(10, 0.5, seed=seed)
+    problem = SyntheticProblem(10, 0.5, seed=seed)
     ds = sample_dataset(problem, n, seed=seed + 1)
     return ds, exact_ls(ds, n**-0.5)
 

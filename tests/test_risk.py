@@ -20,6 +20,7 @@ from qlimits import (
     Kernel,
     NoiseSchedule,
     PrimalPredictor,
+    SyntheticProblem,
     apply_channels,
     empirical_risk,
     exact_ls,
@@ -29,7 +30,6 @@ from qlimits import (
     generalization_gap,
     input_second_moment,
     krr,
-    make_problem,
     pairwise_sum,
     predict_batch,
     sample_dataset,
@@ -86,7 +86,7 @@ def test_stable_mean_is_permutation_invariant(values, perm_seed):
 
 
 def test_empirical_risk_permutation_invariant_exactly():
-    problem = make_problem(5, 0.5, seed=1)
+    problem = SyntheticProblem(5, 0.5, seed=1)
     ds = sample_dataset(problem, 257, seed=2)
     w = PrimalPredictor(problem.target_weights * 0.9)
     base = empirical_risk(w, ds)
@@ -109,7 +109,7 @@ def test_sphere_second_moment_oracle():
 @pytest.mark.parametrize("d", [1, 2, 3, 10])
 def test_zero_predictor_risk_matches_sphere_moment(d):
     # against the quadrature-verified identity E[(w*.x)^2] = 1/d
-    problem = make_problem(d, 0.0, seed=3)
+    problem = SyntheticProblem(d, 0.0, seed=3)
     zero = PrimalPredictor(np.zeros(d))
     estimate = expected_risk_mc(zero, problem, n_eval=100_000, seed=4)
     budget = max(4 * estimate.std_error, 1e-12)
@@ -117,7 +117,7 @@ def test_zero_predictor_risk_matches_sphere_moment(d):
 
 
 def test_bayes_predictor_risk_within_mc_error():
-    problem = make_problem(10, 0.5, seed=5)
+    problem = SyntheticProblem(10, 0.5, seed=5)
     bayes = PrimalPredictor(problem.target_weights)
     estimate = expected_risk_mc(bayes, problem, n_eval=100_000, seed=6)
     assert abs(estimate.value - 0.25) <= 4 * estimate.std_error
@@ -126,7 +126,7 @@ def test_bayes_predictor_risk_within_mc_error():
 
 def test_bayes_risk_coverage_over_seeds():
     # 4 std-error interval should cover the Bayes risk in >= 95% of reps
-    problem = make_problem(6, 0.5, seed=7)
+    problem = SyntheticProblem(6, 0.5, seed=7)
     bayes = PrimalPredictor(problem.target_weights)
     hits = 0
     for seed in range(40):
@@ -136,18 +136,18 @@ def test_bayes_risk_coverage_over_seeds():
 
 
 def test_excess_risk_cases():
-    noiseless = make_problem(3, 0.0, seed=8)
+    noiseless = SyntheticProblem(3, 0.0, seed=8)
     bayes = PrimalPredictor(noiseless.target_weights)
     assert excess_risk(bayes, noiseless, n_eval=1000, seed=1) == 0.0
 
     # d=1 sphere inputs are exactly +-1, so the zero predictor's risk is exactly 1
-    line = make_problem(1, 0.0, seed=9)
+    line = SyntheticProblem(1, 0.0, seed=9)
     zero = PrimalPredictor(np.zeros(1))
     assert excess_risk(zero, line, n_eval=1000, seed=2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_excess_risk_never_far_below_zero():
-    problem = make_problem(4, 0.5, seed=10)
+    problem = SyntheticProblem(4, 0.5, seed=10)
     bayes = PrimalPredictor(problem.target_weights)
     for seed in range(20):
         est = expected_risk_mc(bayes, problem, n_eval=5000, seed=seed)
@@ -155,14 +155,14 @@ def test_excess_risk_never_far_below_zero():
 
 
 def test_generalization_gap_zero_for_perfect_noiseless_fit():
-    problem = make_problem(3, 0.0, seed=11)
+    problem = SyntheticProblem(3, 0.0, seed=11)
     train = sample_dataset(problem, 50, seed=12)
     bayes = PrimalPredictor(problem.target_weights)
     assert generalization_gap(bayes, train, problem, n_eval=1000, seed=13) == 0.0
 
 
 def test_generalization_gap_single_point_identity():
-    problem = make_problem(1, 0.5, seed=14)
+    problem = SyntheticProblem(1, 0.5, seed=14)
     train = sample_dataset(problem, 1, seed=15)
     w = PrimalPredictor(np.array([0.3]))
     residual_sq = float((train.features[0] @ w.weights - train.labels[0]) ** 2)
@@ -172,7 +172,7 @@ def test_generalization_gap_single_point_identity():
 
 
 def test_generalization_gap_shrinks_with_n():
-    problem = make_problem(5, 0.5, seed=17)
+    problem = SyntheticProblem(5, 0.5, seed=17)
     w = PrimalPredictor(problem.target_weights * 0.7)
     medians = []
     for n in (100, 1000, 10_000):
@@ -191,7 +191,7 @@ def test_generalization_gap_shrinks_with_n():
 
 
 def test_std_error_is_sample_std_over_sqrt_n():
-    problem = make_problem(3, 0.5, seed=20)
+    problem = SyntheticProblem(3, 0.5, seed=20)
     w = PrimalPredictor(problem.target_weights * 0.5)
     est = expected_risk_mc(w, problem, n_eval=5000, seed=21)
     fresh = sample_dataset(problem, 5000, seed=21)
@@ -203,7 +203,7 @@ def test_std_error_is_sample_std_over_sqrt_n():
 def test_excess_risks_equals_one_estimate_per_predictor():
     # a Gaussian-kernel predictor sends the call to its sampled path, where
     # each predictor's estimate does not depend on the others in the call
-    problem = make_problem(3, 0.5, seed=20)
+    problem = SyntheticProblem(3, 0.5, seed=20)
     gaussian = krr(sample_dataset(problem, 16, seed=22), Kernel("gaussian", 1.0))
     predictors = [PrimalPredictor(problem.target_weights * s) for s in (0.0, 0.5)] + [gaussian]
     together = excess_risks(predictors, problem, n_eval=5000, seed=21)
@@ -213,7 +213,7 @@ def test_excess_risks_equals_one_estimate_per_predictor():
 
 
 def test_expected_risk_mc_validation():
-    problem = make_problem(2, 0.1)
+    problem = SyntheticProblem(2, 0.1)
     with pytest.raises(ConfigError):
         expected_risk_mc(PrimalPredictor(np.zeros(2)), problem, n_eval=1)
 
@@ -235,7 +235,7 @@ def _clipped_gaussian_moment_by_quadrature(d: int) -> float:
 @pytest.mark.parametrize("law", INPUT_LAWS)
 @pytest.mark.parametrize("d", [3, 10])
 def test_input_second_moment_matches_a_direct_draw(law, d):
-    problem = make_problem(d, 0.0, law, seed=40)
+    problem = SyntheticProblem(d, 0.0, law, seed=40)
     moment = input_second_moment(problem)
     scaled = np.sum(sample_dataset(problem, 200_000, seed=41).features ** 2, axis=1) / d
     budget = 4 * scaled.std(ddof=1) / math.sqrt(scaled.size) + 1e-12
@@ -248,7 +248,7 @@ def test_clipped_second_moment_gives_the_bits_of_scipys_incomplete_gamma_form():
     from scipy.special import gammainc, gammaincc  # the oracle; qlimits imports no scipy
 
     for d in range(1, 601):
-        problem = make_problem(d, 0.1, "gaussian_clipped", seed=d)
+        problem = SyntheticProblem(d, 0.1, "gaussian_clipped", seed=d)
         r2 = problem.input_radius**2
         oracle = float(gammainc((d + 2) / 2, r2 / 2) + (r2 / d) * gammaincc(d / 2, r2 / 2))
         moment = input_second_moment(problem)
@@ -260,7 +260,7 @@ def test_clipped_second_moment_gives_the_bits_of_scipys_incomplete_gamma_form():
 
 @pytest.mark.parametrize("law", INPUT_LAWS)
 def test_closed_form_agrees_with_monte_carlo(law):
-    problem = make_problem(10, 0.5, law, seed=30)
+    problem = SyntheticProblem(10, 0.5, law, seed=30)
     data = sample_dataset(problem, 64, seed=31)
     exact = exact_ls(data)
     noise = NoiseSchedule(regime="heisenberg", gamma_value=0.05, m_value=4)
@@ -280,7 +280,7 @@ def test_excess_risks_monte_carlo_path_is_the_old_estimate():
     # the sampled path is the mean of squared distances to the clean target
     # x.w*; without label noise it is the noisy-label estimate's bits, as the
     # last test below checks
-    problem = make_problem(3, 0.5, seed=20)
+    problem = SyntheticProblem(3, 0.5, seed=20)
     data = sample_dataset(problem, 16, seed=22)
     linear = (PrimalPredictor(problem.target_weights * 0.5), exact_ls(data))
     gaussian = krr(data, Kernel("gaussian", 1.0))
@@ -304,7 +304,7 @@ def test_excess_risks_monte_carlo_path_is_the_old_estimate():
 
 
 def test_excess_risks_calls_a_seed_function_only_when_it_draws():
-    problem = make_problem(3, 0.5, seed=20)
+    problem = SyntheticProblem(3, 0.5, seed=20)
     data = sample_dataset(problem, 16, seed=22)
     linear, gaussian = exact_ls(data), krr(data, Kernel("gaussian", 1.0))
     calls = []
@@ -322,7 +322,7 @@ def test_excess_risks_calls_a_seed_function_only_when_it_draws():
 
 @pytest.mark.parametrize("law", INPUT_LAWS)
 def test_clean_target_estimate_agrees_with_the_noisy_label_one(law):
-    problem = make_problem(10, 0.5, law, seed=50)
+    problem = SyntheticProblem(10, 0.5, law, seed=50)
     gaussian = krr(sample_dataset(problem, 256, seed=51), Kernel("gaussian", 1.0))
     ((value, std_error),) = excess_risks((gaussian,), problem, n_eval=20_000, seed=52)
     noisy = expected_risk_mc(gaussian, problem, n_eval=20_000, seed=53)
@@ -333,7 +333,7 @@ def test_clean_target_estimate_agrees_with_the_noisy_label_one(law):
 
 def test_clean_target_estimate_has_the_smaller_standard_error_on_the_sphere():
     # label noise adds about 2 sigma^4 to each noisy loss's variance
-    problem = make_problem(10, 0.5, seed=54)
+    problem = SyntheticProblem(10, 0.5, seed=54)
     gaussian = krr(sample_dataset(problem, 512, seed=55), Kernel("gaussian", 1.0))
     ((_, std_error),) = excess_risks((gaussian,), problem, n_eval=4000, seed=56)
     noisy = expected_risk_mc(gaussian, problem, n_eval=4000, seed=56)
@@ -342,14 +342,14 @@ def test_clean_target_estimate_has_the_smaller_standard_error_on_the_sphere():
 
 @pytest.mark.parametrize("law", INPUT_LAWS)
 def test_without_label_noise_both_estimators_give_the_same_bits(law):
-    problem = make_problem(10, 0.0, law, seed=57)
+    problem = SyntheticProblem(10, 0.0, law, seed=57)
     gaussian = krr(sample_dataset(problem, 128, seed=58), Kernel("gaussian", 1.0))
     noisy = expected_risk_mc(gaussian, problem, n_eval=3000, seed=59)
     assert excess_risks((gaussian,), problem, 3000, 59) == ((noisy.value, noisy.std_error),)
 
 
 def test_excess_risks_checks_dimensions_on_both_paths():
-    problem = make_problem(3, 0.5, seed=20)
+    problem = SyntheticProblem(3, 0.5, seed=20)
     wrong = PrimalPredictor(np.zeros(2))
     gaussian = krr(sample_dataset(problem, 8, seed=22), Kernel("gaussian", 1.0))
     for predictors in ((wrong,), (gaussian, wrong)):

@@ -14,9 +14,9 @@ from qlimits import (
     NoiseSchedule,
     NumericalError,
     PrimalPredictor,
-    ProblemSpec,
     SolverConfig,
     SweepConfig,
+    SyntheticProblem,
     divide_and_conquer,
     early_stopping_gd,
     exact_ls,
@@ -25,7 +25,6 @@ from qlimits import (
     fit_solver,
     input_second_moment,
     krr,
-    make_problem,
     matching_experiment,
     measurement_experiment,
     nystrom,
@@ -160,9 +159,9 @@ def test_sweep_config_validation():
     with pytest.raises(ConfigError, match="exact_ls"):
         SweepConfig(n_grid=(32, 64, 128), kernel=Kernel("gaussian", 1.0))
     with pytest.raises(ConfigError):
-        SweepConfig(n_grid=(32, 64, 128), problem=ProblemSpec(input_law="bogus"))
+        SweepConfig(n_grid=(32, 64, 128), problem=SyntheticProblem(input_law="bogus"))
     with pytest.raises(ConfigError):
-        SweepConfig(n_grid=(32, 64, 128), problem=ProblemSpec(dimension=0))
+        SweepConfig(n_grid=(32, 64, 128), problem=SyntheticProblem(dimension=0))
     with pytest.raises(ConfigError):
         SweepConfig(n_grid=(32, 64, 128), noise=NoiseSchedule(regime="bogus"))
 
@@ -179,7 +178,7 @@ def _arrays(predictor) -> list[bytes]:
 @pytest.mark.parametrize("kernel", [Kernel(), Kernel("gaussian", 1.5)])
 @pytest.mark.parametrize("solver", SOLVER_IDS)
 def test_fit_solver_is_bit_identical_to_direct_calls(solver, kernel):
-    data = sample_dataset(make_problem(3, 0.3, seed=4), 60, seed=5)
+    data = sample_dataset(SyntheticProblem(3, 0.3, seed=4), 60, seed=5)
     config = SolverConfig(lam=0.05, partitions=3, landmarks=12, seed=2)
     if solver == "exact_ls" and kernel.kind == "gaussian":  # no direct call: exact_ls is linear
         with pytest.raises(ConfigError, match="exact_ls"):
@@ -198,7 +197,7 @@ def test_fit_solver_is_bit_identical_to_direct_calls(solver, kernel):
 
 
 def test_fit_solver_rejects_unknown_id():
-    data = sample_dataset(make_problem(2, 0.1, seed=1), 10, seed=2)
+    data = sample_dataset(SyntheticProblem(2, 0.1, seed=1), 10, seed=2)
     with pytest.raises(ConfigError, match="sgd"):
         fit_solver("sgd", data)
 
@@ -260,7 +259,7 @@ def test_noiseless_interpolation_has_negligible_excess():
         n_grid=(32, 64, 128),
         trials=3,
         n_eval=2000,
-        problem=ProblemSpec(dimension=5, noise_std=0.0),
+        problem=SyntheticProblem(dimension=5, noise_std=0.0),
         solver_config=dataclasses.replace(FAST_CONFIG.solver_config, lam=0.0),
         master_seed=4,
     )
@@ -302,7 +301,7 @@ def test_sweep_records_failures_without_aborting():
         n_grid=(3, 64, 128),
         trials=3,
         n_eval=2000,
-        problem=ProblemSpec(dimension=5, noise_std=0.1),
+        problem=SyntheticProblem(dimension=5, noise_std=0.1),
         solver_config=dataclasses.replace(FAST_CONFIG.solver_config, lam=0.0),
         master_seed=6,
     )
@@ -328,6 +327,17 @@ def test_rate_summary_flags():
 def test_matching_degenerate_schedule_gives_unit_ratios():
     report = matching_experiment(FAST_CONFIG, matched_c0=0.0, constant_gamma=0.3)
     assert all(r == 1.0 for _, r in report.ratios("matched"))
+
+
+def test_ratio_over_a_zero_exact_median_is_inf_or_nan():
+    def table(label, medians):
+        return SweepTable(label, tuple(SweepRow(n, v, 0.0, 0.0, 1, 0) for n, v in zip((4, 8, 16, 32), medians)))
+
+    exact = table("exact", (0.0, 0.0, 0.0, 0.5))
+    report = PairedReport({"exact": exact, "arm": table("arm", (0.0, 0.25, math.nan, 1.0))}, {})
+    ratios = report.ratios("arm")
+    assert ratios[:2] == [(4, 1.0), (8, math.inf)] and ratios[3] == (32, 2.0)
+    assert ratios[2][0] == 16 and math.isnan(ratios[2][1])
 
 
 def test_matching_ratios_respect_mc_noise_floor():
@@ -407,7 +417,7 @@ def test_noisy_sweep_cell_equals_pipeline_then_one_estimate():
     # one trial per n, so each median is the cell's own value; the noisy
     # weights are linear, so the estimate is the closed form, with no draw
     config = dataclasses.replace(FAST_CONFIG, trials=1)
-    problem = config.problem.build()
+    problem = config.problem
     for _, noise in MATCHING_ARMS[1:] + MEASUREMENT_ARMS[1:]:
         table = sweep_excess_risk(dataclasses.replace(config, noise=noise))
         for row in table.rows:
@@ -471,7 +481,7 @@ def test_failed_solve_fails_every_arm_with_its_reason():
         n_grid=(3, 64, 128),
         trials=3,
         n_eval=2000,
-        problem=ProblemSpec(dimension=5, noise_std=0.1),
+        problem=SyntheticProblem(dimension=5, noise_std=0.1),
         solver_config=SolverConfig(lam=0.0),
         master_seed=6,
     )
@@ -498,7 +508,7 @@ def test_gaussian_kernel_cell_is_fit_then_one_monte_carlo_estimate(solver):
         n_grid=(32, 64, 128), trials=1, solver=solver, kernel=Kernel("gaussian", 1.0),
         n_eval=2000, master_seed=3,
     )
-    problem = config.problem.build()
+    problem = config.problem
     for row in sweep_excess_risk(config).rows:
         seed = lambda stream: derive_seed(config.master_seed, stream, row.n, 0)
         data = sample_dataset(problem, row.n, seed("data"))

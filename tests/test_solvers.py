@@ -15,6 +15,7 @@ from qlimits import (
     PrimalPredictor,
     SingularSystemError,
     SolverConfig,
+    SyntheticProblem,
     divide_and_conquer,
     early_stopping_gd,
     empirical_risk,
@@ -23,7 +24,6 @@ from qlimits import (
     fit_solver,
     krr,
     linear_weights,
-    make_problem,
     nystrom,
     predict,
     predict_batch,
@@ -50,7 +50,7 @@ def _ds(features, labels):
 
 
 def _random_ds(n, d, sigma=0.0, seed=0):
-    problem = make_problem(d, sigma, seed=seed)
+    problem = SyntheticProblem(d, sigma, seed=seed)
     return problem, sample_dataset(problem, n, seed=seed + 1)
 
 
@@ -279,7 +279,7 @@ def test_gd_matches_separate_primal_and_dual_loops_bit_for_bit(kernel):
 def test_dual_gd_is_within_1e_12_of_the_full_product_loop(law):
     # a Gaussian K(x, x) is symmetric only up to its last bits, so reading one
     # triangle moves the coefficients by rounding alone
-    problem = make_problem(10, 0.5, law)
+    problem = SyntheticProblem(10, 0.5, law)
     ds = sample_dataset(problem, 700, seed=4)
     n, y = ds.n_samples, ds.labels
     k = GAUSS.matrix(ds.features, ds.features)
@@ -293,7 +293,7 @@ def test_dual_gd_is_within_1e_12_of_the_full_product_loop(law):
 
 @pytest.mark.parametrize("law", INPUT_LAWS)
 def test_top_eigenvalue_of_a_gaussian_gram_matches_dense(law):
-    points = sample_dataset(make_problem(10, 0.5, law), 300, seed=5).features
+    points = sample_dataset(SyntheticProblem(10, 0.5, law), 300, seed=5).features
     k = GAUSS.matrix(points, points)
     top = top_eigenvalue(k, seed=1)
     assert top == pytest.approx(scipy.linalg.eigvalsh(k)[-1], rel=1e-4)
@@ -332,7 +332,7 @@ def test_dnc_single_block_equals_krr():
 
 def test_dnc_per_sample_blocks_match_hand_formula():
     # p=n with lam*n_block=1 averages scalar ridge fits y_i x_i / (x_i^2 + 1)
-    problem = make_problem(1, 0.2, input_law="gaussian_clipped", seed=17)
+    problem = SyntheticProblem(1, 0.2, input_law="gaussian_clipped", seed=17)
     ds = sample_dataset(problem, 12, seed=18)
     fitted = divide_and_conquer(ds, LINEAR_KERNEL, SolverConfig(lam=1.0, partitions=12, seed=4))
     x = ds.features[:, 0]
@@ -383,7 +383,7 @@ def test_nystrom_full_landmarks_recover_krr(kernel):
 
 def test_nystrom_single_landmark_hand_formula():
     # one landmark, linear kernel in 1d: prediction x * sum(x_i y_i) / (sum(x_i^2) + lam*n)
-    problem = make_problem(1, 0.3, input_law="gaussian_clipped", seed=22)
+    problem = SyntheticProblem(1, 0.3, input_law="gaussian_clipped", seed=22)
     ds = sample_dataset(problem, 20, seed=23)
     lam = 0.1
     fitted = nystrom(ds, LINEAR_KERNEL, SolverConfig(lam=lam, landmarks=1, seed=7))
@@ -395,7 +395,7 @@ def test_nystrom_single_landmark_hand_formula():
 
 def test_nystrom_rank_deficient_at_zero_lam_raises():
     # 1-d data with 2 landmarks: reduced system has rank 1
-    problem = make_problem(1, 0.2, seed=24)
+    problem = SyntheticProblem(1, 0.2, seed=24)
     ds = sample_dataset(problem, 10, seed=25)
     with pytest.raises(SingularSystemError):
         nystrom(ds, LINEAR_KERNEL, SolverConfig(lam=0.0, landmarks=2, seed=8))
@@ -442,7 +442,7 @@ def _relative_gap(new, old):
 @pytest.mark.parametrize("law", INPUT_LAWS)
 @pytest.mark.parametrize("d", [1, 3, 10, 60])
 def test_exact_ls_agrees_with_the_scipy_cholesky_solve(d, law, monkeypatch):
-    problem = make_problem(d, 0.5, law, seed=d)
+    problem = SyntheticProblem(d, 0.5, law, seed=d)
     ds = sample_dataset(problem, 256, seed=d + 1)  # full rank, so lam = 0 is solvable
     for lam in (0.0, 1e-10, None, 1e3):  # None is n^(-1/2)
         numpy_weights = exact_ls(ds, lam).weights
@@ -457,7 +457,7 @@ def test_linear_nystrom_agrees_with_the_scipy_solve_through_the_clipped_fallback
     # the squared m x m system is singular for m > d, so most of these fits take
     # the eigenvalue-clipped solve; coefficients along its null space are
     # rounding noise, so the predictors are compared through their weights
-    problem = make_problem(10, 0.5, law, seed=0)
+    problem = SyntheticProblem(10, 0.5, law, seed=0)
     paths = []
     for n in (64, 256, 1024, 4096):
         for trial in range(5):
@@ -487,7 +487,7 @@ def _coefficients(fit):
 @pytest.mark.parametrize("kernel", [LINEAR_KERNEL, GAUSS], ids=["linear", "gaussian"])
 @pytest.mark.parametrize("solver", ["krr", "early_stopping_gd", "divide_and_conquer"])
 def test_kernel_solvers_agree_with_the_scipy_lapack_calls(solver, kernel, monkeypatch):
-    problem = make_problem(10, 0.5, seed=3)
+    problem = SyntheticProblem(10, 0.5, seed=3)
     for n in (64, 256, 1024, 2048):
         ds = sample_dataset(problem, n, derive_seed(0, "data", n))
         config = SolverConfig(partitions=4, seed=n)
@@ -519,7 +519,7 @@ def test_nystrom_rejects_too_many_landmarks():
 
 def test_nystrom_sqrt_landmarks_competitive_with_full_krr():
     # sqrt(n) landmarks should stay within a factor 2 of full KRR's excess risk
-    problem = make_problem(10, 0.5, seed=0)
+    problem = SyntheticProblem(10, 0.5, seed=0)
     kern = Kernel("gaussian", bandwidth=1.0)
     n = 2048
     lam = n**-0.5
@@ -602,7 +602,7 @@ def test_gaussian_matrix_is_within_1e_14_of_cdist(bandwidth):
     kernel = Kernel("gaussian", bandwidth=bandwidth)
     reference = lambda a, b: np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * bandwidth**2))
     for law in INPUT_LAWS:
-        problem = make_problem(10, 0.5, law)
+        problem = SyntheticProblem(10, 0.5, law)
         a = sample_dataset(problem, 300, seed=1).features
         b = sample_dataset(problem, 200, seed=2).features
         # a far offset cancels catastrophically unless the inputs are centred first

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,9 +10,10 @@ from hypothesis import strategies as st
 
 from qlimits import (
     ConfigError,
+    Dataset,
     PrimalPredictor,
+    SyntheticProblem,
     expected_risk_mc,
-    make_problem,
     read_dataset_csv,
     sample_dataset,
     write_dataset_csv,
@@ -20,36 +24,72 @@ from qlimits.synth import NORM_BLOCK_ENTRIES
 
 @pytest.mark.parametrize("sigma,expected", [(0.0, 0.0), (0.5, 0.25), (2.0, 4.0)])
 def test_bayes_risk_is_noise_variance(sigma, expected):
-    problem = make_problem(10, sigma, seed=1)
+    problem = SyntheticProblem(10, sigma, seed=1)
     assert problem.bayes_risk == expected
 
 
 def test_make_problem_rejects_bad_inputs():
     with pytest.raises(ConfigError):
-        make_problem(0, 0.5)
+        SyntheticProblem(0, 0.5)
     with pytest.raises(ConfigError):
-        make_problem(3, -0.1)
+        SyntheticProblem(3, -0.1)
     with pytest.raises(ConfigError):
-        make_problem(3, 0.5, input_law="cauchy")
+        SyntheticProblem(3, math.nan)
+    with pytest.raises(ConfigError):
+        SyntheticProblem(3, 0.5, input_law="cauchy")
 
 
 def test_target_weights_unit_norm_and_seeded():
-    a = make_problem(7, 0.1, seed=42)
-    b = make_problem(7, 0.1, seed=42)
-    c = make_problem(7, 0.1, seed=43)
+    a = SyntheticProblem(7, 0.1, seed=42)
+    b = SyntheticProblem(7, 0.1, seed=42)
+    c = SyntheticProblem(7, 0.1, seed=43)
     assert np.linalg.norm(a.target_weights) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(a.target_weights, b.target_weights)
     assert not np.array_equal(a.target_weights, c.target_weights)
 
 
+def _target_draw_oracle(seed, d):
+    """The target weights as drawn before the problem type drew its own: a
+    standard normal vector from the seed's "target" stream, normalised."""
+    rng = child_rng(seed, "target")
+    while True:
+        v = rng.standard_normal(d)
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            return v / norm
+
+
+@pytest.mark.parametrize("law", ["unit_sphere_uniform", "gaussian_clipped"])
+@pytest.mark.parametrize("d, seed", [(1, 0), (3, 7), (10, 0), (64, 2**32)])
+def test_problem_is_its_four_scalars_and_draws_the_same_target(d, seed, law):
+    problem = SyntheticProblem(d, 0.5, law, seed)
+    w = problem.target_weights
+    assert w.tobytes() == _target_draw_oracle(seed, d).tobytes()
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.target_weights = np.ones(d)
+    twin = SyntheticProblem(dimension=d, noise_std=0.5, input_law=law, seed=seed)
+    assert twin == problem and hash(twin) == hash(problem)
+    assert SyntheticProblem(d, 0.5, law, seed + 1) != problem
+    copy = pickle.loads(pickle.dumps(problem))
+    assert copy == problem and hash(copy) == hash(problem)
+    assert copy.target_weights.tobytes() == w.tobytes() and not copy.target_weights.flags.writeable
+    assert dataclasses.asdict(problem) == {
+        "dimension": d, "noise_std": 0.5, "input_law": law, "seed": seed,
+    }
+    assert type(SyntheticProblem(d, 1, law, seed).noise_std) is float
+
+
 def test_noiseless_labels_are_exact():
-    problem = make_problem(4, 0.0, seed=7)
+    problem = SyntheticProblem(4, 0.0, seed=7)
     ds = sample_dataset(problem, 5, seed=3)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
 
 
 def test_same_seed_reproduces_bit_exactly():
-    problem = make_problem(3, 1.0, seed=1)
+    problem = SyntheticProblem(3, 1.0, seed=1)
     a = sample_dataset(problem, 50, seed=3)
     b = sample_dataset(problem, 50, seed=3)
     c = sample_dataset(problem, 50, seed=4)
@@ -60,7 +100,7 @@ def test_same_seed_reproduces_bit_exactly():
 
 def test_label_noise_variance_matches_sigma():
     # direct law-of-large-numbers check on the residuals
-    problem = make_problem(2, 1.0, seed=5)
+    problem = SyntheticProblem(2, 1.0, seed=5)
     ds = sample_dataset(problem, 10_000, seed=9)
     residuals = ds.labels - ds.features @ problem.target_weights
     assert np.var(residuals, ddof=1) == pytest.approx(1.0, rel=0.05)
@@ -68,7 +108,7 @@ def test_label_noise_variance_matches_sigma():
 
 @pytest.mark.parametrize("law", ["unit_sphere_uniform", "gaussian_clipped"])
 def test_input_norms_bounded(law):
-    problem = make_problem(6, 0.3, input_law=law, seed=2)
+    problem = SyntheticProblem(6, 0.3, input_law=law, seed=2)
     ds = sample_dataset(problem, 500, seed=11)
     norms = np.linalg.norm(ds.features, axis=1)
     assert np.all(norms <= problem.input_radius * (1 + 1e-12))
@@ -77,7 +117,7 @@ def test_input_norms_bounded(law):
 
 
 def test_bayes_predictor_has_zero_risk_on_noiseless_problem():
-    problem = make_problem(5, 0.0, seed=3)
+    problem = SyntheticProblem(5, 0.0, seed=3)
     estimate = expected_risk_mc(
         PrimalPredictor(problem.target_weights), problem, n_eval=1000, seed=8
     )
@@ -86,13 +126,13 @@ def test_bayes_predictor_has_zero_risk_on_noiseless_problem():
 
 
 def test_sample_dataset_rejects_empty():
-    problem = make_problem(2, 0.1)
+    problem = SyntheticProblem(2, 0.1)
     with pytest.raises(ConfigError):
         sample_dataset(problem, 0, seed=1)
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):
-    problem = make_problem(3, 0.7, seed=4)
+    problem = SyntheticProblem(3, 0.7, seed=4)
     ds = sample_dataset(problem, 20, seed=6)
     path = tmp_path / "data.csv"
     write_dataset_csv(ds, path)
@@ -129,7 +169,7 @@ def test_csv_rejects_malformed(tmp_path):
     n=st.integers(1, 64),
 )
 def test_sampling_invariants(d, sigma, law, seed, n):
-    problem = make_problem(d, sigma, input_law=law, seed=seed)
+    problem = SyntheticProblem(d, sigma, input_law=law, seed=seed)
     ds = sample_dataset(problem, n, seed=seed)
     again = sample_dataset(problem, n, seed=seed)
     np.testing.assert_array_equal(ds.features, again.features)
@@ -165,19 +205,16 @@ def test_blocked_draw_keeps_every_bit_of_the_full_temporary_draw(law, d):
     block = NORM_BLOCK_ENTRIES // d  # rows of x squared at a time
     for n in sorted({1, block - 1, block, block + 1, 3 * block + 7, 8192}):
         for sigma in (0.0, 0.5):
-            problem = make_problem(d, sigma, input_law=law, seed=d)
+            problem = SyntheticProblem(d, sigma, input_law=law, seed=d)
             ds = sample_dataset(problem, n, seed=n)
             x, labels = _sample_dataset_with_full_temporaries(problem, n, n)
             assert ds.features.tobytes() == x.tobytes(), (n, sigma)
             assert ds.labels.tobytes() == labels.tobytes(), (n, sigma)
 
 
-@pytest.mark.parametrize("law", ["unit_sphere_uniform", "gaussian_clipped"])
-def test_draw_holds_no_second_n_by_d_array(law):
-    # x itself, one block of squares and a few n-vectors (norms, labels, noise,
-    # Dataset's finiteness mask of n x d bytes); an n x d temporary is 10 more
-    n, d = 8192, 10
-    problem = make_problem(d, 0.5, input_law=law, seed=1)
+def _draw_peak(law, n, d):
+    """The tracemalloc peak of one draw, and its features' bytes."""
+    problem = SyntheticProblem(d, 0.5, input_law=law, seed=1)
     sample_dataset(problem, n, seed=0)  # numpy's first-call allocations
     tracemalloc.start()
     try:
@@ -185,4 +222,41 @@ def test_draw_holds_no_second_n_by_d_array(law):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= ds.features.nbytes + 8 * NORM_BLOCK_ENTRIES + 3 * 8 * n
+    return peak, ds.features.nbytes
+
+
+@pytest.mark.parametrize("law", ["unit_sphere_uniform", "gaussian_clipped"])
+def test_draw_holds_no_second_n_by_d_array(law):
+    # x itself, one block of squares and a few n-vectors (norms, labels,
+    # noise); Dataset checks finiteness by min and max, with no mask, and an
+    # n x d temporary is 10 more
+    n = 8192
+    peak, features = _draw_peak(law, n, 10)
+    assert peak <= features + 8 * NORM_BLOCK_ENTRIES + 3 * 8 * n
+
+
+@pytest.mark.parametrize("law", ["unit_sphere_uniform", "gaussian_clipped"])
+def test_wide_draw_holds_no_n_by_d_finiteness_mask(law):
+    # at d = 64 a boolean n x d mask (512 KiB) is twice the n-vector allowance
+    n = 8192
+    peak, features = _draw_peak(law, n, 64)
+    assert peak <= features + 8 * NORM_BLOCK_ENTRIES + 3 * 8 * n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["features", "labels"])
+def test_dataset_rejects_a_non_finite_entry(tmp_path, bad, where):
+    x, y = np.ones((4, 3)), np.ones(4)
+    (x[2, 1:2] if where == "features" else y[3:])[:] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        Dataset(x, y)
+    path = tmp_path / "data.csv"
+    rows = [",".join(f"{v}" for v in [*row, label]) for row, label in zip(x, y)]
+    path.write_text("\n".join(["x0,x1,x2,y", *rows]) + "\n")
+    with pytest.raises(ConfigError, match="finite"):
+        read_dataset_csv(path)
+
+
+def test_dataset_keeps_accepting_finite_and_zero_width_features():
+    assert Dataset(np.full((2, 3), -1e308), np.array([1e308, 0.0])).n_samples == 2
+    assert Dataset(np.empty((5, 0)), np.zeros(5)).dimension == 0

@@ -21,9 +21,11 @@ BLAS. They are found once, on first use, by ``dlsym`` on a no-load handle of
 so numpy's library is the one found even when scipy's OpenBLAS is loaded too.
 The names tried are ``scipy_d*_64_`` and ``d*_64_`` (64-bit integers) and
 ``d*_`` (32-bit). A numpy whose BLAS exports none of them makes a kernel
-solve raise QlimitsError naming the module searched. Each entry point copies
-an input that is not float64 in the layout it passes (Fortran order for a
-matrix, contiguous for a vector) and raises on an illegal LAPACK argument.
+solve raise QlimitsError naming the module searched. ``cholesky_upper``
+factors its argument in place, so it takes only a writeable Fortran-ordered
+float64 matrix and raises on anything else. The other two copy an input that
+is not float64 in the layout they pass (Fortran order for a matrix,
+contiguous for a vector). Each raises on an illegal LAPACK argument.
 """
 
 from __future__ import annotations
@@ -190,21 +192,27 @@ def _check_info(routine: str, info) -> int:
 
 
 def cholesky_upper(a: np.ndarray) -> np.ndarray:
-    """The factor of ``cholesky_solve``: a Fortran-ordered copy of the square
-    ``a`` whose upper triangle is overwritten by U, where a = U^T U is read
-    from ``a``'s upper triangle (LAPACK ``dpotrf('U')``). Its strict lower
-    triangle keeps ``a``'s entries. Raises ``np.linalg.LinAlgError`` when
-    ``a`` is not numerically positive definite."""
+    """Factor the square ``a`` in place for ``cholesky_solve`` and return it:
+    its upper triangle is overwritten by U, where a = U^T U is read from that
+    triangle (LAPACK ``dpotrf('U')``); its strict lower triangle is not
+    touched. ``a`` must be a writeable, Fortran-ordered float64 array, and
+    anything else raises QlimitsError: no copy is made. Raises
+    ``np.linalg.LinAlgError``, with ``a`` partly overwritten, when ``a`` is
+    not numerically positive definite."""
     int_type, dpotrf, _, _ = _lapack()
-    factor = np.array(a, dtype=np.float64, order="F")  # dpotrf overwrites it
-    n = _square_order(factor, "dpotrf")
+    n = _square_order(a, "dpotrf")
+    if not (a.dtype == np.float64 and a.flags.f_contiguous and a.flags.writeable):
+        raise QlimitsError(
+            "dpotrf factors in place a writeable Fortran-ordered float64 matrix, got "
+            f"{a.dtype}, Fortran-ordered {a.flags.f_contiguous}, writeable {a.flags.writeable}"
+        )
     info = int_type(0)
-    dpotrf(b"U", int_type(n), factor.ctypes.data, int_type(max(n, 1)), info, 1)
+    dpotrf(b"U", int_type(n), a.ctypes.data, int_type(max(n, 1)), info, 1)
     if _check_info("dpotrf", info) > 0:
         raise np.linalg.LinAlgError(
             f"dpotrf: the leading minor of order {info.value} is not positive definite"
         )
-    return factor
+    return a
 
 
 def cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:

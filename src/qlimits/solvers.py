@@ -14,11 +14,22 @@ Every direct solve is residual-checked to 1e-10 relative; one that misses is
 refined once, and raises NumericalError if it misses again. The small systems
 (``exact_ls``'s d x d, ``nystrom``'s m x m) are factored by numpy's Cholesky
 and solved through its two triangular factors. KRR's n x n system (divide
-and conquer's blocks too) is factored by LAPACK's ``dpotrf('U')`` on a
-Fortran-ordered copy of K + lam*n*I and solved by ``dpotrs``, and
-early-stopped gradient descent's products are ``dsymv`` calls: all three
-run in the BLAS that numpy links, through ``qlimits.blas``, so no solver
-imports scipy or maps a second BLAS.
+and conquer's blocks too) is factored by LAPACK's ``dpotrf('U')`` and solved
+by ``dpotrs``, and early-stopped gradient descent's products are ``dsymv``
+calls: all three run in the BLAS that numpy links, through ``qlimits.blas``,
+so no solver imports scipy or maps a second BLAS.
+
+KRR holds one n x n array per fit, for either kernel. It builds K + lam*n*I
+in C order, transposes that memory in place in 64 x 64 tiles, so the same
+buffer is the Fortran layout of the same values, and ``dpotrf`` factors it
+there. The values only move, so the factor, the solution and every output
+bit are those of factoring a Fortran-ordered copy. The residual gate reads K
+from what ``dpotrf('U')`` leaves: the strict lower triangle, which it does
+not touch, and the diagonal, saved before the factor and swapped in for each
+``dsymv``. A Gaussian K is symmetric only up to its last bits, so this
+product differs from the full K @ v in its last bits. Where Cholesky breaks
+down the buffer is partly overwritten, so K is computed again for the PSD
+check and the eigenvalue-clipped solve.
 
 Kernel evaluation is the test-time cost of a dual predictor (n_eval x n
 entries), so it runs in BLAS and allocates as little as it can.
@@ -79,6 +90,7 @@ KERNEL_PSD_RTOL = 1e-8
 POWER_ITER_TOL = 1e-6
 POWER_ITER_MAX = 500
 PREDICT_BLOCK_ENTRIES = 2**17  # kernel entries per prediction block (1 MiB)
+TRANSPOSE_TILE = 64  # rows and columns per tile of KRR's in-place transpose
 
 
 @dataclass(frozen=True)
@@ -95,6 +107,15 @@ class Kernel:
         elif self.kind == "gaussian":
             if self.bandwidth is None or not (self.bandwidth > 0):
                 raise ConfigError(f"gaussian kernel needs bandwidth > 0, got {self.bandwidth}")
+            try:  # the exponent's scale 1 / (2 h^2), as matrix() and prepare() take it
+                scale = 0.5 / float(self.bandwidth) ** 2
+            except (OverflowError, ZeroDivisionError):
+                scale = math.nan
+            if not (math.isfinite(scale) and scale > 0):
+                raise ConfigError(
+                    f"gaussian kernel bandwidth {self.bandwidth} is out of range: "
+                    "0.5 / bandwidth**2 must be a finite positive float"
+                )
         else:
             raise ConfigError(f"unknown kernel kind {self.kind!r}, expected 'linear' or 'gaussian'")
 
@@ -128,6 +149,11 @@ class Kernel:
         sq_a = np.einsum("ij,ij->i", a, a)[:, None]
         left = np.hstack((a, -s * sq_a, np.full_like(sq_a, -s)))
         k = left @ b.factor.T
+        if not k.max(initial=-math.inf) < math.inf:  # the exact exponent is <= 0
+            raise ConfigError(
+                f"gaussian kernel bandwidth {self.bandwidth} is out of range for these "
+                "inputs: the exponent |a - b|^2 / (2 bandwidth**2) overflows"
+            )
         np.minimum(k, 0.0, out=k)  # rounding can leave a tiny positive exponent
         return np.exp(k, out=k)
 
@@ -285,15 +311,16 @@ def predict_batch(predictor: Predictor, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # SPD solving with residual gate
 
-def _gated(solve, m: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Apply ``solve``, verify the residual gate, refine once if needed."""
+def _gated(solve, product, rhs: np.ndarray, context: str) -> np.ndarray:
+    """Apply ``solve``, verify the residual gate against the system's
+    ``product`` (v -> M v), refine once if needed."""
     sol = solve(rhs)
     rhs_norm = np.linalg.norm(rhs)
-    residual = rhs - m @ sol
-    if np.linalg.norm(residual) > RESIDUAL_RTOL * rhs_norm:
+    residual = rhs - product(sol)
+    if not np.linalg.norm(residual) <= RESIDUAL_RTOL * rhs_norm:  # a NaN misses too
         sol = sol + solve(residual)  # one step of iterative refinement
-        residual = rhs - m @ sol
-        if np.linalg.norm(residual) > RESIDUAL_RTOL * rhs_norm:
+        residual = rhs - product(sol)
+        if not np.linalg.norm(residual) <= RESIDUAL_RTOL * rhs_norm:
             raise NumericalError(
                 f"{context}: solve residual {np.linalg.norm(residual):.3e} exceeds "
                 f"{RESIDUAL_RTOL:.0e} * |rhs| = {RESIDUAL_RTOL * rhs_norm:.3e}"
@@ -317,7 +344,7 @@ def _solve_spd(m: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     else:
         # numpy has no triangular solve, so each factor goes through its LU solve
         solve = lambda r: np.linalg.solve(lower.T, np.linalg.solve(lower, r))
-    return _gated(solve, m, rhs, context)
+    return _gated(solve, lambda v: m @ v, rhs, context)
 
 
 def _check_not_singular(m: np.ndarray, context: str) -> None:
@@ -351,11 +378,38 @@ def exact_ls(dataset: Dataset, lam: float | None = None) -> PrimalPredictor:
     return PrimalPredictor(weights=w)
 
 
+def _transpose_in_place(a: np.ndarray) -> np.ndarray:
+    """Transpose the square C-ordered ``a`` within its own memory, tile pair
+    by tile pair, and return ``a.T``: the Fortran-ordered view that holds
+    ``a``'s original values."""
+    n, t = a.shape[0], TRANSPOSE_TILE
+    for i in range(0, n, t):
+        a[i:i + t, i:i + t] = a[i:i + t, i:i + t].T.copy()
+        for j in range(i + t, n, t):
+            upper = a[i:i + t, j:j + t].copy()
+            a[i:i + t, j:j + t] = a[j:j + t, i:i + t].T
+            a[j:j + t, i:i + t] = upper.T
+    return a.T
+
+
+def _factored_product(system: np.ndarray, diagonal: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K @ v for the K that ``dpotrf('U')`` factored in place in ``system``:
+    dsymv reads its strict lower triangle, which dpotrf leaves as it was,
+    with K's ``diagonal`` swapped in for U's during the call."""
+    u_diagonal = system.diagonal().copy()
+    np.fill_diagonal(system, diagonal)
+    product = lower_symmetric_product(system, v)
+    np.fill_diagonal(system, u_diagonal)
+    return product
+
+
 def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = None) -> DualPredictor:
     """Kernel ridge regression: coefficients (K + lam*n*I)^(-1) y on all points.
 
-    The built-in kernels are PSD by construction, so the full eigencheck runs
-    only on the cold path where Cholesky factorization breaks down.
+    K + lam*n*I is factored in place and residual-checked from what the
+    factor leaves of it (module docstring). The built-in kernels are PSD by
+    construction, so the full eigencheck runs only on the cold path where
+    Cholesky factorization breaks down.
     """
     n = dataset.n_samples
     lam = resolve_lam(lam, n)
@@ -363,13 +417,19 @@ def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = No
         raise ConfigError(f"krr requires lam > 0, got {lam}")
     k = kernel.matrix(dataset.features, dataset.features)
     k.flat[:: n + 1] += lam * n  # in place: K becomes K + lam*n*I
+    system = _transpose_in_place(k)  # a view of k's own memory
+    diagonal = system.diagonal().copy()
     try:
-        factor = cholesky_upper(k)  # a Fortran-ordered copy; criterion 7's KRR exponent needs it
+        factor = cholesky_upper(system)
         solve = lambda r: cholesky_solve(factor, r)
+        product = lambda v: _factored_product(system, diagonal, v)
     except np.linalg.LinAlgError:
-        check_kernel_psd(kernel.matrix(dataset.features, dataset.features))
-        solve = _eig_clip_solver(k)
-    alpha = _gated(solve, k, dataset.labels, "krr")
+        del system, k  # the failed factor overwrote part of the buffer
+        k = kernel.matrix(dataset.features, dataset.features)
+        check_kernel_psd(k)
+        k.flat[:: n + 1] += lam * n
+        solve, product = _eig_clip_solver(k), lambda v: k @ v
+    alpha = _gated(solve, product, dataset.labels, "krr")
     return DualPredictor(coefficients=alpha, landmarks=dataset.features, kernel=kernel)
 
 

@@ -236,11 +236,13 @@ LAYOUTS = {
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_lapack_entry_points_give_the_bits_of_their_float64_layout(layout):
-    # each entry point passes a Fortran-ordered float64 matrix and a contiguous
-    # float64 vector; any other input is copied to that layout first
+    # cholesky_solve and lower_symmetric_product pass a Fortran-ordered float64
+    # matrix and a contiguous float64 vector, and copy any other input to that
+    # layout first; cholesky_upper factors in place, so it takes a Fortran-ordered
+    # float64 matrix as it is and refuses any other
     change = LAYOUTS[layout]
     spd = _spd(40, 3)
-    factor = blas.cholesky_upper(spd)
+    factor = blas.cholesky_upper(np.asfortranarray(spd))
     v = np.random.default_rng(4).standard_normal(40)
 
     def matrix(a):
@@ -252,7 +254,11 @@ def test_lapack_entry_points_give_the_bits_of_their_float64_layout(layout):
         return x, np.ascontiguousarray(x, dtype=np.float64)
 
     changed, plain = matrix(spd)
-    assert blas.cholesky_upper(changed).tobytes() == blas.cholesky_upper(plain).tobytes()
+    if changed.dtype == np.float64 and changed.flags.f_contiguous:
+        assert blas.cholesky_upper(changed.copy(order="F")).tobytes() == factor.tobytes()
+    else:
+        with pytest.raises(QlimitsError, match="Fortran-ordered float64"):
+            blas.cholesky_upper(changed)
     for (f, f_plain), (b, b_plain) in [(matrix(factor), (v, v)), ((factor, factor), vector(v))]:
         assert blas.cholesky_solve(f, b).tobytes() == blas.cholesky_solve(f_plain, b_plain).tobytes()
     for (a, a_plain), (x, x_plain) in [(matrix(spd), (v, v)), ((spd, spd), vector(v))]:
@@ -264,8 +270,10 @@ def test_lapack_entry_points_compute_what_they_name():
     spd = _spd(30, 5)
     junk = 1e3 * np.random.default_rng(7).standard_normal((30, 30))
     v = np.random.default_rng(6).standard_normal(30)
-    # the factor reads only the upper triangle, the product only the lower
-    factor = blas.cholesky_upper(np.triu(spd) + np.tril(junk, -1))
+    # the factor reads only the upper triangle and leaves the strict lower one
+    # as it was; the product reads only the lower
+    factor = blas.cholesky_upper(np.asfortranarray(np.triu(spd) + np.tril(junk, -1)))
+    assert np.tril(factor, -1).tobytes() == np.tril(junk, -1).tobytes()
     upper = np.triu(factor)
     assert np.abs(upper.T @ upper - spd).max() <= 1e-13 * np.abs(spd).max()
     assert np.abs(spd @ blas.cholesky_solve(factor, v) - v).max() <= 1e-12 * np.abs(v).max()
@@ -276,7 +284,21 @@ def test_lapack_entry_points_compute_what_they_name():
 
 def test_cholesky_of_an_indefinite_matrix_raises_linalg_error():
     with pytest.raises(np.linalg.LinAlgError, match="order 2"):
-        blas.cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        blas.cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]], order="F"))
+
+
+def test_cholesky_factors_its_argument_in_place_and_refuses_what_it_would_copy():
+    spd = _spd(30, 8)
+    a = np.asfortranarray(spd)
+    assert blas.cholesky_upper(a) is a
+    assert np.abs(np.triu(a).T @ np.triu(a) - spd).max() <= 1e-13 * np.abs(spd).max()
+    read_only = np.asfortranarray(spd)
+    read_only.flags.writeable = False
+    for refused in (spd, spd.astype(np.float32, order="F"), _strided(spd.T), read_only):
+        before = refused.tobytes("A")
+        with pytest.raises(QlimitsError, match="Fortran-ordered float64"):
+            blas.cholesky_upper(refused)
+        assert refused.tobytes("A") == before
 
 
 def test_lapack_entry_points_reject_mismatched_shapes():

@@ -12,6 +12,7 @@ import pytest
 
 from qlimits import (
     LINEAR_KERNEL,
+    Dataset,
     SOLVER_IDS,
     SolverConfig,
     SyntheticProblem,
@@ -614,6 +615,30 @@ def test_sweep_rejects_exact_ls_under_a_gaussian_kernel(tmp_path, capsys):
     assert _run(tmp_path, "sweep", payload) == 2
     assert "exact_ls" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("command, bandwidth", [
+    ("fit", 1e-200), ("fit", 1e-160), ("fit", 1e-154), ("sweep", 1e200),
+])
+def test_gaussian_bandwidth_out_of_float_range_is_a_config_error(tmp_path, capsys, command, bandwidth):
+    # 0.5 / bandwidth**2 divides by an underflowed zero, overflows to inf, or
+    # raises OverflowError in the square. At 1e-154 it is finite (5e307), but
+    # the exponent overflows on features of magnitude 2 and more
+    kernel = {"kind": "gaussian", "bandwidth": bandwidth}
+    if command == "fit":
+        data = tmp_path / "train.csv"
+        ds = sample_dataset(SyntheticProblem(3, 0.1, seed=1), 10, seed=2)
+        write_dataset_csv(Dataset(4.0 * ds.features, ds.labels), data)
+        payload = dict(_fit_payload(tmp_path, data, None), solver="krr", kernel=kernel)
+        outputs = ("fit.pred.json", "fit.report.json")
+    else:
+        payload = _sweep_payload(tmp_path, solver="krr", kernel=kernel)
+        outputs = ("sweep.csv", "sweep.json")
+    assert _run(tmp_path, command, payload) == 2
+    err = capsys.readouterr().err
+    assert f"config error: gaussian kernel bandwidth {bandwidth} is out of range" in err
+    assert "Traceback" not in err
+    assert not any((tmp_path / name).exists() for name in outputs)
 
 
 def test_sweep_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):

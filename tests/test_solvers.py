@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -431,7 +432,7 @@ def _scipy_solve_spd(paths: list):
             evals = np.maximum(evals, solvers.EIG_FLOOR)
             solve = lambda r: vecs @ ((vecs.T @ r) / evals)
             paths.append("eig_clip")
-        return solvers._gated(solve, m, rhs, context)
+        return solvers._gated(solve, lambda v: m @ v, rhs, context)
     return solve_spd
 
 
@@ -473,8 +474,10 @@ def test_linear_nystrom_agrees_with_the_scipy_solve_through_the_clipped_fallback
 
 def _patch_scipy_lapack(patch) -> None:
     """The n x n Cholesky and dsymv as they ran on scipy: cho_factor, cho_solve
-    and scipy's dsymv in place of qlimits.blas's entry points."""
-    patch.setattr(solvers, "cholesky_upper", lambda k: scipy.linalg.cho_factor(k, check_finite=False))
+    and scipy's dsymv in place of qlimits.blas's entry points. cho_factor
+    overwrites the Fortran-ordered system in place, as ``cholesky_upper`` does."""
+    patch.setattr(solvers, "cholesky_upper",
+                  lambda k: scipy.linalg.cho_factor(k, overwrite_a=True, check_finite=False))
     patch.setattr(solvers, "cholesky_solve", lambda f, r: scipy.linalg.cho_solve(f, r, check_finite=False))
     patch.setattr(solvers, "lower_symmetric_product",
                   lambda a, x: scipy.linalg.blas.dsymv(1.0, a, x, lower=1))
@@ -498,17 +501,91 @@ def test_kernel_solvers_agree_with_the_scipy_lapack_calls(solver, kernel, monkey
         assert _relative_gap(_coefficients(numpy_fit), _coefficients(scipy_fit)) <= 1e-12, n
 
 
+def _negated(system):
+    """-K in the buffer itself: dpotrf breaks down at its first leading minor."""
+    return blas.cholesky_upper(np.negative(system, out=system))
+
+
+def _last_minor_broken(system):
+    """K with its last diagonal entry made negative: dpotrf overwrites every
+    column before it, then breaks down at the last leading minor."""
+    system[-1, -1] = -1.0
+    return blas.cholesky_upper(system)
+
+
 def test_krr_cholesky_breakdown_takes_the_clipped_eigen_solve(monkeypatch):
+    # the failed factor leaves the buffer overwritten, so the fallback must
+    # compute K again rather than read it
     _, ds = _random_ds(80, 3, sigma=0.3, seed=5)
     expected = krr(ds, GAUSS, 0.01).coefficients
-    clipped = []
     eig_clip_solver = solvers._eig_clip_solver
-    # dpotrf itself breaks down: -K has a negative leading minor of order 1
-    monkeypatch.setattr(solvers, "cholesky_upper", lambda k: blas.cholesky_upper(-k))
-    monkeypatch.setattr(solvers, "_eig_clip_solver", lambda m: clipped.append(m) or eig_clip_solver(m))
-    fallback = krr(ds, GAUSS, 0.01).coefficients
-    assert len(clipped) == 1
-    assert _relative_gap(fallback, expected) <= 1e-10
+    for breaking in (_negated, _last_minor_broken):
+        clipped = []
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "cholesky_upper", breaking)
+            patch.setattr(solvers, "_eig_clip_solver", lambda m: clipped.append(m) or eig_clip_solver(m))
+            fallback = krr(ds, GAUSS, 0.01).coefficients
+        assert len(clipped) == 1, breaking.__name__
+        assert _relative_gap(fallback, expected) <= 1e-10, breaking.__name__
+
+
+@pytest.mark.parametrize("wrong", [0.5, math.nan], ids=["halved", "nan"])
+@pytest.mark.parametrize("kernel", [LINEAR_KERNEL, GAUSS], ids=["linear", "gaussian"])
+def test_krr_whose_solve_misses_the_gate_raises_naming_krr(kernel, wrong, monkeypatch):
+    # the gate's product reads K from what the factor leaves; a wrong solve
+    # still fails it, after its one refinement step, and a NaN residual
+    # counts as a miss
+    monkeypatch.setattr(solvers, "cholesky_solve", lambda factor, r: wrong * r)
+    _, ds = _random_ds(200, 3, sigma=0.3, seed=6)
+    with pytest.raises(NumericalError, match="krr: solve residual"):
+        krr(ds, kernel)
+
+
+def _oracle_krr_coefficients(features, labels, kernel, lam):
+    """KRR's coefficients the way they were computed before the in-place
+    factor: a Fortran-ordered copy of K + lam*n*I, ``dpotrf('U')``, ``dpotrs``."""
+    n = labels.shape[0]
+    k = kernel.matrix(features, features)
+    k.flat[:: n + 1] += lam * n
+    return blas.cholesky_solve(blas.cholesky_upper(np.array(k, order="F")), labels)
+
+
+@pytest.mark.parametrize("kernel", [LINEAR_KERNEL, GAUSS], ids=["linear", "gaussian"])
+@pytest.mark.parametrize("law", INPUT_LAWS)
+@pytest.mark.parametrize("d", [1, 3, 10, 64])
+def test_krr_keeps_the_bytes_of_factoring_a_fortran_copy(d, law, kernel):
+    # n at and around the 64 x 64 tiles of the in-place transpose
+    problem = SyntheticProblem(d, 0.5, law, seed=d)
+    for n in (1, 7, 63, 64, 65, 255, 300, 1000, 2048):
+        ds = sample_dataset(problem, n, derive_seed(1, "data", n))
+        lam = n**-0.5
+        expected = _oracle_krr_coefficients(ds.features, ds.labels, kernel, lam)
+        assert krr(ds, kernel).coefficients.tobytes() == expected.tobytes(), n
+        p = min(2, n)
+        blocks = np.array_split(child_rng(n, "blocks").permutation(n), p)
+        expected = np.concatenate([
+            _oracle_krr_coefficients(ds.features[b], ds.labels[b], kernel, lam) / p for b in blocks
+        ])
+        fitted = divide_and_conquer(ds, kernel, SolverConfig(partitions=p, seed=n))
+        assert fitted.coefficients.tobytes() == expected.tobytes(), n
+        # the gate's product: K read back from the factored buffer, diagonal restored after
+        k = kernel.matrix(ds.features, ds.features)
+        k.flat[:: n + 1] += lam * n
+        system = solvers._transpose_in_place(k.copy())
+        assert system.flags.f_contiguous and system.tobytes("A") == np.array(k, order="F").tobytes("A")
+        diagonal = system.diagonal().copy()
+        factor = blas.cholesky_upper(system).copy(order="F")
+        v = child_rng(n, "gate-vector").standard_normal(n)
+        product = solvers._factored_product(system, diagonal, v)
+        assert np.linalg.norm(product - k @ v) <= 1e-14 * np.linalg.norm(k @ v), n
+        assert system.tobytes("A") == factor.tobytes("A"), n
+
+
+@pytest.mark.parametrize("kernel", [LINEAR_KERNEL, GAUSS], ids=["linear", "gaussian"])
+def test_krr_holds_one_n_by_n_matrix(kernel):
+    _, ds = _random_ds(1024, 3, sigma=0.3, seed=8)
+    krr(ds, kernel)  # the first call also finds LAPACK
+    assert _peak_bytes(lambda: krr(ds, kernel)) <= 1024 * 1024 * 8 + 2**20
 
 
 def test_nystrom_rejects_too_many_landmarks():

@@ -1,6 +1,5 @@
 import concurrent.futures
 import ctypes.util
-import hashlib
 import inspect
 import json
 import math
@@ -33,7 +32,8 @@ from qlimits.qmodel import (
 )
 from qlimits.rng import derive_seed
 from qlimits.solvers import load_predictor, predictor_to_json
-from test_benchmark_workloads import _reference_environment_differs
+
+import reference_outputs as ref
 
 
 def _write_config(path, payload):
@@ -232,32 +232,37 @@ def _gaussian_krr_fit(tmp_path):
     return (tmp_path / "pred.json").read_bytes(), (tmp_path / "report.json").read_bytes()
 
 
-# The sha256 of each file written by README's example generate config, then by
-# a Gaussian krr fit of that dataset scored against its problem on the default
-# n_eval points: both draws go through sample_dataset. They were written in
-# the environment of test_benchmark_workloads.REFERENCE_SHA256.
-REFERENCE_GENERATE_FIT_SHA256 = {
-    "train.csv": "cf5c8caae461058ecbd95675531fd68080eeba900928be550a837d2763b6f354",
-    "train.csv.config.json": "69d6551159af280f7e2c470f9f4382c1cfe76d17a3c7a0d51410231b8de2fe0c",
-    "krr.pred.json": "f85cd1ee1b54df4f85439aa667a1a05197f95eee45d9f7fefcd84956b4adeb39",
-    "krr.report.json": "cbd64cea1a82366551a47c348f15d600072006839b571e247060798e84155eec",
-}
+@pytest.fixture(scope="module")
+def readme_outputs(tmp_path_factory):
+    """The bytes of each file written by README's example commands (a
+    generate, a Gaussian krr fit of its dataset scored on the default n_eval
+    points, and the linear rate sweep), keyed by file name."""
+    directory = tmp_path_factory.mktemp("readme")
+    ref.run_readme_commands(directory)
+    return {name: (directory / name).read_bytes() for name in ref.README_FILES}
 
 
-def test_generate_and_fit_write_the_reference_bytes(tmp_path, monkeypatch):
-    differs = _reference_environment_differs()
+def test_reference_files_match_their_manifest():
+    manifest = ref.read_manifest()
+    assert manifest["schema_version"] == scaling.SCHEMA_VERSION, "run scripts/regenerate_references.py"
+    assert sorted(manifest["files"]) == sorted(ref.FILES)
+    for name, digest in manifest["files"].items():
+        assert ref.sha256((ref.REFERENCE_DIR / name).read_bytes()) == digest, name
+
+
+def test_readme_examples_write_the_reference_values(readme_outputs):
+    misses = [line for name, new in readme_outputs.items()
+              for line in ref.value_mismatches(name, new, (ref.REFERENCE_DIR / name).read_bytes())]
+    assert not misses, "\n".join(misses)
+
+
+def test_readme_examples_write_the_reference_bytes(readme_outputs):
+    manifest = ref.read_manifest()
+    differs = ref.environment_differs(manifest["environment"])
     if differs is not None:
         pytest.skip(f"not the environment that wrote the reference sha256s: {differs}")
-    monkeypatch.chdir(tmp_path)  # relative paths, as in README, so the echoes match too
-    problem = {"dimension": 10, "noise_std": 0.5, "seed": 0}
-    assert _run(tmp_path, "generate", {"problem": problem, "n": 1024, "out": "train.csv"}) == 0
-    assert _run(tmp_path, "fit", {
-        "dataset": "train.csv", "solver": "krr", "kernel": {"kind": "gaussian", "bandwidth": 1.0},
-        "problem": problem, "out_predictor": "krr.pred.json", "out_report": "krr.report.json",
-    }) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in REFERENCE_GENERATE_FIT_SHA256}
-    assert digests == REFERENCE_GENERATE_FIT_SHA256
+    assert {name: ref.sha256(new) for name, new in readme_outputs.items()} == \
+        {name: manifest["files"][name] for name in ref.README_FILES}
 
 
 def test_fit_output_does_not_depend_on_preset_blas_threads(tmp_path, preset_blas_threads):

@@ -4,13 +4,15 @@
     PYTHONPATH=src python scripts/regenerate_references.py --check   # report only
 
 It runs README's example generate, fit and sweep commands and the three
-benchmark workloads at seed 0 in a temporary directory (``tests/reference_outputs.py``
-says which), then prints, per file, its old and new sha256 and any value that
-misses the committed one by more than ``reference_outputs.RTOL``. Without
-``--check`` it copies the new files over the old and writes ``manifest.json``:
-each file's sha256, ``SCHEMA_VERSION`` and this environment (numpy's version,
-its OpenBLAS file name and config string). A change that moves output values
-bumps ``SCHEMA_VERSION`` first, and lists the old -> new sha256s it prints.
+benchmark workloads at seed 0 in a temporary directory
+(``tests/reference_outputs.py`` says which). It prints each file's old and
+new sha256 and any value that misses the committed one by more than
+``reference_outputs.RTOL``. With ``--check`` it then writes nothing, and exits
+1 if any value missed. Otherwise it copies the new files over the old and
+writes ``manifest.json``: each file's sha256, ``SCHEMA_VERSION`` and this
+environment (numpy's version, its OpenBLAS file name and config string). A
+change that moves output values bumps ``SCHEMA_VERSION`` first, and lists
+the old -> new sha256s it prints.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def main(argv=None) -> int:
         ref.run_workloads(out)
         ref.run_readme_commands(out)
         environment = ref.environment()
-        digests = {}
+        digests, misses = {}, 0
         for name in ref.FILES:
             new = (out / name).read_bytes()
             digests[name] = ref.sha256(new)
@@ -49,8 +51,9 @@ def main(argv=None) -> int:
             if old_path.exists():
                 for line in ref.value_mismatches(name, new, old_path.read_bytes()):
                     print(f"  value miss: {line}")
+                    misses += 1
         if args.check:
-            return 0
+            return 1 if misses else 0
         ref.REFERENCE_DIR.mkdir(exist_ok=True)
         for name in ref.FILES:
             shutil.copyfile(out / name, ref.REFERENCE_DIR / name)

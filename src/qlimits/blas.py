@@ -11,21 +11,21 @@ needed. A BLAS that cannot be set to one thread and read back at one
 thread (MKL, BLIS, a reference BLAS, or no ``/proc``) is an error: timing a
 multi-threaded BLAS silently is never an option.
 
-The kernel solvers need three routines that numpy's linear algebra does not
+The solvers need three routines that numpy's linear algebra does not
 expose: a Cholesky factor (``dpotrf``), a solve with it (``dpotrs``) and a
 symmetric product from one triangle (``dsymv``). ``cholesky_upper``,
 ``cholesky_solve`` and ``lower_symmetric_product`` call them in the library
-numpy already maps, so a kernel solve imports no scipy and maps no second
-BLAS. They are found once, on first use, by ``dlsym`` on a no-load handle of
+numpy already maps, so a solve imports no scipy and maps no second BLAS.
+They are found once, on first use, by ``dlsym`` on a no-load handle of
 ``numpy.linalg._umath_linalg``, which searches that module's dependencies:
 so numpy's library is the one found even when scipy's OpenBLAS is loaded too.
 The names tried are ``scipy_d*_64_`` and ``d*_64_`` (64-bit integers) and
-``d*_`` (32-bit). A numpy whose BLAS exports none of them makes a kernel
-solve raise QlimitsError naming the module searched. ``cholesky_upper``
-factors its argument in place, so it takes only a writeable Fortran-ordered
-float64 matrix and raises on anything else. The other two copy an input that
-is not float64 in the layout they pass (Fortran order for a matrix,
-contiguous for a vector). Each raises on an illegal LAPACK argument.
+``d*_`` (32-bit). A numpy whose BLAS exports none of them makes a solve
+raise QlimitsError naming the module searched. ``cholesky_upper`` factors
+its argument in place, so it takes only a writeable Fortran-ordered float64
+matrix and raises on anything else. The other two copy an input that is not
+float64 in the layout they pass (Fortran order for a matrix, contiguous for
+a vector). Each raises on an illegal LAPACK argument.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _find_lapack(path: str) -> tuple:
             return int_type, dpotrf, dpotrs, dsymv
     raise QlimitsError(
         f"{path}: neither it nor the BLAS it links exports dpotrf, dpotrs and dsymv as "
-        "scipy_d*_64_, d*_64_ or d*_; the kernel solvers need numpy on an OpenBLAS "
+        "scipy_d*_64_, d*_64_ or d*_; the solvers need numpy on an OpenBLAS "
         "or a BLAS with reference LAPACK names"
     )
 

@@ -83,7 +83,7 @@ KRR_TRAIN_EXPONENT_RANGE = (2.3, 3.5)
 NYSTROM_EXPONENT_GAP_MIN = 0.7
 PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 DESK_SCALE_CAP = 8192
 
 

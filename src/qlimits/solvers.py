@@ -11,13 +11,12 @@ Five training routes over the same dual/primal predictor types:
 Regularized systems are solved by Cholesky factorization; on breakdown the
 solver falls back to an eigendecomposition with eigenvalues floored at 1e-12.
 Every direct solve is residual-checked to 1e-10 relative; one that misses is
-refined once, and raises NumericalError if it misses again. The small systems
-(``exact_ls``'s d x d, ``nystrom``'s m x m) are factored by numpy's Cholesky
-and solved through its two triangular factors. KRR's n x n system (divide
-and conquer's blocks too) is factored by LAPACK's ``dpotrf('U')`` and solved
-by ``dpotrs``, and early-stopped gradient descent's products are ``dsymv``
-calls: all three run in the BLAS that numpy links, through ``qlimits.blas``,
-so no solver imports scipy or maps a second BLAS.
+refined once, and raises NumericalError if it misses again. Every system is
+factored by LAPACK's ``dpotrf('U')`` and solved by ``dpotrs``: the small ones
+(``exact_ls``'s d x d, ``nystrom``'s m x m) in a Fortran-ordered copy, KRR's
+n x n one (divide and conquer's blocks too) in place. These and early-stopped
+gradient descent's ``dsymv`` products run in the BLAS that numpy links,
+through ``qlimits.blas``, so no solver imports scipy or maps a second BLAS.
 
 KRR holds one n x n array per fit, for either kernel. It builds K + lam*n*I
 in C order, transposes that memory in place in 64 x 64 tiles, so the same
@@ -128,8 +127,9 @@ class Kernel:
         centre = b.mean(axis=0)
         b = b - centre
         s = 0.5 / self.bandwidth**2
-        sq_b = np.einsum("ij,ij->i", b, b)[:, None]
-        return PreparedLandmarks(self, centre, np.hstack(((2.0 * s) * b, np.ones_like(sq_b), sq_b)))
+        with np.errstate(over="ignore"):  # matrix() raises for an overflowing exponent
+            sq_b = np.einsum("ij,ij->i", b, b)[:, None]
+            return PreparedLandmarks(self, centre, np.hstack(((2.0 * s) * b, np.ones_like(sq_b), sq_b)))
 
     def matrix(self, a: np.ndarray, b: np.ndarray | PreparedLandmarks) -> np.ndarray:
         """K(a_i, b_j) for every row pair; a Gaussian kernel's ``b`` may come
@@ -146,9 +146,10 @@ class Kernel:
         # with s = 1 / (2 h^2), on inputs centred on b's mean (module docstring)
         a = a - b.centre
         s = 0.5 / self.bandwidth**2
-        sq_a = np.einsum("ij,ij->i", a, a)[:, None]
-        left = np.hstack((a, -s * sq_a, np.full_like(sq_a, -s)))
-        k = left @ b.factor.T
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, alone
+            sq_a = np.einsum("ij,ij->i", a, a)[:, None]
+            left = np.hstack((a, -s * sq_a, np.full_like(sq_a, -s)))
+            k = left @ b.factor.T
         if not k.max(initial=-math.inf) < math.inf:  # the exact exponent is <= 0
             raise ConfigError(
                 f"gaussian kernel bandwidth {self.bandwidth} is out of range for these "
@@ -335,15 +336,13 @@ def _eig_clip_solver(m: np.ndarray):
 
 
 def _solve_spd(m: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Cholesky solve of a small system with eigendecomposition fallback and
-    residual check."""
+    """Gated solve of a small system, factored by ``dpotrf`` in a Fortran copy
+    so that the eigenvalue-clipped fallback reads ``m`` untouched."""
     try:
-        lower = np.linalg.cholesky(m)
+        factor = cholesky_upper(np.array(m, order="F"))
+        solve = lambda r: cholesky_solve(factor, r)
     except np.linalg.LinAlgError:
         solve = _eig_clip_solver(m)
-    else:
-        # numpy has no triangular solve, so each factor goes through its LU solve
-        solve = lambda r: np.linalg.solve(lower.T, np.linalg.solve(lower, r))
     return _gated(solve, lambda v: m @ v, rhs, context)
 
 

@@ -34,15 +34,16 @@ above, the largest moves were:
 * KRR, gradient descent and divide and conquer on numpy's LAPACK instead of
   scipy's: no bit moved;
 * the clipped-Gaussian second moment by ``math`` (schema 11): 1 ulp at d = 1,
-  on no file here;
+  in no file here;
 * the small systems on ``dpotrf``/``dpotrs`` instead of numpy's Cholesky and
-  two LU solves (schema 12): medians at most 2.1e-15, and IQRs 2.1e-14 of
-  themselves and at most 5.2e-16 of their row's median.
+  two LU solves (schema 12): medians and standard errors at most 2.1e-15,
+  IQRs 2.1e-14 of themselves and 4.9e-15 of their row's median, and the rate
+  fit's intercept (-0.118, a difference of terms near 5) 1.5e-14.
 
 A linear Nystrom fit through another eigensolver (scipy's instead of numpy's)
-moved its weights by up to 5.3e-14. ``RTOL`` = 1e-12 is about 20 times that
-and 400 times the largest move of a checked value, and a value moved by 1e-9
-of itself fails by a factor of 1000.
+moved its weights by up to 5.3e-14. ``RTOL`` = 1e-12 is about 20 times the
+largest of these moves, and a value moved by 1e-9 of itself misses it by a
+factor of 1000.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     problem = SyntheticProblem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 11
+    assert echo["schema_version"] == 12
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -402,7 +403,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 11
+    assert summary["schema_version"] == 12
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]
@@ -639,10 +640,12 @@ def test_gaussian_bandwidth_out_of_float_range_is_a_config_error(tmp_path, capsy
     else:
         payload = _sweep_payload(tmp_path, solver="krr", kernel=kernel)
         outputs = ("sweep.csv", "sweep.json")
-    assert _run(tmp_path, command, payload) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning, such as numpy's overflow, fails the run
+        assert _run(tmp_path, command, payload) == 2
     err = capsys.readouterr().err
-    assert f"config error: gaussian kernel bandwidth {bandwidth} is out of range" in err
-    assert "Traceback" not in err
+    assert err.startswith(f"config error: gaussian kernel bandwidth {bandwidth} is out of range")
+    assert len(err.splitlines()) == 1  # the config error alone
     assert not any((tmp_path / name).exists() for name in outputs)
 
 

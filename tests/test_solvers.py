@@ -502,30 +502,37 @@ def test_kernel_solvers_agree_with_the_scipy_lapack_calls(solver, kernel, monkey
 
 
 def _negated(system):
-    """-K in the buffer itself: dpotrf breaks down at its first leading minor."""
+    """The system negated in its own buffer: dpotrf breaks down at its first
+    leading minor."""
     return blas.cholesky_upper(np.negative(system, out=system))
 
 
 def _last_minor_broken(system):
-    """K with its last diagonal entry made negative: dpotrf overwrites every
-    column before it, then breaks down at the last leading minor."""
+    """The system with its last diagonal entry made negative: dpotrf
+    overwrites every column before it, then breaks down at the last leading
+    minor."""
     system[-1, -1] = -1.0
     return blas.cholesky_upper(system)
 
 
-def test_krr_cholesky_breakdown_takes_the_clipped_eigen_solve(monkeypatch):
-    # the failed factor leaves the buffer overwritten, so the fallback must
-    # compute K again rather than read it
+@pytest.mark.parametrize("solver, kernel", [("krr", GAUSS), ("exact_ls", LINEAR_KERNEL), ("nystrom", GAUSS)],
+                         ids=["krr-gaussian", "exact_ls-linear", "nystrom-gaussian"])
+def test_cholesky_breakdown_takes_the_clipped_eigen_solve(solver, kernel, monkeypatch):
+    # the failed factor leaves its buffer overwritten (KRR's K, a small
+    # system's Fortran copy), so the fallback must clip the system as it was
+    # handed to the factor: KRR computes K again, a small system keeps it
     _, ds = _random_ds(80, 3, sigma=0.3, seed=5)
-    expected = krr(ds, GAUSS, 0.01).coefficients
+    config = SolverConfig(lam=0.01, landmarks=5, seed=4)
+    expected = _coefficients(fit_solver(solver, ds, kernel, config))
     eig_clip_solver = solvers._eig_clip_solver
     for breaking in (_negated, _last_minor_broken):
-        clipped = []
+        factored, clipped = [], []
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "cholesky_upper", breaking)
-            patch.setattr(solvers, "_eig_clip_solver", lambda m: clipped.append(m) or eig_clip_solver(m))
-            fallback = krr(ds, GAUSS, 0.01).coefficients
-        assert len(clipped) == 1, breaking.__name__
+            patch.setattr(solvers, "cholesky_upper", lambda a: factored.append(a.copy()) or breaking(a))
+            patch.setattr(solvers, "_eig_clip_solver", lambda m: clipped.append(m.copy()) or eig_clip_solver(m))
+            fallback = _coefficients(fit_solver(solver, ds, kernel, config))  # passed the residual gate
+        assert len(factored) == 1 and len(clipped) == 1, breaking.__name__
+        assert np.array_equal(clipped[0], factored[0]), breaking.__name__
         assert _relative_gap(fallback, expected) <= 1e-10, breaking.__name__
 
 

@@ -50,9 +50,16 @@ def spread(values: list[float]) -> str:
     return f"median {q2:.6g} [{q1:.6g}, {q3:.6g}], range {min(values):.6g}..{max(values):.6g}"
 
 
+def at_least_one(text: str) -> int:
+    runs = int(text)
+    if runs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {runs}")
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--runs", type=int, default=10, help="fresh processes to run (default 10)")
+    parser.add_argument("--runs", type=at_least_one, default=10, help="fresh processes to run (default 10)")
     parser.add_argument("--json", help="also write every run's record to this file")
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)  # a child: one run
     args = parser.parse_args(argv)

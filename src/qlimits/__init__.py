@@ -32,12 +32,10 @@ from .qmodel import (
     tomography_estimate,
 )
 from .risk import (
-    RiskEstimate,
     empirical_risk,
     excess_risk,
     excess_risks,
     expected_risk_mc,
-    generalization_gap,
     input_second_moment,
     linear_weights,
     pairwise_sum,
@@ -71,7 +69,6 @@ from .solvers import (
     krr,
     load_predictor,
     nystrom,
-    predict,
     predict_batch,
     save_predictor,
 )

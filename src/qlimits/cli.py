@@ -28,7 +28,7 @@ from typing import Literal
 
 from .errors import ConfigError, QlimitsError
 from .qmodel import complexity_table, cost_log_error_solver, cost_matched_precision, cost_poly_error_solver
-from .risk import RiskEstimate, empirical_risk, excess_risks
+from .risk import empirical_risk, excess_risks
 from .scaling import (
     SCHEMA_VERSION,
     SweepConfig,
@@ -170,11 +170,13 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
 def _load_config(path: str, overrides) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")
     return _apply_overrides(cfg, overrides)
@@ -236,8 +238,9 @@ def cmd_fit(
         if problem is not None:
             # exact for a linear predictor, else scored on n_eval points
             ((excess, std_error),) = excess_risks((predictor,), problem, n_eval, eval_seed)
-            estimate = RiskEstimate(problem.bayes_risk + excess, std_error, n_eval)
-            report["expected_risk"] = dataclasses.asdict(estimate)
+            report["expected_risk"] = {
+                "value": problem.bayes_risk + excess, "std_error": std_error, "n_eval": n_eval
+            }
             report["excess_risk"] = excess
             report["bayes_risk"] = problem.bayes_risk
     save_predictor(predictor, out_predictor)

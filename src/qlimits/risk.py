@@ -1,4 +1,4 @@
-"""Squared-loss empirical risk, expected and excess risk, and derived gaps.
+"""Squared-loss empirical risk, expected risk and excess risk.
 
 Excess risk is ``E[(f(x) - w*.x)^2]``, the risk above the Bayes risk: the
 label noise is independent and zero-mean, so it adds exactly the noise
@@ -9,8 +9,8 @@ with ``E[x x^T] = s I``, so it is exactly ``s |w - w*|^2``
 (``input_second_moment`` gives ``s``). A Gaussian-kernel predictor is scored
 by the mean of ``(f(x) - x.w*)^2`` over a fresh sample, against the clean
 target, so the label noise adds nothing to its standard error.
-``expected_risk_mc`` estimates the risk itself, on noisy labels, for
-``generalization_gap``.
+``expected_risk_mc`` estimates the risk itself, on noisy labels, as a
+``(risk, standard error)`` pair; no command calls it.
 
 Risk averages and the closed form's sum of squares use a fixed summation
 scheme (sort ascending, then pairwise tree sum) so they are exactly
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,15 +47,6 @@ def stable_mean(values: np.ndarray) -> float:
     if a.size == 0:
         raise ConfigError("mean of empty array")
     return pairwise_sum(np.sort(a)) / a.size
-
-
-@dataclass(frozen=True)
-class RiskEstimate:
-    """Monte Carlo estimate of the expected risk, with its standard error."""
-
-    value: float
-    std_error: float
-    n_eval: int
 
 
 def _check_dims(predictor: Predictor, dimension: int) -> None:
@@ -90,13 +80,12 @@ def empirical_risk(predictor: Predictor, dataset: Dataset) -> float:
 
 def expected_risk_mc(
     predictor: Predictor, problem: SyntheticProblem, n_eval: int = 100_000, seed: int = 0
-) -> RiskEstimate:
+) -> tuple[float, float]:
     """Unbiased estimate of the risk on noisy labels, on a fresh sample of
-    ``n_eval`` points; it includes the Bayes risk."""
+    ``n_eval`` points, and its standard error; it includes the Bayes risk."""
     _check_dims(predictor, problem.dimension)
     fresh = sample_dataset(problem, n_eval, seed)
-    value, std_error = _mean_and_std_error(_squared_errors(predictor, fresh.features, fresh.labels))
-    return RiskEstimate(value=value, std_error=std_error, n_eval=n_eval)
+    return _mean_and_std_error(_squared_errors(predictor, fresh.features, fresh.labels))
 
 
 def _upper_gamma(a: float, x: float) -> float:
@@ -173,15 +162,3 @@ def excess_risk(
     ((excess, _),) = excess_risks((predictor,), problem, n_eval, seed)
     return excess
 
-
-def generalization_gap(
-    predictor: Predictor,
-    train: Dataset,
-    problem: SyntheticProblem,
-    n_eval: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """|empirical risk on the training set - Monte Carlo expected risk|."""
-    train_risk = empirical_risk(predictor, train)
-    mc = expected_risk_mc(predictor, problem, n_eval, seed)
-    return abs(train_risk - mc.value)

@@ -281,13 +281,6 @@ def ceil_sqrt(n: int) -> int:
 # ---------------------------------------------------------------------------
 # prediction
 
-def predict(predictor: Predictor, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatchError(f"expected a single point, got shape {x.shape}")
-    return float(predict_batch(predictor, x[None, :])[0])
-
-
 def predict_batch(predictor: Predictor, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != predictor.dimension:

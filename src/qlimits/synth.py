@@ -179,24 +179,28 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if len(cols) < 2 or cols[-1] != "y" or cols[:-1] != [f"x{j}" for j in range(len(cols) - 1)]:
-            raise ConfigError(f"{path}: expected header 'x0,...,x{{d-1}},y', got {header!r}")
-        d = len(cols) - 1
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 1:
-                raise ConfigError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    header = lines[0].strip() if lines else ""
+    cols = header.split(",")
+    if len(cols) < 2 or cols[-1] != "y" or cols[:-1] != [f"x{j}" for j in range(len(cols) - 1)]:
+        raise ConfigError(f"{path}: expected header 'x0,...,x{{d-1}},y', got {header!r}")
+    d = len(cols) - 1
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != d + 1:
+            raise ConfigError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)

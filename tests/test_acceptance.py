@@ -16,8 +16,10 @@ that the ratio of the m = ceil(sqrt(n)) budget arm does not.
 """
 
 import dataclasses
+import importlib.util
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +252,18 @@ def test_criterion_7_runtime_ladder():
         f"{NYSTROM_EXPONENT_GAP_MIN} (binding relative check), primal test exponent="
         f"{test_exp:.2f} in [{tlo}, {thi}], elapsed={elapsed:.0f}s < 600s",
     )
+
+
+def test_gate7_spread_rejects_fewer_than_one_run(capsys):
+    # scripts/gate7_spread.py prints the spread of its runs; zero runs have none
+    path = Path(__file__).resolve().parent.parent / "scripts" / "gate7_spread.py"
+    spec = importlib.util.spec_from_file_location("gate7_spread", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exited:
+        script.main(["--runs", "0"])
+    assert exited.value.code == 2
+    assert "--runs: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_criterion_8_complexity_table_snapshot():

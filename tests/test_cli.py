@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -104,6 +105,14 @@ def test_generate_echo_reruns_generate_and_its_problem_feeds_fit(tmp_path):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_bytes(b'\xff\xfe{"n": 3}')
+    assert main(["generate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "bad.json" in err[0] and "UTF-8" in err[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +260,13 @@ def test_reference_files_match_their_manifest():
         assert ref.sha256((ref.REFERENCE_DIR / name).read_bytes()) == digest, name
 
 
+def test_readme_shows_the_configs_that_write_the_reference_outputs():
+    readme = (ref.ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.DOTALL)]
+    for command, config in ref.README_COMMANDS:
+        assert config in blocks, command
+
+
 def test_readme_examples_write_the_reference_values(readme_outputs):
     misses = [line for name, new in readme_outputs.items()
               for line in ref.value_mismatches(name, new, (ref.REFERENCE_DIR / name).read_bytes())]
@@ -361,6 +377,15 @@ def test_fit_missing_dataset(tmp_path, capsys):
     }
     assert _run(tmp_path, "fit", payload) == 2
     assert "absent.csv" in capsys.readouterr().err
+
+
+def test_fit_dataset_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"x0,y\n1.0\xff,2.0\n")
+    assert _run(tmp_path, "fit", _fit_payload(tmp_path, data, None)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "bad.csv" in err[0] and "UTF-8" in err[0]
+    assert not (tmp_path / "fit.pred.json").exists() and not (tmp_path / "fit.report.json").exists()
 
 
 def test_fit_singular_system_exits_numerical(tmp_path, capsys):

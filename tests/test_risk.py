@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import qlimits
+import risk_oracles as oracle
 from qlimits import (
     LINEAR_KERNEL,
     ConfigError,
@@ -20,6 +21,7 @@ from qlimits import (
     Kernel,
     NoiseSchedule,
     PrimalPredictor,
+    SolverConfig,
     SyntheticProblem,
     apply_channels,
     empirical_risk,
@@ -27,7 +29,7 @@ from qlimits import (
     excess_risk,
     excess_risks,
     expected_risk_mc,
-    generalization_gap,
+    fit_solver,
     input_second_moment,
     krr,
     pairwise_sum,
@@ -36,6 +38,8 @@ from qlimits import (
     stable_mean,
 )
 from qlimits.synth import INPUT_LAWS
+
+GAUSSIAN = Kernel("gaussian", 1.0)
 
 
 def _ds(features, labels):
@@ -108,20 +112,22 @@ def test_sphere_second_moment_oracle():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 10])
 def test_zero_predictor_risk_matches_sphere_moment(d):
-    # against the quadrature-verified identity E[(w*.x)^2] = 1/d
-    problem = SyntheticProblem(d, 0.0, seed=3)
-    zero = PrimalPredictor(np.zeros(d))
-    estimate = expected_risk_mc(zero, problem, n_eval=100_000, seed=4)
-    budget = max(4 * estimate.std_error, 1e-12)
-    assert abs(estimate.value - 1.0 / d) <= budget
+    # a Gaussian-kernel predictor with no weight is scored on a sample, against
+    # the exact E[(w*.x)^2] = 1/d; at d = 1 every loss is 1, with standard error 0
+    problem = SyntheticProblem(d, 0.5, seed=3)
+    zero = DualPredictor(np.zeros(1), np.zeros((1, d)), GAUSSIAN)
+    exact = oracle.sphere_excess_risk(zero, problem.target_weights)
+    assert exact == pytest.approx(1.0 / d, rel=1e-15)
+    ((value, std_error),) = excess_risks((zero,), problem, n_eval=100_000, seed=4)
+    assert abs(value - exact) <= max(4 * std_error, 1e-12)
 
 
 def test_bayes_predictor_risk_within_mc_error():
     problem = SyntheticProblem(10, 0.5, seed=5)
     bayes = PrimalPredictor(problem.target_weights)
-    estimate = expected_risk_mc(bayes, problem, n_eval=100_000, seed=6)
-    assert abs(estimate.value - 0.25) <= 4 * estimate.std_error
-    assert estimate.std_error > 0
+    value, std_error = expected_risk_mc(bayes, problem, n_eval=100_000, seed=6)
+    assert abs(value - 0.25) <= 4 * std_error
+    assert std_error > 0
 
 
 def test_bayes_risk_coverage_over_seeds():
@@ -130,8 +136,8 @@ def test_bayes_risk_coverage_over_seeds():
     bayes = PrimalPredictor(problem.target_weights)
     hits = 0
     for seed in range(40):
-        est = expected_risk_mc(bayes, problem, n_eval=20_000, seed=seed)
-        hits += abs(est.value - 0.25) <= 4 * est.std_error
+        value, std_error = expected_risk_mc(bayes, problem, n_eval=20_000, seed=seed)
+        hits += abs(value - 0.25) <= 4 * std_error
     assert hits >= 38
 
 
@@ -147,75 +153,43 @@ def test_excess_risk_cases():
 
 
 def test_excess_risk_never_far_below_zero():
+    # the sampled estimate at 20 evaluation seeds, each within 4 standard
+    # errors of the exact excess risk, which is positive
     problem = SyntheticProblem(4, 0.5, seed=10)
-    bayes = PrimalPredictor(problem.target_weights)
+    gaussian = krr(sample_dataset(problem, 128, seed=11), GAUSSIAN)
+    exact = oracle.sphere_excess_risk(gaussian, problem.target_weights)
+    assert exact > 0
     for seed in range(20):
-        est = expected_risk_mc(bayes, problem, n_eval=5000, seed=seed)
-        assert est.value - problem.bayes_risk >= -4 * est.std_error
-
-
-def test_generalization_gap_zero_for_perfect_noiseless_fit():
-    problem = SyntheticProblem(3, 0.0, seed=11)
-    train = sample_dataset(problem, 50, seed=12)
-    bayes = PrimalPredictor(problem.target_weights)
-    assert generalization_gap(bayes, train, problem, n_eval=1000, seed=13) == 0.0
-
-
-def test_generalization_gap_single_point_identity():
-    problem = SyntheticProblem(1, 0.5, seed=14)
-    train = sample_dataset(problem, 1, seed=15)
-    w = PrimalPredictor(np.array([0.3]))
-    residual_sq = float((train.features[0] @ w.weights - train.labels[0]) ** 2)
-    mc = expected_risk_mc(w, problem, n_eval=2000, seed=16)
-    gap = generalization_gap(w, train, problem, n_eval=2000, seed=16)
-    assert gap == pytest.approx(abs(residual_sq - mc.value), abs=1e-15)
-
-
-def test_generalization_gap_shrinks_with_n():
-    problem = SyntheticProblem(5, 0.5, seed=17)
-    w = PrimalPredictor(problem.target_weights * 0.7)
-    medians = []
-    for n in (100, 1000, 10_000):
-        gaps = [
-            generalization_gap(
-                w,
-                sample_dataset(problem, n, seed=100 * n + t),
-                problem,
-                n_eval=20_000,
-                seed=t,
-            )
-            for t in range(20)
-        ]
-        medians.append(np.median(gaps))
-    assert medians[0] > medians[1] > medians[2]
+        ((value, std_error),) = excess_risks((gaussian,), problem, n_eval=5000, seed=seed)
+        assert abs(value - exact) <= 4 * std_error
 
 
 def test_std_error_is_sample_std_over_sqrt_n():
     problem = SyntheticProblem(3, 0.5, seed=20)
     w = PrimalPredictor(problem.target_weights * 0.5)
-    est = expected_risk_mc(w, problem, n_eval=5000, seed=21)
+    value, std_error = expected_risk_mc(w, problem, n_eval=5000, seed=21)
     fresh = sample_dataset(problem, 5000, seed=21)
     losses = (fresh.features @ w.weights - fresh.labels) ** 2
-    assert est.std_error == pytest.approx(np.std(losses, ddof=1) / np.sqrt(5000), rel=1e-10)
-    assert est.value == pytest.approx(losses.mean(), rel=1e-12)
+    assert std_error == pytest.approx(np.std(losses, ddof=1) / np.sqrt(5000), rel=1e-10)
+    assert value == pytest.approx(losses.mean(), rel=1e-12)
 
 
 def test_excess_risks_equals_one_estimate_per_predictor():
     # a Gaussian-kernel predictor sends the call to its sampled path, where
     # each predictor's estimate does not depend on the others in the call
     problem = SyntheticProblem(3, 0.5, seed=20)
-    gaussian = krr(sample_dataset(problem, 16, seed=22), Kernel("gaussian", 1.0))
+    gaussian = krr(sample_dataset(problem, 16, seed=22), GAUSSIAN)
     predictors = [PrimalPredictor(problem.target_weights * s) for s in (0.0, 0.5)] + [gaussian]
     together = excess_risks(predictors, problem, n_eval=5000, seed=21)
     assert together == tuple(excess_risks((p, gaussian), problem, 5000, 21)[0] for p in predictors)
-    with pytest.raises(DimensionMismatchError):
-        expected_risk_mc(PrimalPredictor(np.zeros(2)), problem, n_eval=100)
 
 
 def test_expected_risk_mc_validation():
     problem = SyntheticProblem(2, 0.1)
     with pytest.raises(ConfigError):
         expected_risk_mc(PrimalPredictor(np.zeros(2)), problem, n_eval=1)
+    with pytest.raises(DimensionMismatchError):
+        expected_risk_mc(PrimalPredictor(np.zeros(3)), problem, n_eval=100)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +234,8 @@ def test_clipped_second_moment_gives_the_bits_of_scipys_incomplete_gamma_form():
 
 @pytest.mark.parametrize("law", INPUT_LAWS)
 def test_closed_form_agrees_with_monte_carlo(law):
+    # on the sphere against the exact |w - w*|^2 / d; on clipped inputs
+    # against a mean over 1e5 inputs that numpy draws here
     problem = SyntheticProblem(10, 0.5, law, seed=30)
     data = sample_dataset(problem, 64, seed=31)
     exact = exact_ls(data)
@@ -268,12 +244,24 @@ def test_closed_form_agrees_with_monte_carlo(law):
     predictors = (exact, krr(data, LINEAR_KERNEL), noisy)
     assert isinstance(predictors[1], DualPredictor)
     closed = excess_risks(predictors, problem, n_eval=100_000, seed=33)
-    mc = [expected_risk_mc(p, problem, n_eval=100_000, seed=33) for p in predictors]
-    for (value, zero), estimate in zip(closed, mc):
-        assert zero == 0.0 and value > 0 and estimate.std_error > 0
-        assert abs(value - (estimate.value - problem.bayes_risk)) <= 4 * estimate.std_error
+    for predictor, (value, zero) in zip(predictors, closed):
+        assert zero == 0.0 and value > 0
+        if law == "unit_sphere_uniform":
+            assert value == pytest.approx(oracle.sphere_excess_risk(predictor, problem.target_weights),
+                                          rel=1e-12)
+        else:
+            drawn, std_error = oracle.drawn_excess_risk(predictor, problem, 100_000, seed=33)
+            assert std_error > 0 and abs(value - drawn) <= 4 * std_error
     # the noisy arm's excess is the exact arm's plus the injected shift's
     assert closed[2][0] > closed[0][0]
+
+
+def _mean_and_std_error(residuals: np.ndarray) -> tuple[float, float]:
+    """The mean squared residual and its standard error, summed as the scorer sums."""
+    losses = np.sort(residuals**2)
+    value = pairwise_sum(losses) / losses.size
+    variance = pairwise_sum(np.sort((losses - value) ** 2)) / (losses.size - 1)
+    return value, math.sqrt(variance / losses.size)
 
 
 def test_excess_risks_monte_carlo_path_is_the_old_estimate():
@@ -283,15 +271,10 @@ def test_excess_risks_monte_carlo_path_is_the_old_estimate():
     problem = SyntheticProblem(3, 0.5, seed=20)
     data = sample_dataset(problem, 16, seed=22)
     linear = (PrimalPredictor(problem.target_weights * 0.5), exact_ls(data))
-    gaussian = krr(data, Kernel("gaussian", 1.0))
+    gaussian = krr(data, GAUSSIAN)
     fresh = sample_dataset(problem, 5000, seed=21)
     clean = fresh.features @ problem.target_weights
-    scored = []
-    for predictor in linear + (gaussian,):
-        losses = np.sort((predict_batch(predictor, fresh.features) - clean) ** 2)
-        value = pairwise_sum(losses) / 5000
-        std_error = math.sqrt(pairwise_sum(np.sort((losses - value) ** 2)) / 4999 / 5000)
-        scored.append((value, std_error))
+    scored = [_mean_and_std_error(predict_batch(p, fresh.features) - clean) for p in linear + (gaussian,)]
     # one Gaussian-kernel predictor sends the whole call to Monte Carlo
     assert excess_risks(linear + (gaussian,), problem, 5000, 21) == tuple(scored)
     closed = excess_risks(linear, problem, 5000, 21)
@@ -320,32 +303,85 @@ def test_excess_risks_calls_a_seed_function_only_when_it_draws():
     assert len(calls) == 1
 
 
+KERNEL_SOLVERS = ("krr", "early_stopping_gd", "divide_and_conquer", "nystrom")
+
+
 @pytest.mark.parametrize("law", INPUT_LAWS)
-def test_clean_target_estimate_agrees_with_the_noisy_label_one(law):
-    problem = SyntheticProblem(10, 0.5, law, seed=50)
-    gaussian = krr(sample_dataset(problem, 256, seed=51), Kernel("gaussian", 1.0))
-    ((value, std_error),) = excess_risks((gaussian,), problem, n_eval=20_000, seed=52)
-    noisy = expected_risk_mc(gaussian, problem, n_eval=20_000, seed=53)
-    assert value > 0 and std_error > 0
-    combined = math.hypot(std_error, noisy.std_error)
-    assert abs(value - (noisy.value - problem.bayes_risk)) <= 4 * combined
+@pytest.mark.parametrize("d", [10, 1])
+def test_clean_target_estimate_agrees_with_the_oracle(d, law):
+    # the four kernel solvers, on the kernel workload's problem at d = 10 and
+    # at d = 1, scored on one sample as a sweep cell scores them; the
+    # reference is exact on the sphere and a mean over 1e5 inputs that numpy
+    # draws here on clipped inputs
+    problem = SyntheticProblem(d, 0.5, law, seed=0)
+    data = sample_dataset(problem, 128, seed=1000)
+    predictors = [
+        fit_solver(solver, data, GAUSSIAN, SolverConfig(partitions=4 if solver == "divide_and_conquer" else 1))
+        for solver in KERNEL_SOLVERS
+    ]
+    scored = excess_risks(predictors, problem, n_eval=20_000, seed=2000)
+    for solver, predictor, (value, std_error) in zip(KERNEL_SOLVERS, predictors, scored):
+        if law == "unit_sphere_uniform":
+            reference, reference_error = oracle.sphere_excess_risk(predictor, problem.target_weights), 0.0
+        else:
+            reference, reference_error = oracle.drawn_excess_risk(predictor, problem, 100_000, seed=3000)
+        assert value > 0 and std_error > 0
+        z = (value - reference) / math.hypot(std_error, reference_error)
+        assert abs(z) <= 4, (solver, z)
 
 
 def test_clean_target_estimate_has_the_smaller_standard_error_on_the_sphere():
     # label noise adds about 2 sigma^4 to each noisy loss's variance
     problem = SyntheticProblem(10, 0.5, seed=54)
-    gaussian = krr(sample_dataset(problem, 512, seed=55), Kernel("gaussian", 1.0))
+    gaussian = krr(sample_dataset(problem, 512, seed=55), GAUSSIAN)
     ((_, std_error),) = excess_risks((gaussian,), problem, n_eval=4000, seed=56)
-    noisy = expected_risk_mc(gaussian, problem, n_eval=4000, seed=56)
-    assert std_error < noisy.std_error / 4
+    fresh = sample_dataset(problem, 4000, seed=56)
+    _, noisy_std_error = _mean_and_std_error(predict_batch(gaussian, fresh.features) - fresh.labels)
+    assert std_error < noisy_std_error / 4
 
 
 @pytest.mark.parametrize("law", INPUT_LAWS)
 def test_without_label_noise_both_estimators_give_the_same_bits(law):
     problem = SyntheticProblem(10, 0.0, law, seed=57)
-    gaussian = krr(sample_dataset(problem, 128, seed=58), Kernel("gaussian", 1.0))
-    noisy = expected_risk_mc(gaussian, problem, n_eval=3000, seed=59)
-    assert excess_risks((gaussian,), problem, 3000, 59) == ((noisy.value, noisy.std_error),)
+    gaussian = krr(sample_dataset(problem, 128, seed=58), GAUSSIAN)
+    fresh = sample_dataset(problem, 3000, seed=59)
+    scored = _mean_and_std_error(predict_batch(gaussian, fresh.features) - fresh.labels)
+    assert expected_risk_mc(gaussian, problem, n_eval=3000, seed=59) == scored
+    assert excess_risks((gaussian,), problem, 3000, 59) == (scored,)
+
+
+def _quadrature_at_d3(predictor, target: np.ndarray, nodes: int = 400, angles: int = 800) -> float:
+    """E[(f(x) - target.x)^2] over the unit sphere in R^3: Gauss-Legendre in
+    x_3 = t (density 1/2 on [-1, 1]) times the uniform angle rule in phi."""
+    t, weights = np.polynomial.legendre.leggauss(nodes)
+    phi = 2 * np.pi * np.arange(angles) / angles
+    rings = []
+    for t_k, weight in zip(t, weights):
+        s = math.sqrt(1.0 - t_k * t_k)
+        x = np.stack([s * np.cos(phi), s * np.sin(phi), np.full(angles, t_k)], axis=1)
+        rings.append(weight / 2 * np.mean((oracle.predictions(predictor, x) - x @ target) ** 2))
+    return math.fsum(rings)
+
+
+@pytest.mark.parametrize("bandwidth", [0.5, 2.0])
+def test_sphere_oracle_agrees_with_quadrature_at_d3(bandwidth):
+    rng = np.random.default_rng(60)
+    predictor = DualPredictor(rng.standard_normal(10), 0.8 * rng.standard_normal((10, 3)),
+                              Kernel("gaussian", bandwidth))
+    target = rng.standard_normal(3)
+    exact = oracle.sphere_excess_risk(predictor, target)
+    assert exact == pytest.approx(_quadrature_at_d3(predictor, target), rel=1e-12)
+
+
+@pytest.mark.parametrize("bandwidth", [0.5, 2.0])
+def test_sphere_oracle_agrees_with_the_two_point_mean_at_d1(bandwidth):
+    # the unit sphere in R^1 is {-1, 1}
+    rng = np.random.default_rng(61)
+    predictor = DualPredictor(rng.standard_normal(6), rng.standard_normal((6, 1)), Kernel("gaussian", bandwidth))
+    target = np.array([-1.0])
+    f_plus, f_minus = oracle.predictions(predictor, np.array([[1.0], [-1.0]]))
+    two_point = ((f_plus - target[0]) ** 2 + (f_minus + target[0]) ** 2) / 2
+    assert oracle.sphere_excess_risk(predictor, target) == pytest.approx(two_point, rel=1e-12)
 
 
 def test_excess_risks_checks_dimensions_on_both_paths():

@@ -26,7 +26,6 @@ from qlimits import (
     krr,
     linear_weights,
     nystrom,
-    predict,
     predict_batch,
     sample_dataset,
 )
@@ -118,7 +117,7 @@ def test_krr_scalar_hand_case():
     ds = _ds([[1.0]], [1.0])
     fitted = krr(ds, LINEAR_KERNEL, 1.0)
     np.testing.assert_allclose(fitted.coefficients, [0.5], atol=1e-14)
-    assert predict(fitted, np.array([1.0])) == pytest.approx(0.5, abs=1e-14)
+    assert predict_batch(fitted, np.array([[1.0]]))[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_krr_linear_kernel_equals_exact_ls():
@@ -338,8 +337,7 @@ def test_dnc_per_sample_blocks_match_hand_formula():
     fitted = divide_and_conquer(ds, LINEAR_KERNEL, SolverConfig(lam=1.0, partitions=12, seed=4))
     x = ds.features[:, 0]
     slope = np.mean(ds.labels * x / (x**2 + 1.0))
-    probe = np.array([1.7])
-    assert predict(fitted, probe) == pytest.approx(slope * probe[0], rel=1e-10)
+    assert predict_batch(fitted, np.array([[1.7]]))[0] == pytest.approx(slope * 1.7, rel=1e-10)
 
 
 def test_dnc_duplicated_blocks_equal_single_block():
@@ -390,8 +388,7 @@ def test_nystrom_single_landmark_hand_formula():
     fitted = nystrom(ds, LINEAR_KERNEL, SolverConfig(lam=lam, landmarks=1, seed=7))
     x = ds.features[:, 0]
     slope = float(np.sum(x * ds.labels) / (np.sum(x**2) + lam * 20))
-    probe = np.array([0.9])
-    assert predict(fitted, probe) == pytest.approx(slope * probe[0], rel=1e-10)
+    assert predict_batch(fitted, np.array([[0.9]]))[0] == pytest.approx(slope * 0.9, rel=1e-10)
 
 
 def test_nystrom_rank_deficient_at_zero_lam_raises():
@@ -622,15 +619,16 @@ def test_nystrom_sqrt_landmarks_competitive_with_full_krr():
 # prediction and serialization
 
 def test_predict_hand_cases():
-    assert predict(PrimalPredictor(np.array([1.0, 2.0])), np.array([3.0, 4.0])) == 11.0
+    primal = PrimalPredictor(np.array([1.0, 2.0]))
+    assert predict_batch(primal, np.array([[3.0, 4.0], [1.0, -0.5]])).tolist() == [11.0, 0.0]
     zero_dual = DualPredictor(
         coefficients=np.zeros(2), landmarks=np.eye(2), kernel=LINEAR_KERNEL
     )
-    assert predict(zero_dual, np.array([5.0, 6.0])) == 0.0
+    assert predict_batch(zero_dual, np.array([[5.0, 6.0]])).tolist() == [0.0]
     dual = DualPredictor(
         coefficients=np.array([1.0]), landmarks=np.array([[2.0, 0.0]]), kernel=LINEAR_KERNEL
     )
-    assert predict(dual, np.array([3.0, 0.0])) == 6.0
+    assert predict_batch(dual, np.array([[3.0, 0.0], [-1.0, 7.0]])).tolist() == [6.0, -2.0]
 
 
 def _whole_gaussian(x, landmarks, coefficients, bandwidth):
@@ -732,7 +730,7 @@ def test_predict_dimension_mismatch():
     from qlimits import DimensionMismatchError
 
     with pytest.raises(DimensionMismatchError):
-        predict(PrimalPredictor(np.array([1.0, 2.0])), np.array([1.0, 2.0, 3.0]))
+        predict_batch(PrimalPredictor(np.array([1.0, 2.0])), np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_predictor_json_roundtrip():

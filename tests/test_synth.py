@@ -13,7 +13,7 @@ from qlimits import (
     Dataset,
     PrimalPredictor,
     SyntheticProblem,
-    expected_risk_mc,
+    empirical_risk,
     read_dataset_csv,
     sample_dataset,
     write_dataset_csv,
@@ -117,12 +117,10 @@ def test_input_norms_bounded(law):
 
 
 def test_bayes_predictor_has_zero_risk_on_noiseless_problem():
+    # without noise every label is x.w*, so the target's loss is exactly 0
     problem = SyntheticProblem(5, 0.0, seed=3)
-    estimate = expected_risk_mc(
-        PrimalPredictor(problem.target_weights), problem, n_eval=1000, seed=8
-    )
-    assert estimate.value <= 1e-12
-    assert estimate.std_error <= 1e-12
+    sample = sample_dataset(problem, 1000, seed=8)
+    assert empirical_risk(PrimalPredictor(problem.target_weights), sample) == 0.0
 
 
 def test_sample_dataset_rejects_empty():

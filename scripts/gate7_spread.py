@@ -3,14 +3,15 @@
     PYTHONPATH=src python scripts/gate7_spread.py               # 10 runs
     PYTHONPATH=src python scripts/gate7_spread.py --runs 20 --json spread.json
 
-Each run calls ``runtime_benchmark`` with the config of
-``tests/test_acceptance.py::test_criterion_7_runtime_ladder`` in a new Python
-process, so no run inherits another's heap. It reports, per run, the KRR train
-exponent, the krr - nystrom exponent gap, the primal (exact_ls) test exponent,
-whether gate 7's bounds hold (the verdicts of ``scaling.bench_summary``), the
-median train time of every solver at every n, and the minor page faults the
-process itself took (``resource.getrusage``). Then it prints the median,
-quartiles and range of each exponent. It reports only: nothing is retried.
+Each run calls ``runtime_benchmark`` with ``scaling.GATE7_LADDER``, the
+arguments ``tests/test_acceptance.py::test_criterion_7_runtime_ladder`` runs
+too, in a new Python process, so no run inherits another's heap. It reports,
+per run, the KRR train exponent, the krr - nystrom exponent gap, the primal
+(exact_ls) test exponent, whether gate 7's bounds hold (the verdicts of
+``scaling.bench_summary``), the median train time of every solver at every
+n, and the minor page faults the process itself took
+(``resource.getrusage``). Then it prints the median, quartiles and range of
+each exponent. It reports only: nothing is retried.
 """
 
 from __future__ import annotations
@@ -23,15 +24,13 @@ import statistics
 import subprocess
 import sys
 
-GATE7 = {"solver_ids": ("exact_ls", "krr", "nystrom"), "n_grid": (256, 512, 1024, 2048, 4096), "reps": 5}
+from qlimits import runtime_benchmark
+from qlimits.scaling import GATE7_LADDER, bench_summary
 
 
 def one_run() -> dict:
     """Gate 7's ladder in this process, with its exponents and this process's minor faults."""
-    from qlimits import runtime_benchmark
-    from qlimits.scaling import bench_summary
-
-    report = runtime_benchmark(**GATE7)
+    report = runtime_benchmark(**GATE7_LADDER)
     summary = bench_summary(report)
     return {
         "krr_train_exponent": summary["train_exponents"]["krr"],
@@ -40,7 +39,7 @@ def one_run() -> dict:
         "passes": (summary["krr_train_ok"] and summary["nystrom_gap_ok"] and summary["primal_test_ok"]
                    and not report.any_timed_out),
         "train_seconds": {sid: {str(r.n): r.train_seconds for r in report.rows if r.solver == sid}
-                          for sid in GATE7["solver_ids"]},
+                          for sid in GATE7_LADDER["solver_ids"]},
         "minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
     }
 
@@ -68,7 +67,7 @@ def main(argv=None) -> int:
         return 0
 
     runs = []
-    ns = [str(n) for n in GATE7["n_grid"]]
+    ns = [str(n) for n in GATE7_LADDER["n_grid"]]
     print(f"run  krr_exp  gap    test_exp  pass  minflt  krr train ms at n = {', '.join(ns)}")
     for i in range(args.runs):
         proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--one"],

@@ -19,16 +19,16 @@ gradient descent's ``dsymv`` products run in the BLAS that numpy links,
 through ``qlimits.blas``, so no solver imports scipy or maps a second BLAS.
 
 KRR holds one n x n array per fit, for either kernel. It builds K + lam*n*I
-in C order, transposes that memory in place in 64 x 64 tiles, so the same
-buffer is the Fortran layout of the same values, and ``dpotrf`` factors it
-there. The values only move, so the factor, the solution and every output
-bit are those of factoring a Fortran-ordered copy. The residual gate reads K
-from what ``dpotrf('U')`` leaves: the strict lower triangle, which it does
-not touch, and the diagonal, saved before the factor and swapped in for each
-``dsymv``. A Gaussian K is symmetric only up to its last bits, so this
-product differs from the full K @ v in its last bits. Where Cholesky breaks
-down the buffer is partly overwritten, so K is computed again for the PSD
-check and the eigenvalue-clipped solve.
+in C order, and ``dpotrf('U')`` factors that buffer's Fortran view, the
+transpose, in place: the factor reads K's lower triangle. The residual gate
+reads what the factor leaves of the view: K's strict upper triangle, which
+dpotrf does not touch, and the diagonal, saved before the factor and swapped
+in for each ``dsymv``. A linear K (``a @ a.T``) is exactly symmetric, so
+both read K itself. A Gaussian K is symmetric only up to its last bits, so
+its solution is that of K's lower triangle, and the gate's product differs
+from the full K @ v in its last bits. Where Cholesky breaks down the buffer
+is partly overwritten, so K is computed again for the PSD check and the
+eigenvalue-clipped solve, which reads the same view.
 
 Kernel evaluation is the test-time cost of a dual predictor (n_eval x n
 entries), so it runs in BLAS and allocates as little as it can.
@@ -46,7 +46,7 @@ clipped-Gaussian inputs. The GEMM forms a_i . (2s b_j) and a_j . (2s b_i)
 separately, so a Gaussian K(x, x) is symmetric only up to its last bits.
 
 Early-stopped gradient descent reads one triangle of its Gram, the upper
-one that Cholesky reads too: in its power iteration and, for a Gaussian
+one that KRR's gate reads too: in its power iteration and, for a Gaussian
 kernel, in every pass of its dual loop. Each product is a BLAS dsymv, which
 streams half the matrix that a full product would.
 
@@ -89,7 +89,6 @@ KERNEL_PSD_RTOL = 1e-8
 POWER_ITER_TOL = 1e-6
 POWER_ITER_MAX = 500
 PREDICT_BLOCK_ENTRIES = 2**17  # kernel entries per prediction block (1 MiB)
-TRANSPOSE_TILE = 64  # rows and columns per tile of KRR's in-place transpose
 
 
 @dataclass(frozen=True)
@@ -370,23 +369,10 @@ def exact_ls(dataset: Dataset, lam: float | None = None) -> PrimalPredictor:
     return PrimalPredictor(weights=w)
 
 
-def _transpose_in_place(a: np.ndarray) -> np.ndarray:
-    """Transpose the square C-ordered ``a`` within its own memory, tile pair
-    by tile pair, and return ``a.T``: the Fortran-ordered view that holds
-    ``a``'s original values."""
-    n, t = a.shape[0], TRANSPOSE_TILE
-    for i in range(0, n, t):
-        a[i:i + t, i:i + t] = a[i:i + t, i:i + t].T.copy()
-        for j in range(i + t, n, t):
-            upper = a[i:i + t, j:j + t].copy()
-            a[i:i + t, j:j + t] = a[j:j + t, i:i + t].T
-            a[j:j + t, i:i + t] = upper.T
-    return a.T
-
-
 def _factored_product(system: np.ndarray, diagonal: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K @ v for the K that ``dpotrf('U')`` factored in place in ``system``:
-    dsymv reads its strict lower triangle, which dpotrf leaves as it was,
+    """K @ v for the K that ``dpotrf('U')`` factored in place in ``system``,
+    the Fortran view ``k.T`` of KRR's C-ordered K: dsymv reads the view's
+    strict lower triangle (K's strict upper), which dpotrf leaves as it was,
     with K's ``diagonal`` swapped in for U's during the call."""
     u_diagonal = system.diagonal().copy()
     np.fill_diagonal(system, diagonal)
@@ -398,10 +384,11 @@ def _factored_product(system: np.ndarray, diagonal: np.ndarray, v: np.ndarray) -
 def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = None) -> DualPredictor:
     """Kernel ridge regression: coefficients (K + lam*n*I)^(-1) y on all points.
 
-    K + lam*n*I is factored in place and residual-checked from what the
-    factor leaves of it (module docstring). The built-in kernels are PSD by
-    construction, so the full eigencheck runs only on the cold path where
-    Cholesky factorization breaks down.
+    K + lam*n*I is factored in place through its Fortran view, reading K's
+    lower triangle, and residual-checked from K's strict upper triangle and
+    saved diagonal, which the factor leaves (module docstring). The built-in
+    kernels are PSD by construction, so the full eigencheck runs only on the
+    cold path where Cholesky factorization breaks down.
     """
     n = dataset.n_samples
     lam = resolve_lam(lam, n)
@@ -409,7 +396,7 @@ def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = No
         raise ConfigError(f"krr requires lam > 0, got {lam}")
     k = kernel.matrix(dataset.features, dataset.features)
     k.flat[:: n + 1] += lam * n  # in place: K becomes K + lam*n*I
-    system = _transpose_in_place(k)  # a view of k's own memory
+    system = k.T  # the Fortran view of k's own memory
     diagonal = system.diagonal().copy()
     try:
         factor = cholesky_upper(system)
@@ -420,7 +407,7 @@ def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = No
         k = kernel.matrix(dataset.features, dataset.features)
         check_kernel_psd(k)
         k.flat[:: n + 1] += lam * n
-        solve, product = _eig_clip_solver(k), lambda v: k @ v
+        solve, product = _eig_clip_solver(k.T), lambda v: k.T @ v
     alpha = _gated(solve, product, dataset.labels, "krr")
     return DualPredictor(coefficients=alpha, landmarks=dataset.features, kernel=kernel)
 
@@ -435,7 +422,7 @@ def check_kernel_psd(k: np.ndarray) -> None:
 
 
 def _symmetric_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``matrix @ v`` from the upper triangle alone, the one Cholesky reads.
+    """``matrix @ v`` from the upper triangle alone, the one KRR's gate reads.
 
     ``matrix.T`` is the Fortran-ordered view of a C-ordered matrix, so dsymv
     gets it without a copy, and its lower triangle is ``matrix``'s upper.

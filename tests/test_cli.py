@@ -69,7 +69,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     problem = SyntheticProblem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 12
+    assert echo["schema_version"] == 13
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -428,7 +428,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 12
+    assert summary["schema_version"] == 13
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]

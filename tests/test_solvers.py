@@ -546,21 +546,21 @@ def test_krr_whose_solve_misses_the_gate_raises_naming_krr(kernel, wrong, monkey
 
 
 def _oracle_krr_coefficients(features, labels, kernel, lam):
-    """KRR's coefficients the way they were computed before the in-place
-    factor: a Fortran-ordered copy of K + lam*n*I, ``dpotrf('U')``, ``dpotrs``."""
+    """KRR's coefficients from a Fortran-ordered copy of K^T + lam*n*I, the
+    system KRR's C-ordered buffer holds in its Fortran view: ``dpotrf('U')``
+    and ``dpotrs`` on that copy, with no residual gate."""
     n = labels.shape[0]
     k = kernel.matrix(features, features)
     k.flat[:: n + 1] += lam * n
-    return blas.cholesky_solve(blas.cholesky_upper(np.array(k, order="F")), labels)
+    return blas.cholesky_solve(blas.cholesky_upper(np.array(k.T, order="F")), labels)
 
 
 @pytest.mark.parametrize("kernel", [LINEAR_KERNEL, GAUSS], ids=["linear", "gaussian"])
 @pytest.mark.parametrize("law", INPUT_LAWS)
 @pytest.mark.parametrize("d", [1, 3, 10, 64])
 def test_krr_keeps_the_bytes_of_factoring_a_fortran_copy(d, law, kernel):
-    # n at and around the 64 x 64 tiles of the in-place transpose
     problem = SyntheticProblem(d, 0.5, law, seed=d)
-    for n in (1, 7, 63, 64, 65, 255, 300, 1000, 2048):
+    for n in (1, 7, 255, 300, 1000, 2048):
         ds = sample_dataset(problem, n, derive_seed(1, "data", n))
         lam = n**-0.5
         expected = _oracle_krr_coefficients(ds.features, ds.labels, kernel, lam)
@@ -572,17 +572,40 @@ def test_krr_keeps_the_bytes_of_factoring_a_fortran_copy(d, law, kernel):
         ])
         fitted = divide_and_conquer(ds, kernel, SolverConfig(partitions=p, seed=n))
         assert fitted.coefficients.tobytes() == expected.tobytes(), n
-        # the gate's product: K read back from the factored buffer, diagonal restored after
+        # the gate's product: K's strict upper triangle and saved diagonal, read
+        # from the factored view with the diagonal restored after each call
         k = kernel.matrix(ds.features, ds.features)
         k.flat[:: n + 1] += lam * n
-        system = solvers._transpose_in_place(k.copy())
-        assert system.flags.f_contiguous and system.tobytes("A") == np.array(k, order="F").tobytes("A")
+        system = k.copy().T
         diagonal = system.diagonal().copy()
         factor = blas.cholesky_upper(system).copy(order="F")
         v = child_rng(n, "gate-vector").standard_normal(n)
         product = solvers._factored_product(system, diagonal, v)
+        assert product.tobytes() == blas.lower_symmetric_product(k.T, v).tobytes(), n
         assert np.linalg.norm(product - k @ v) <= 1e-14 * np.linalg.norm(k @ v), n
         assert system.tobytes("A") == factor.tobytes("A"), n
+
+
+def test_krr_factors_the_lower_triangle_of_a_gaussian_k(monkeypatch):
+    # a Gaussian K is symmetric only up to its last bits: the factor reads its
+    # lower triangle, so a few ulps in the strict upper one (which only the
+    # residual gate reads) leave the coefficients' bytes as they are
+    _, ds = _random_ds(300, 3, sigma=0.3, seed=9)
+    expected = krr(ds, GAUSS).coefficients.tobytes()
+    matrix = Kernel.matrix
+    for strict_triangle, unchanged in (("upper", True), ("lower", False)):
+        def perturbed(self, a, b):
+            k = matrix(self, a, b)
+            rows, cols = np.triu_indices(k.shape[0], 1)
+            if strict_triangle == "lower":
+                rows, cols = cols, rows
+            k[rows, cols] *= 1.0 + 4.0 * np.finfo(np.float64).eps
+            return k
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Kernel, "matrix", perturbed)
+            coefficients = krr(ds, GAUSS).coefficients.tobytes()
+        assert (coefficients == expected) is unchanged, strict_triangle
 
 
 @pytest.mark.parametrize("kernel", [LINEAR_KERNEL, GAUSS], ids=["linear", "gaussian"])

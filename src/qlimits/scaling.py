@@ -85,7 +85,7 @@ PRIMAL_TEST_EXPONENT_RANGE = (-0.2, 0.2)
 # Gate 7's runtime ladder: the runtime_benchmark arguments its bounds are read on.
 GATE7_LADDER = {"solver_ids": BENCH_SOLVER_IDS, "n_grid": (256, 512, 1024, 2048, 4096), "reps": 5}
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 DESK_SCALE_CAP = 8192
 
 

@@ -36,10 +36,12 @@ entries), so it runs in BLAS and allocates as little as it can.
 over the inputs augmented by their squared norms, after centring both on the
 second argument's mean (the kernel is translation-invariant, and centring
 keeps the norms, and so the cancellation, at the scale of the data's spread).
-It then clips the exponent at 0 and exponentiates in place: one n_a x n_b
-array in all, every entry in [0, 1]. This is not bit-identical to
-``exp(-cdist / (2 h^2))``. Between independent draws of either input law, for
-bandwidths 0.3 to 3.3, the entries differ by at most about 1e-15. The
+It then clips the exponent at 0 in a block whose largest exponent rounds
+positive (a Gram's diagonal can; rows against fresh points seldom do) and
+exponentiates in place: one n_a x n_b array in all, every entry in [0, 1].
+This is not bit-identical to ``exp(-cdist / (2 h^2))``. Between independent
+draws of either input law, for bandwidths 0.3 to 3.3, the entries differ by
+at most about 1e-15. The
 exponent's error is a few ulps of the centred squared norms over 2 h^2, so at
 coincident points (the diagonal of K(a, a)) it reaches 7e-14 at h = 0.3 on
 clipped-Gaussian inputs. The GEMM forms a_i . (2s b_j) and a_j . (2s b_i)
@@ -53,7 +55,7 @@ streams half the matrix that a full product would.
 ``predict_batch`` streams a Gaussian predictor's kernel rows through blocks
 of about ``PREDICT_BLOCK_ENTRIES`` entries, so prediction never holds the
 whole n_eval x n matrix and each block stays in cache. It centres and
-augments the landmarks once per call (``Kernel.prepare``) and evaluates
+augments the landmarks once per call (``Kernel._prepare``) and evaluates
 every block against them, with the same bits as from the raw landmarks. A
 GEMM's rounding can depend on the BLAS thread count, so a Gaussian
 prediction made outside a pinned region can too, as a linear one always
@@ -67,7 +69,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,7 +96,10 @@ PREDICT_BLOCK_ENTRIES = 2**17  # kernel entries per prediction block (1 MiB)
 
 @dataclass(frozen=True)
 class Kernel:
-    """Linear or Gaussian kernel; Gaussian is exp(-|a-b|^2 / (2 bandwidth^2))."""
+    """Linear or Gaussian kernel; Gaussian is exp(-|a-b|^2 / (2 bandwidth^2)).
+
+    Its two fields are the ``kernel`` block of a config and of a predictor
+    file; a Gaussian bandwidth is a real number, stored as a float."""
 
     kind: str = "linear"
     bandwidth: float | None = None
@@ -103,10 +109,12 @@ class Kernel:
             if self.bandwidth is not None:
                 raise ConfigError("linear kernel takes no bandwidth")
         elif self.kind == "gaussian":
-            if self.bandwidth is None or not (self.bandwidth > 0):
-                raise ConfigError(f"gaussian kernel needs bandwidth > 0, got {self.bandwidth}")
-            try:  # the exponent's scale 1 / (2 h^2), as matrix() and prepare() take it
-                scale = 0.5 / float(self.bandwidth) ** 2
+            h = self.bandwidth
+            if isinstance(h, bool) or not isinstance(h, numbers.Real) or not h > 0:
+                raise ConfigError(f"gaussian kernel needs a real bandwidth > 0, got {h!r}")
+            try:  # the exponent's scale 1 / (2 h^2), as matrix() and _prepare() take it
+                h = float(h)
+                scale = 0.5 / h**2
             except (OverflowError, ZeroDivisionError):
                 scale = math.nan
             if not (math.isfinite(scale) and scale > 0):
@@ -114,33 +122,30 @@ class Kernel:
                     f"gaussian kernel bandwidth {self.bandwidth} is out of range: "
                     "0.5 / bandwidth**2 must be a finite positive float"
                 )
+            object.__setattr__(self, "bandwidth", h)
         else:
             raise ConfigError(f"unknown kernel kind {self.kind!r}, expected 'linear' or 'gaussian'")
 
-    def prepare(self, b: np.ndarray) -> PreparedLandmarks:
+    def _prepare(self, b: np.ndarray) -> PreparedLandmarks:
         """``b`` in the form the Gaussian branch of ``matrix`` evaluates rows
         against: its mean and the factor [2s (b - mean), 1, |b - mean|^2]."""
-        if self.kind != "gaussian":
-            raise ConfigError(f"only a gaussian kernel prepares landmarks, not {self.kind!r}")
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
         centre = b.mean(axis=0)
         b = b - centre
         s = 0.5 / self.bandwidth**2
         with np.errstate(over="ignore"):  # matrix() raises for an overflowing exponent
             sq_b = np.einsum("ij,ij->i", b, b)[:, None]
-            return PreparedLandmarks(self, centre, np.hstack(((2.0 * s) * b, np.ones_like(sq_b), sq_b)))
+            return PreparedLandmarks(centre, np.hstack(((2.0 * s) * b, np.ones_like(sq_b), sq_b)))
 
     def matrix(self, a: np.ndarray, b: np.ndarray | PreparedLandmarks) -> np.ndarray:
         """K(a_i, b_j) for every row pair; a Gaussian kernel's ``b`` may come
-        from ``prepare``, which gives the same bits as the raw landmarks."""
+        from ``_prepare``, which gives the same bits as the raw landmarks. The
+        exponent is clipped at 0 only in a block whose largest is positive."""
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        if isinstance(b, PreparedLandmarks):
-            if b.kernel != self:
-                raise ConfigError(f"landmarks were prepared for {b.kernel}, not {self}")
-        elif self.kind == "linear":
+        if self.kind == "linear":
             return a @ np.atleast_2d(np.asarray(b, dtype=np.float64)).T
-        else:
-            b = self.prepare(b)
+        if not isinstance(b, PreparedLandmarks):
+            b = self._prepare(b)
         # -|a - b|^2 / (2 h^2) from one GEMM, [a, -s|a|^2, -s] . [2s b, 1, |b|^2]
         # with s = 1 / (2 h^2), on inputs centred on b's mean (module docstring)
         a = a - b.centre
@@ -149,31 +154,15 @@ class Kernel:
             sq_a = np.einsum("ij,ij->i", a, a)[:, None]
             left = np.hstack((a, -s * sq_a, np.full_like(sq_a, -s)))
             k = left @ b.factor.T
-        if not k.max(initial=-math.inf) < math.inf:  # the exact exponent is <= 0
+        top = k.max(initial=-math.inf)
+        if not top < math.inf:  # the exact exponent is <= 0
             raise ConfigError(
                 f"gaussian kernel bandwidth {self.bandwidth} is out of range for these "
                 "inputs: the exponent |a - b|^2 / (2 bandwidth**2) overflows"
             )
-        np.minimum(k, 0.0, out=k)  # rounding can leave a tiny positive exponent
+        if top > 0:  # rounding can leave a tiny positive exponent
+            np.minimum(k, 0.0, out=k)
         return np.exp(k, out=k)
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.bandwidth is not None:
-            out["bandwidth"] = float(self.bandwidth)
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "Kernel":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"kernel must be an object, got {obj!r}")
-        extra = set(obj) - {"kind", "bandwidth"}
-        if extra:
-            raise ConfigError(f"unknown kernel fields: {sorted(extra)}")
-        bandwidth = obj.get("bandwidth")
-        if bandwidth is not None and type(bandwidth) not in (int, float):
-            raise ConfigError(f"kernel field `bandwidth` must be a number, got {bandwidth!r}")
-        return Kernel(kind=obj.get("kind", "linear"), bandwidth=bandwidth)
 
 
 LINEAR_KERNEL = Kernel("linear")
@@ -181,9 +170,8 @@ LINEAR_KERNEL = Kernel("linear")
 
 @dataclass(frozen=True, eq=False)
 class PreparedLandmarks:
-    """A Gaussian kernel's landmarks, centred and augmented once (``Kernel.prepare``)."""
+    """A Gaussian kernel's landmarks, centred and augmented once (``Kernel._prepare``)."""
 
-    kernel: Kernel
     centre: np.ndarray
     factor: np.ndarray
 
@@ -294,7 +282,7 @@ def predict_batch(predictor: Predictor, x: np.ndarray) -> np.ndarray:
         rows = max(m, 1)  # evaluated whole (see the module docstring)
     else:
         rows = max(PREDICT_BLOCK_ENTRIES // max(landmarks.shape[0], 1), 1)
-        landmarks = kernel.prepare(landmarks)
+        landmarks = kernel._prepare(landmarks)
     out = np.empty(m)
     for i in range(0, m, rows):
         out[i:i + rows] = kernel.matrix(x[i:i + rows], landmarks) @ predictor.coefficients
@@ -568,7 +556,7 @@ def predictor_to_json(predictor: Predictor) -> dict:
         "form": "dual",
         "coefficients": predictor.coefficients.tolist(),
         "landmarks": predictor.landmarks.tolist(),
-        "kernel": predictor.kernel.to_json(),
+        "kernel": asdict(predictor.kernel),
     }
 
 
@@ -591,15 +579,18 @@ def predictor_from_json(obj: dict) -> Predictor:
 
     if form == "primal":
         return PrimalPredictor(weights=array("weights"))
+    kernel = obj["kernel"]  # a linear block may omit its null bandwidth, as files before schema 14 do
+    if not (isinstance(kernel, dict) and set(kernel) <= {"kind", "bandwidth"}):
+        raise ConfigError(f"predictor field `kernel` must be an object of kind and bandwidth, got {kernel!r}")
     return DualPredictor(
         coefficients=array("coefficients"),
         landmarks=array("landmarks"),
-        kernel=Kernel.from_json(obj["kernel"]),
+        kernel=Kernel(**kernel),
     )
 
 
 def save_predictor(predictor: Predictor, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", newline="\n") as fh:
         json.dump(predictor_to_json(predictor), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -69,7 +69,7 @@ def test_generate_writes_dataset_and_echo(tmp_path):
     problem = SyntheticProblem(2, 0.0, seed=1)
     np.testing.assert_array_equal(ds.labels, ds.features @ problem.target_weights)
     echo = json.loads((tmp_path / "data.csv.config.json").read_text())
-    assert echo["schema_version"] == 13
+    assert echo["schema_version"] == 14
     assert echo["n"] == 4 and echo["bayes_risk"] == 0.0
 
     first = out.read_bytes()
@@ -187,6 +187,21 @@ def test_fit_every_solver(tmp_path, solver):
         solver, read_dataset_csv(data), LINEAR_KERNEL, SolverConfig(lam=0.05, partitions=2)
     )
     assert predictor_to_json(load_predictor(tmp_path / "pred.json")) == predictor_to_json(expected)
+
+
+def test_fit_predictor_spells_its_kernel_as_the_report_config_does(tmp_path):
+    data = tmp_path / "train.csv"
+    write_dataset_csv(sample_dataset(SyntheticProblem(3, 0.3, seed=5), 20, seed=6), data)
+    payload = {
+        "dataset": str(data),
+        "solver": "krr",
+        "out_predictor": str(tmp_path / "pred.json"),
+        "out_report": str(tmp_path / "report.json"),
+    }
+    assert _run(tmp_path, "fit", payload) == 0
+    predictor = json.loads((tmp_path / "pred.json").read_text())
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert predictor["kernel"] == report["config"]["kernel"] == {"kind": "linear", "bandwidth": None}
 
 
 def test_fit_scores_a_linear_predictor_exactly(tmp_path):
@@ -428,7 +443,7 @@ def _sweep_payload(tmp_path, **overrides):
 def test_sweep_rate_summary(tmp_path):
     assert _run(tmp_path, "sweep", _sweep_payload(tmp_path)) == 0
     summary = json.loads((tmp_path / "sweep.json").read_text())
-    assert summary["schema_version"] == 13
+    assert summary["schema_version"] == 14
     assert summary["mode"] == "rate"
     assert isinstance(summary["summary"]["rate_ok"], bool)
     assert "exponent" in summary["summary"]["fit"]

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -36,6 +37,7 @@ from qlimits.solvers import (
     PREDICT_BLOCK_ENTRIES,
     DualPredictor,
     check_kernel_psd,
+    load_predictor,
     predictor_from_json,
     predictor_to_json,
     top_eigenvalue,
@@ -171,12 +173,14 @@ def test_kernel_validation():
         Kernel("linear", bandwidth=1.0)
     with pytest.raises(ConfigError):
         Kernel("polynomial")
-    with pytest.raises(ConfigError):
-        LINEAR_KERNEL.prepare(np.eye(2))
-    with pytest.raises(ConfigError):
-        Kernel("gaussian", bandwidth=2.0).matrix(np.eye(2), GAUSS.prepare(np.eye(2)))
-    with pytest.raises(ConfigError):
-        LINEAR_KERNEL.matrix(np.eye(2), GAUSS.prepare(np.eye(2)))
+
+
+def test_gaussian_bandwidth_is_a_real_stored_as_a_float():
+    for bandwidth in (True, "1.0"):
+        with pytest.raises(ConfigError, match="real bandwidth"):
+            Kernel("gaussian", bandwidth)
+    assert type(Kernel("gaussian", 1).bandwidth) is float
+    assert type(Kernel("gaussian", np.float32(0.5)).bandwidth) is float
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +697,7 @@ def test_prediction_from_prepared_landmarks_is_bit_identical(rows, n_landmarks):
     block = max(PREDICT_BLOCK_ENTRIES // n_landmarks, 1)
     for bandwidth in (0.7, 1.0, 1.5):
         kernel = Kernel("gaussian", bandwidth=bandwidth)
-        prepared = kernel.prepare(landmarks)
+        prepared = kernel._prepare(landmarks)
         assert kernel.matrix(x, prepared).tobytes() == kernel.matrix(x, landmarks).tobytes()
         per_block = np.concatenate([
             kernel.matrix(x[i:i + block], landmarks) @ coefficients for i in range(0, rows, block)
@@ -787,6 +791,17 @@ def test_predictor_json_roundtrip():
     ):
         with pytest.raises(ConfigError, match=field):
             predictor_from_json(bad)
+
+
+def test_dual_predictor_files_that_omit_a_null_bandwidth_still_load(tmp_path):
+    # a linear dual predictor file written before its kernel block was spelled as in configs
+    path = tmp_path / "old.pred.json"
+    path.write_text(json.dumps({
+        "form": "dual", "coefficients": [0.5], "landmarks": [[1.0, 2.0]], "kernel": {"kind": "linear"}
+    }))
+    predictor = load_predictor(path)
+    assert predictor.kernel == LINEAR_KERNEL
+    assert predictor_to_json(predictor)["kernel"] == {"kind": "linear", "bandwidth": None}
 
 
 def test_solver_config_validation():

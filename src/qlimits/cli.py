@@ -7,8 +7,10 @@ environment variable. Config keys are the parameter names of the command,
 or of the library dataclass or function a block feeds, with no other
 spelling, so every JSON echo of a config is itself a config; ``_build``
 rejects unknown keys and checks JSON types, and the library supplies every
-default and range check. All numeric output is written with 17 significant
-digits so downstream fits reproduce exactly.
+default and checks every type (by ``qlimits.errors.integer`` and ``real``:
+no bool is a number, an int is a real stored as a float, no real is NaN or
+infinite) and range, for library callers too. All numeric output is written
+with 17 significant digits so downstream fits reproduce exactly.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical/solver error,
 4 benchmark timeout.
@@ -26,7 +28,7 @@ import types
 import typing
 from typing import Literal
 
-from .errors import ConfigError, QlimitsError
+from .errors import ConfigError, QlimitsError, integer, read_json, real
 from .qmodel import complexity_table, cost_log_error_solver, cost_matched_precision, cost_poly_error_solver
 from .risk import empirical_risk, excess_risks
 from .scaling import (
@@ -64,10 +66,11 @@ _NAMES = {int: "an integer", float: "a finite number", str: "a string", type(Non
 
 def _matches(value, kind) -> bool:
     """Whether a JSON value has the type of annotation ``kind`` (no unions)."""
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind in (int, float):  # as the library takes an integer and a real
+        try:
+            return (integer if kind is int else real)("", value) is not None
+        except ConfigError:
+            return False
     if typing.get_origin(kind) is tuple:
         return isinstance(value, list) and len(value) > 0
     if typing.get_origin(kind) is Literal:
@@ -112,7 +115,7 @@ def _arguments(target, obj, context: str, **given) -> dict:
     ``given`` supplies; unknown keys are rejected, unless the target takes
     ``**kwargs``, which receives them unchecked. Each value is checked
     against its parameter's annotation. Absent keys (or a null ``obj``) take
-    the target's defaults, and the target checks the ranges.
+    the target's defaults, and the target checks the types and ranges.
     """
     obj = {} if obj is None else obj
     if not isinstance(obj, dict):
@@ -170,13 +173,7 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
 def _load_config(path: str, overrides) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")
     return _apply_overrides(cfg, overrides)

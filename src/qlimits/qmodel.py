@@ -36,7 +36,7 @@ from typing import Literal
 import numpy as np
 
 from . import risk
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, integer, real
 from .rng import child_rng
 from .solvers import Predictor, PrimalPredictor, ceil_sqrt, exact_ls, predict_batch
 from .synth import Dataset, unit_vector
@@ -63,20 +63,12 @@ class NoiseSchedule:
     precision_scale: float = 1.0
 
     def __post_init__(self):
-        if self.gamma_kind not in GAMMA_RULE_KINDS:
-            raise ConfigError(
-                f"unknown gamma rule {self.gamma_kind!r}, expected one of {GAMMA_RULE_KINDS}"
-            )
-        if self.m_kind not in M_RULE_KINDS:
-            raise ConfigError(f"unknown m rule {self.m_kind!r}, expected one of {M_RULE_KINDS}")
-        if self.m_value < 1:
-            raise ConfigError(f"m_value must be >= 1, got {self.m_value}")
-        if not (np.isfinite(self.gamma_value) and self.gamma_value >= 0):
-            raise ConfigError(f"gamma_value must be >= 0, got {self.gamma_value}")
-        if self.regime not in REGIMES:
-            raise ConfigError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-        if not (np.isfinite(self.precision_scale) and self.precision_scale > 0):
-            raise ConfigError(f"precision_scale must be > 0, got {self.precision_scale}")
+        for name, kinds in (("regime", REGIMES), ("gamma_kind", GAMMA_RULE_KINDS), ("m_kind", M_RULE_KINDS)):
+            if getattr(self, name) not in kinds:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}, expected one of {kinds}")
+        integer("m_value", self.m_value, 1)
+        for name, strict in (("gamma_value", False), ("precision_scale", True)):
+            object.__setattr__(self, name, real(name, getattr(self, name), 0, strict=strict))
 
     def gamma_at(self, n: int) -> float:
         """Solver error gamma at training size n."""
@@ -106,8 +98,7 @@ class NoiseSchedule:
 def _shift(weights: np.ndarray, magnitude: float, seed: int, stream: str) -> np.ndarray:
     """weights + magnitude * u, as a new array, for a unit direction u drawn
     from ``stream`` of ``seed``; a magnitude of 0 draws nothing."""
-    if not (np.isfinite(magnitude) and magnitude >= 0):
-        raise ConfigError(f"magnitude must be >= 0, got {magnitude}")
+    real("magnitude", magnitude, 0)
     w = np.asarray(weights, dtype=np.float64)
     if magnitude == 0:  # each stream is its own child of seed, so skipping one moves no other
         return w.copy()
@@ -189,22 +180,13 @@ def _log_factor(x: float) -> float:
     return max(1.0, math.log2(x))
 
 
-def _check(kappa: float, n: int, gamma: float | None = None, **positive: float | None) -> None:
-    """Cost inputs: kappa >= 1, n >= 1, 0 < gamma < 1 where read, any other finite and > 0."""
-    if not (math.isfinite(kappa) and kappa >= 1):
-        raise ConfigError(f"`kappa` must be >= 1, got {kappa}")
-    if n < 1:
-        raise ConfigError(f"`n` must be >= 1, got {n}")
-    if gamma is not None and not 0 < gamma < 1:
-        raise ConfigError(f"`gamma` must be in (0, 1) for cost evaluation, got {gamma}")
-    _check_positive(**positive)
-
-
-def _check_positive(**values: float | None) -> None:
-    """Each of ``values`` finite and > 0."""
-    for name, value in values.items():
-        if value is None or not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"`{name}` must be > 0, got {value}")
+def _check(kappa: float, n: int, **positive: float) -> None:
+    """Cost inputs: kappa >= 1, n >= 1, any other finite and > 0, and gamma < 1 where read."""
+    real("kappa", kappa, 1)
+    integer("n", n, 1)
+    for name, value in positive.items():
+        if real(name, value, 0, strict=True) >= 1 and name == "gamma":
+            raise ConfigError(f"`gamma` must be in (0, 1) for cost evaluation, got {value}")
 
 
 def _finite(formula):
@@ -229,10 +211,8 @@ def cost_log_error_solver(
     """Frobenius-bounded solver with logarithmic error dependency: frobenius *
     kappa * log2(n) * log2(kappa + 1) * log2(1/gamma), logs floored at 1.
     A ``frobenius`` of ``"sqrt_n"`` is sqrt(n), taken once n is checked."""
-    _check(kappa, n, gamma)
-    if frobenius == "sqrt_n":
-        frobenius = math.sqrt(n)
-    _check_positive(frobenius=frobenius)
+    _check(kappa, n, gamma=gamma)
+    frobenius = real("frobenius", math.sqrt(n) if frobenius == "sqrt_n" else frobenius, 0, strict=True)
     return frobenius * kappa * _log_factor(n) * _log_factor(kappa + 1.0) * _log_factor(1.0 / gamma)
 
 
@@ -240,7 +220,7 @@ def cost_log_error_solver(
 def cost_poly_error_solver(kappa: float, n: int, gamma: float) -> float:
     """Sampling-based solver with cubic error dependency: kappa^2 * gamma^(-3)
     * log2(n), log floored at 1."""
-    _check(kappa, n, gamma)
+    _check(kappa, n, gamma=gamma)
     return kappa**2 * gamma**-3.0 * _log_factor(n)
 
 
@@ -254,8 +234,7 @@ def cost_matched_precision(kappa: float, n: int, beta: float, c: float) -> float
 
 def required_measurements(n: int, regime: str) -> int:
     """Smallest m with tau(m) <= n^(-1/2) at unit precision scale."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    integer("n", n, 1)
     if regime == "heisenberg":
         return ceil_sqrt(n)
     if regime == "shot_noise":

@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .blas import pin_single_thread, single_blas_thread
-from .errors import ConfigError, NumericalError, QlimitsError
+from .errors import ConfigError, NumericalError, QlimitsError, integer, real
 # quantum_ls_pipeline and expected_risk_mc are not called here since arms
 # share cells and score through excess_risks; they stay importable from this
 # module, whose names perfbench's tracer wraps.
@@ -99,9 +99,10 @@ def _check_solver(solver: str, kernel: Kernel) -> None:
 
 def _check_grid(n_grid) -> tuple[int, ...]:
     """``n_grid`` as ints, which must be at least 3 strictly increasing positive sizes."""
-    grid = tuple(int(n) for n in n_grid)
+    sizes = n_grid if isinstance(n_grid, (tuple, list)) else ()
+    grid = tuple(integer(f"n_grid[{i}]", n) for i, n in enumerate(sizes))
     if len(grid) < 3 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"n_grid must be >= 3 strictly increasing positive sizes, got {grid}")
+        raise ConfigError(f"n_grid must be >= 3 strictly increasing positive sizes, got {n_grid!r}")
     return grid
 
 
@@ -121,14 +122,16 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name, kind in (("solver_config", SolverConfig), ("kernel", Kernel),
+                           ("problem", SyntheticProblem), ("noise", NoiseSchedule)):
+            if not (isinstance(getattr(self, name), kind) or (name == "noise" and self.noise is None)):
+                raise ConfigError(f"`{name}` must be a {kind.__name__}, got {getattr(self, name)!r}")
         object.__setattr__(self, "n_grid", _check_grid(self.n_grid))
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        integer("trials", self.trials, 1)
+        integer("n_eval", self.n_eval, 2)
+        integer("master_seed", self.master_seed)
+        integer("workers", self.workers, 1)
         _check_solver(self.solver, self.kernel)
-        if self.n_eval < 2:
-            raise ConfigError(f"n_eval must be >= 2, got {self.n_eval}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.noise is not None and self.solver != "exact_ls":
             raise ConfigError("the noisy pipeline composes with exact_ls only")
 
@@ -555,12 +558,12 @@ def runtime_benchmark(
     for sid in ids:
         _check_solver(sid, kernel)
     grid = _check_grid(n_grid)
-    if grid[-1] > cap:
+    if grid[-1] > integer("cap", cap):
         raise ConfigError(f"n_grid maximum {grid[-1]} exceeds desk-scale cap {cap}")
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
-    if not (timeout_s > 0 and timer_window > 0):
-        raise ConfigError(f"timeout_s and timer_window must be > 0, got {timeout_s}, {timer_window}")
+    reps = integer("reps", reps, 1)
+    test_points = integer("test_points", test_points, 1)
+    timeout_s = real("timeout_s", timeout_s, 0, strict=True)
+    timer_window = real("timer_window", timer_window, 0, strict=True)
     problem = SyntheticProblem(dimension, noise_std, seed=master_seed)
     test_x = sample_dataset(
         problem, test_points, derive_seed(master_seed, "bench-test")

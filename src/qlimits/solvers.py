@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -82,6 +81,9 @@ from .errors import (
     KernelNotPSDError,
     NumericalError,
     SingularSystemError,
+    integer,
+    read_json,
+    real,
 )
 from .rng import child_rng
 from .synth import Dataset
@@ -109,12 +111,9 @@ class Kernel:
             if self.bandwidth is not None:
                 raise ConfigError("linear kernel takes no bandwidth")
         elif self.kind == "gaussian":
-            h = self.bandwidth
-            if isinstance(h, bool) or not isinstance(h, numbers.Real) or not h > 0:
-                raise ConfigError(f"gaussian kernel needs a real bandwidth > 0, got {h!r}")
+            object.__setattr__(self, "bandwidth", real("bandwidth", self.bandwidth, 0, strict=True))
             try:  # the exponent's scale 1 / (2 h^2), as matrix() and _prepare() take it
-                h = float(h)
-                scale = 0.5 / h**2
+                scale = 0.5 / self.bandwidth**2
             except (OverflowError, ZeroDivisionError):
                 scale = math.nan
             if not (math.isfinite(scale) and scale > 0):
@@ -122,7 +121,6 @@ class Kernel:
                     f"gaussian kernel bandwidth {self.bandwidth} is out of range: "
                     "0.5 / bandwidth**2 must be a finite positive float"
                 )
-            object.__setattr__(self, "bandwidth", h)
         else:
             raise ConfigError(f"unknown kernel kind {self.kind!r}, expected 'linear' or 'gaussian'")
 
@@ -243,21 +241,17 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
-        if self.step_size is not None and not (np.isfinite(self.step_size) and self.step_size > 0):
-            raise ConfigError(f"step_size must be > 0, got {self.step_size}")
-        if self.max_iters is not None and self.max_iters < 0:
-            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.partitions < 1:
-            raise ConfigError(f"partitions must be >= 1, got {self.partitions}")
-        if self.landmarks is not None and self.landmarks < 1:
-            raise ConfigError(f"landmarks must be >= 1, got {self.landmarks}")
+        object.__setattr__(self, "lam", real("lam", self.lam, 0, optional=True))
+        object.__setattr__(self, "step_size", real("step_size", self.step_size, 0, strict=True, optional=True))
+        integer("max_iters", self.max_iters, 0, optional=True)
+        integer("partitions", self.partitions, 1)
+        integer("landmarks", self.landmarks, 1, optional=True)
+        integer("seed", self.seed)
 
 
 def resolve_lam(lam: float | None, n: int) -> float:
-    """``lam``, or the default regularization schedule n^(-1/2) when it is None."""
-    return float(n) ** -0.5 if lam is None else float(lam)
+    """``lam``, a real >= 0, or the default regularization schedule n^(-1/2) when it is None."""
+    return float(n) ** -0.5 if lam is None else real("lam", lam, 0)
 
 
 def ceil_sqrt(n: int) -> int:
@@ -343,8 +337,6 @@ def exact_ls(dataset: Dataset, lam: float | None = None) -> PrimalPredictor:
     """Closed-form solve of (sum x_i x_i^T + lam*n*I) w = sum y_i x_i."""
     n = dataset.n_samples
     lam = resolve_lam(lam, n)
-    if lam < 0:
-        raise ConfigError(f"lam must be >= 0, got {lam}")
     a, y = dataset.features, dataset.labels
     gram = a.T @ a
     rhs = a.T @ y
@@ -379,9 +371,7 @@ def krr(dataset: Dataset, kernel: Kernel = LINEAR_KERNEL, lam: float | None = No
     cold path where Cholesky factorization breaks down.
     """
     n = dataset.n_samples
-    lam = resolve_lam(lam, n)
-    if not lam > 0:
-        raise ConfigError(f"krr requires lam > 0, got {lam}")
+    lam = real("lam", resolve_lam(lam, n), 0, strict=True)  # > 0: K may be singular
     k = kernel.matrix(dataset.features, dataset.features)
     k.flat[:: n + 1] += lam * n  # in place: K becomes K + lam*n*I
     system = k.T  # the Fortran view of k's own memory
@@ -571,11 +561,9 @@ def predictor_from_json(obj: dict) -> Predictor:
     if set(obj) != {"form", *fields}:
         raise ConfigError(f"{form} predictor needs fields {list(fields)}, got {sorted(set(obj) - {'form'})}")
 
-    def array(field: str) -> np.ndarray:
-        try:
-            return np.asarray(obj[field], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"predictor field `{field}` must be numbers, got {obj[field]!r}") from exc
+    def array(field: str) -> np.ndarray:  # entry by entry: a float array would take true or "1.5"
+        values = np.asarray(obj[field], dtype=object)
+        return np.array([real(field, value) for value in values.flat]).reshape(values.shape)
 
     if form == "primal":
         return PrimalPredictor(weights=array("weights"))
@@ -596,5 +584,4 @@ def save_predictor(predictor: Predictor, path) -> None:
 
 
 def load_predictor(path) -> Predictor:
-    with open(path) as fh:
-        return predictor_from_json(json.load(fh))
+    return predictor_from_json(read_json(path))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer, real
 from .rng import child_rng
 
 INPUT_LAWS = ("unit_sphere_uniform", "gaussian_clipped")
@@ -45,14 +45,11 @@ class SyntheticProblem:
 
     def __post_init__(self):
         # checked before the draw, since unit_vector never returns at dimension 0
-        if self.dimension < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
-        noise_std = float(self.noise_std)
-        if not np.isfinite(noise_std) or noise_std < 0:
-            raise ConfigError(f"noise_std must be a nonnegative real, got {noise_std}")
+        integer("dimension", self.dimension, 1)
+        integer("seed", self.seed)
+        object.__setattr__(self, "noise_std", real("noise_std", self.noise_std, 0))
         if self.input_law not in INPUT_LAWS:
             raise ConfigError(f"unknown input_law {self.input_law!r}, expected one of {INPUT_LAWS}")
-        object.__setattr__(self, "noise_std", noise_std)
         w = unit_vector(child_rng(self.seed, "target"), self.dimension)
         w.flags.writeable = False
         object.__setattr__(self, "target_weights", w)
@@ -149,8 +146,7 @@ def _sample_inputs(problem: SyntheticProblem, n: int, rng: np.random.Generator) 
 
 def sample_dataset(problem: SyntheticProblem, n: int, seed: int = 0) -> Dataset:
     """n i.i.d. samples; bit-identical for a fixed (problem, n, seed)."""
-    if n < 1:
-        raise ConfigError(f"sample size `n` must be >= 1, got {n}")
+    n = integer("n", n, 1)
     rng = child_rng(seed, "dataset")
     x = _sample_inputs(problem, n, rng)
     labels = x @ problem.target_weights

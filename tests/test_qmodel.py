@@ -296,7 +296,10 @@ def test_matched_cost_increases_with_n(n, factor):
 def test_cost_formula_validation():
     valid = {"kappa": 1.0, "frobenius": 1.0, "n": 2, "gamma": 0.5, "beta": 3.0, "c": 1.0}
     bad = [("kappa", 0.5), ("frobenius", 0.0), ("gamma", 0.0), ("n", 0), ("gamma", 1.0),
-           ("beta", 0.0), ("c", 0.0)]
+           ("beta", 0.0), ("c", 0.0),
+           # each input is a number of its type, and a bool is none
+           ("kappa", True), ("frobenius", "1"), ("gamma", None), ("n", 2.5), ("n", True),
+           ("beta", True), ("c", math.nan)]
     for formula in (cost_log_error_solver, cost_poly_error_solver, cost_matched_precision):
         names = inspect.signature(formula).parameters
         inputs = {name: valid[name] for name in names}

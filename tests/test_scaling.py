@@ -697,6 +697,12 @@ def test_runtime_benchmark_validation():
         ({"n_grid": (64, 128, 256), "timeout_s": 0.0}, "timeout_s"),
         ({"n_grid": (64, 128, 256), "timer_window": 0.0}, "timer_window"),
         ({"n_grid": (64, 128, 256), "kernel": Kernel("gaussian", 1.0)}, "exact_ls"),
+        ({"reps": 2.5}, "`reps`"),
+        ({"test_points": 2.5}, "`test_points`"),
+        ({"timeout_s": True}, "`timeout_s`"),
+        ({"timer_window": "1"}, "`timer_window`"),
+        ({"cap": 2.5}, "`cap`"),
+        ({"n_grid": (64.5, 128, 256)}, "n_grid"),
     ],
 )
 def test_runtime_benchmark_rejects_before_timing(monkeypatch, options, match):

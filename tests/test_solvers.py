@@ -175,14 +175,6 @@ def test_kernel_validation():
         Kernel("polynomial")
 
 
-def test_gaussian_bandwidth_is_a_real_stored_as_a_float():
-    for bandwidth in (True, "1.0"):
-        with pytest.raises(ConfigError, match="real bandwidth"):
-            Kernel("gaussian", bandwidth)
-    assert type(Kernel("gaussian", 1).bandwidth) is float
-    assert type(Kernel("gaussian", np.float32(0.5)).bandwidth) is float
-
-
 # ---------------------------------------------------------------------------
 # early stopping gradient descent
 
@@ -788,9 +780,22 @@ def test_predictor_json_roundtrip():
         ({**dual_json, "landmarks": "x"}, "landmarks"),
         ({**dual_json, "kernel": {"kind": "gaussian", "bandwidth": "1"}}, "bandwidth"),
         ({**dual_json, "kernel": ["gaussian"]}, "kernel"),
+        # a float array would take these as 1.0, 0.0 and 1.5
+        ({"form": "primal", "weights": [True, False]}, "weights"),
+        ({"form": "primal", "weights": ["1.5", "2"]}, "weights"),
+        ({**dual_json, "coefficients": [0.5, True]}, "coefficients"),
+        ({**dual_json, "landmarks": [[1.0, "2"], [3.0, 4.0]]}, "landmarks"),
     ):
         with pytest.raises(ConfigError, match=field):
             predictor_from_json(bad)
+
+
+@pytest.mark.parametrize("content", [b"{\"form\": ", b"\xff\xfe{}"], ids=["invalid_json", "not_utf8"])
+def test_predictor_file_that_is_not_utf8_json_is_a_config_error(tmp_path, content):
+    path = tmp_path / "bad.pred.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="bad.pred.json"):
+        load_predictor(path)
 
 
 def test_dual_predictor_files_that_omit_a_null_bandwidth_still_load(tmp_path):

@@ -127,6 +127,9 @@ def test_sample_dataset_rejects_empty():
     problem = SyntheticProblem(2, 0.1)
     with pytest.raises(ConfigError):
         sample_dataset(problem, 0, seed=1)
+    for n in (2.5, True, "8"):  # a size is an integer
+        with pytest.raises(ConfigError, match="`n`"):
+            sample_dataset(problem, n, seed=1)
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):

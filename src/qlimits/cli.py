@@ -5,12 +5,14 @@ from a JSON config file plus optional ``--set key=value`` overrides with
 dotted paths (which may reach into a null block), and from no flag or
 environment variable. Config keys are the parameter names of the command,
 or of the library dataclass or function a block feeds, with no other
-spelling, so every JSON echo of a config is itself a config; ``_build``
-rejects unknown keys and checks JSON types, and the library supplies every
-default and checks every type (by ``qlimits.errors.integer`` and ``real``:
-no bool is a number, an int is a real stored as a float, no real is NaN or
-infinite) and range, for library callers too. All numeric output is written
-with 17 significant digits so downstream fits reproduce exactly.
+spelling, so every JSON echo of a config is itself a config. ``_build``
+rejects unknown keys and only shapes JSON (objects become dataclasses,
+lists tuples); the code that reads a value checks it. So each command
+checks its own names (``mode``, ``algorithm``), and the library supplies
+every default and checks every type (by ``qlimits.errors.integer`` and
+``real``: no bool is a number, an int is a real stored as a float, no real
+is NaN or infinite) and range, for library callers too. All numeric output
+is written with 17 significant digits so downstream fits reproduce exactly.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical/solver error,
 4 benchmark timeout.
@@ -19,14 +21,13 @@ Exit codes: 0 success, 2 config/validation error, 3 numerical/solver error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import json
 import os
 import sys
-import types
 import typing
-from typing import Literal
 
 from .errors import ConfigError, QlimitsError, integer, read_json, real
 from .qmodel import complexity_table, cost_log_error_solver, cost_matched_precision, cost_poly_error_solver
@@ -59,67 +60,48 @@ EXIT_TIMEOUT = 4
 
 
 # ---------------------------------------------------------------------------
-# strict config reading
+# config reading: the reader shapes JSON, and the code that reads a value checks it
 
-_NAMES = {int: "an integer", float: "a finite number", str: "a string", type(None): "null"}
-
-
-def _matches(value, kind) -> bool:
-    """Whether a JSON value has the type of annotation ``kind`` (no unions)."""
-    if kind in (int, float):  # as the library takes an integer and a real
-        try:
-            return (integer if kind is int else real)("", value) is not None
-        except ConfigError:
-            return False
-    if typing.get_origin(kind) is tuple:
-        return isinstance(value, list) and len(value) > 0
-    if typing.get_origin(kind) is Literal:
-        return value in typing.get_args(kind)
-    return isinstance(value, dict if dataclasses.is_dataclass(kind) else kind)
-
-
-def _describe(kind) -> str:
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin in (typing.Union, types.UnionType):
-        return " or ".join(map(_describe, args))
-    if origin is tuple:
-        return f"a non-empty list, each {_describe(args[0])}"
-    if origin is Literal:
-        return f"one of {args}"
-    return _NAMES.get(kind, "an object")
+def _typed(value, kind, key: str):
+    """``value`` shaped for the annotation ``kind``: an object (or a null,
+    where the block is not optional) becomes the annotated dataclass, a list
+    a tuple, and an int a float where a float is allowed; a ``str``
+    parameter must be a string, so a path is never a file descriptor."""
+    alternatives = typing.get_args(kind) or (kind,)  # a union's types
+    block = next((k for k in alternatives if dataclasses.is_dataclass(k)), None)
+    if block is not None and not (value is None and type(None) in alternatives):
+        with _naming(key):
+            return _build(block, value)
+    if kind is str and not isinstance(value, str):
+        raise ConfigError(f"`{key}` must be a string, got {value!r}")
+    if isinstance(value, list):
+        return tuple(value)
+    return real(key, value) if float in alternatives and type(value) is int else value
 
 
-def _typed(value, kind, key: str, context: str):
-    """``value`` checked against the annotation ``kind``: ints become floats
-    for float parameters, lists become tuples, and objects (or null, for the
-    defaults) become the annotated dataclass."""
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin in (typing.Union, types.UnionType):
-        for alternative in args:
-            if _matches(value, alternative):
-                return _typed(value, alternative, key, context)
-    elif dataclasses.is_dataclass(kind) and (value is None or isinstance(value, dict)):
-        return _build(kind, value, key)
-    elif _matches(value, kind):
-        if origin is tuple:
-            return tuple(_typed(v, args[0], f"{key}[{i}]", context) for i, v in enumerate(value))
-        return float(value) if kind is float else value
-    raise ConfigError(f"field `{key}` in {context} must be {_describe(kind)}, got {value!r}")
+@contextlib.contextmanager
+def _naming(key: str):
+    """Name the config block ``key`` in a ConfigError raised inside it, as
+    ``seed`` is a field of both ``problem`` and ``solver_config``."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"`{key}`: {exc}") from exc
 
 
-def _arguments(target, obj, context: str, **given) -> dict:
+def _arguments(target, obj, **given) -> dict:
     """The keyword arguments that call ``target``, a dataclass or function,
     with the JSON object ``obj``.
 
     The keys are the target's parameter names, less the parameters that
     ``given`` supplies; unknown keys are rejected, unless the target takes
-    ``**kwargs``, which receives them unchecked. Each value is checked
-    against its parameter's annotation. Absent keys (or a null ``obj``) take
-    the target's defaults, and the target checks the types and ranges.
+    ``**kwargs``, which receives them as read. Each value is shaped by
+    ``_typed``. Absent keys (or a null ``obj``) take the target's defaults,
+    and the target checks the types and ranges.
     """
     obj = {} if obj is None else obj
     if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be an object, got {obj!r}")
+        raise ConfigError(f"must be an object, got {obj!r}")
     params = inspect.signature(target).parameters
     hints = typing.get_type_hints(target)
     keys = {name for name, p in params.items() if name not in given and p.kind is not p.VAR_KEYWORD}
@@ -127,17 +109,17 @@ def _arguments(target, obj, context: str, **given) -> dict:
     takes_rest = any(p.kind is p.VAR_KEYWORD for p in params.values())
     unknown = sorted(k for k in rest if k in given or not takes_rest)
     if unknown:
-        raise ConfigError(f"unknown field(s) {unknown} in {context}")
+        raise ConfigError(f"unknown field(s) {unknown}")
     missing = sorted(k for k in keys if k not in obj and params[k].default is params[k].empty)
     if missing:
-        raise ConfigError(f"missing required field(s) {missing} in {context}")
-    typed = {k: _typed(v, hints[k], k, context) for k, v in obj.items() if k in keys}
+        raise ConfigError(f"missing required field(s) {missing}")
+    typed = {k: _typed(v, hints[k], k) for k, v in obj.items() if k in keys}
     return {**typed, **rest, **given}
 
 
-def _build(target, obj, context: str, **given):
+def _build(target, obj, **given):
     """``target`` called with ``obj`` (see ``_arguments``)."""
-    return target(**_arguments(target, obj, context, **given))
+    return target(**_arguments(target, obj, **given))
 
 
 def _echo(target, arguments: dict) -> dict:
@@ -215,6 +197,8 @@ def cmd_fit(
     eval_seed: int = 0,
 ) -> int:
     config = _echo(cmd_fit, locals())  # before any other local is bound
+    integer("n_eval", n_eval, 2)  # both echoed, and read only to score a kernel predictor
+    integer("eval_seed", eval_seed)
     data = read_dataset_csv(dataset)
     if problem is not None and problem.dimension != data.dimension:
         raise ConfigError(f"problem dimension {problem.dimension} != dataset dimension {data.dimension}")
@@ -261,10 +245,16 @@ def _write_tables(out_csv: str, tables) -> dict:
     return sweep_failures(tables)
 
 
+_PAIRED_MODES = {  # mode -> (experiment, summary); mode "rate" runs one sweep
+    "matching": (matching_experiment, matching_summary),
+    "measurement": (measurement_experiment, measurement_summary),
+}
+
+
 def cmd_sweep(
     out_csv: str,
     out_json: str,
-    mode: Literal["rate", "matching", "measurement"] = "rate",
+    mode: str = "rate",
     matching: dict | None = None,
     measurement: dict | None = None,
     workers: int | None = None,
@@ -275,14 +265,16 @@ def cmd_sweep(
     a mode that does not read a block must not be given it. Without
     ``workers`` the sweep runs one worker per core this process may run on
     (its CPU affinity, where the platform has one)."""
-    unread = [key for key, block in (("matching", matching), ("measurement", measurement))
-              if block is not None and key != mode]
+    if mode != "rate" and mode not in _PAIRED_MODES:
+        raise ConfigError(f"unknown mode {mode!r}, expected 'rate' or one of {tuple(_PAIRED_MODES)}")
+    blocks = {"matching": matching, "measurement": measurement}
+    unread = [key for key, block in blocks.items() if block is not None and key != mode]
     if unread:
         raise ConfigError(f"mode {mode!r} does not read {', '.join(f'`{k}`' for k in unread)}")
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    config = _build(SweepConfig, sweep, "sweep config", workers=workers)
+    config = _build(SweepConfig, sweep, workers=workers)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",
@@ -295,12 +287,11 @@ def cmd_sweep(
         payload["failures"] = _write_tables(out_csv, [table])
         payload["summary"] = rate_summary(table)
     else:
-        experiment, options, summary = {
-            "matching": (matching_experiment, matching, matching_summary),
-            "measurement": (measurement_experiment, measurement, measurement_summary),
-        }[mode]
-        report = _build(experiment, options, f"{mode} options", config=config)
-        payload[mode] = options  # as given, so the echo reruns the sweep
+        experiment, summary = _PAIRED_MODES[mode]
+        with _naming(mode):
+            arguments = _arguments(experiment, blocks[mode], config=config)
+        report = experiment(**arguments)
+        payload[mode] = blocks[mode]  # as given, so the echo reruns the sweep
         tables = report.arm_tables()
         payload["failures"] = _write_tables(out_csv, tables.values())
         payload["summary"] = summary(report)
@@ -317,28 +308,21 @@ _COST_FORMULAS = {  # algorithm -> formula; it reads the keys named by its param
 }
 # the value of a key that a formula reads and the config leaves out
 _COST_DEFAULTS = {"kappa": 1.0, "gamma": 0.5, "n": 2, "frobenius": "sqrt_n", "beta": None, "c": None}
-_ABSENT = object()  # cmd_cost's default: the key is not in the config
 
 
-def cmd_cost(
-    algorithm: Literal["table", "log_error", "poly_error", "matched"],
-    out: str,
-    kappa: float | tuple[float, ...] = _ABSENT,
-    gamma: float | tuple[float, ...] = _ABSENT,
-    n: int | tuple[int, ...] = _ABSENT,
-    frobenius: float | Literal["sqrt_n"] = _ABSENT,
-    beta: float | None = _ABSENT,
-    c: float | None = _ABSENT,
-) -> int:
-    """``kappa``, ``gamma`` and ``n`` are a value or a list; the rows run over
-    every combination. Each algorithm reads the keys of its formula's
-    parameters (``table`` reads none, and ``matched`` pins gamma), any other
-    key is an error, and an absent key takes its ``_COST_DEFAULTS`` value."""
-    keys = {"kappa": kappa, "gamma": gamma, "n": n, "frobenius": frobenius, "beta": beta, "c": c}
-    given = {key: value for key, value in keys.items() if value is not _ABSENT}
+def cmd_cost(algorithm: str, out: str, **inputs) -> int:
+    """The remaining keys are formula inputs, by the formulas' parameter
+    names. Each algorithm reads the keys of its formula's parameters
+    (``table`` reads none, and ``matched`` pins gamma), any other key is an
+    error, and an absent key takes its ``_COST_DEFAULTS`` value. ``kappa``,
+    ``gamma`` and ``n`` are a value or a non-empty list; the rows run over
+    every combination."""
+    if algorithm != "table" and algorithm not in _COST_FORMULAS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}, expected 'table' or one of "
+                          f"{tuple(_COST_FORMULAS)}")
     formula = _COST_FORMULAS.get(algorithm)  # None for the table
     reads = inspect.signature(formula).parameters if formula else {}
-    unread = [key for key in given if key not in reads]
+    unread = [key for key in inputs if key not in reads]
     if unread:
         raise ConfigError(f"algorithm {algorithm!r} does not read {', '.join(f'`{k}`' for k in unread)}")
     if formula is None:
@@ -352,18 +336,22 @@ def cmd_cost(
         print(f"wrote {len(rows)} ladder rows to {out}")
         return EXIT_OK
 
-    def listed(value) -> tuple:
-        return value if isinstance(value, tuple) else (value,)
+    inputs = {**_COST_DEFAULTS, **inputs}
 
-    inputs = {**_COST_DEFAULTS, **given}
+    def listed(key: str) -> list:
+        value = inputs[key]
+        if value == []:
+            raise ConfigError(f"`{key}` must be a value or a non-empty list, got []")
+        return value if isinstance(value, list) else [value]
+
     rows = []
-    for size in listed(inputs["n"]):
-        for k in listed(inputs["kappa"]):
-            for g in listed(inputs["gamma"]) if "gamma" in reads else (None,):
+    for size in listed("n"):
+        for k in listed("kappa"):
+            for g in listed("gamma") if "gamma" in reads else (None,):
                 point = {**inputs, "n": size, "kappa": k, "gamma": g}
                 cost = formula(**{key: point[key] for key in reads})
-                # matched pins gamma to n^(-1/2), taken once its formula has checked n >= 1
-                rows.append((algorithm, size, k, float(size) ** -0.5 if g is None else g, cost))
+                # kappa as the formula read it; matched pins gamma to n^(-1/2), once n >= 1 is checked
+                rows.append((algorithm, size, float(k), float(size) ** -0.5 if g is None else g, cost))
     write_csv(out, ("algorithm", "n", "kappa", "gamma", "cost_units"), rows)
     print(f"wrote {len(rows)} cost rows to {out}")
     return EXIT_OK
@@ -371,7 +359,7 @@ def cmd_cost(
 
 def cmd_bench(out_csv: str, out_json: str, **options) -> int:
     """The remaining keys are runtime_benchmark's, ``cap`` among them."""
-    arguments = _arguments(runtime_benchmark, options, "bench config")
+    arguments = _arguments(runtime_benchmark, options)
     report = runtime_benchmark(**arguments)
     if report.reps == 1:
         print("warning: reps=1 gives a single timing sample per cell", file=sys.stderr)
@@ -429,7 +417,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config, args.set)
-        return _build(COMMANDS[args.command], cfg, f"{args.command} config")
+        return _build(COMMANDS[args.command], cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,7 +24,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, integer
 from .solvers import Predictor, PrimalPredictor, predict_batch
 from .synth import Dataset, SyntheticProblem, sample_dataset
 
@@ -65,8 +65,6 @@ def _mean_and_std_error(values: np.ndarray) -> tuple[float, float]:
     """Mean of ``values`` (at least two, one per evaluation point) and its
     standard error, each sum taken ascending by ``pairwise_sum``."""
     values = np.sort(values)
-    if values.size < 2:
-        raise ConfigError(f"n_eval must be >= 2, got {values.size}")
     mean = pairwise_sum(values) / values.size
     variance = pairwise_sum(np.sort((values - mean) ** 2)) / (values.size - 1)
     return mean, float(np.sqrt(variance / values.size))
@@ -84,7 +82,7 @@ def expected_risk_mc(
     """Unbiased estimate of the risk on noisy labels, on a fresh sample of
     ``n_eval`` points, and its standard error; it includes the Bayes risk."""
     _check_dims(predictor, problem.dimension)
-    fresh = sample_dataset(problem, n_eval, seed)
+    fresh = sample_dataset(problem, integer("n_eval", n_eval, 2), seed)
     return _mean_and_std_error(_squared_errors(predictor, fresh.features, fresh.labels))
 
 
@@ -141,6 +139,7 @@ def excess_risks(
     drawn from ``seed``, with its standard error. A ``seed`` that is a
     function is called for the seed only then, when the sample is drawn.
     """
+    n_eval = integer("n_eval", n_eval, 2)
     for predictor in predictors:
         _check_dims(predictor, problem.dimension)
     weights = [linear_weights(p) for p in predictors]

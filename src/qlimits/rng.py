@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import integer
+
 
 def _entropy_word(part) -> int:
     if isinstance(part, str):
@@ -26,7 +28,7 @@ def _entropy_word(part) -> int:
 
 
 def seed_sequence(master_seed: int, *path) -> np.random.SeedSequence:
-    words = [_entropy_word(master_seed)] + [_entropy_word(p) for p in path]
+    words = [_entropy_word(integer("seed", master_seed))] + [_entropy_word(p) for p in path]
     return np.random.SeedSequence(words)
 
 

@@ -48,7 +48,7 @@ from .errors import ConfigError, NumericalError, QlimitsError, integer, real
 # quantum_ls_pipeline and expected_risk_mc are not called here since arms
 # share cells and score through excess_risks; they stay importable from this
 # module, whose names perfbench's tracer wraps.
-from .qmodel import NoiseSchedule, apply_channels, quantum_ls_pipeline
+from .qmodel import M_RULE_KINDS, NoiseSchedule, apply_channels, quantum_ls_pipeline
 from .risk import expected_risk_mc, excess_risks
 from .rng import derive_seed
 from .solvers import (  # the five solvers are called by name, through fit_solver
@@ -459,6 +459,8 @@ def matching_experiment(
 ) -> PairedReport:
     """Exact solve vs solver-error schedules gamma = c0 * n^(-1/2) and
     gamma = constant, arms ``matched`` and ``constant``."""
+    matched_c0 = real("matched_c0", matched_c0, 0)
+    constant_gamma = real("constant_gamma", constant_gamma, 0)
     arms = {
         "matched": ("matched", NoiseSchedule(gamma_kind="matched", gamma_value=matched_c0)),
         "constant": ("constant", NoiseSchedule(gamma_value=constant_gamma)),
@@ -476,6 +478,9 @@ def measurement_experiment(
     ``budget`` and ``degraded``."""
     if regime == "exact":  # NoiseSchedule rejects unknown regimes
         raise ConfigError(f"measurement experiment needs a noisy regime, got {regime!r}")
+    for name, rule in (("budget_rule", budget_rule), ("degraded_rule", degraded_rule)):
+        if rule not in M_RULE_KINDS:
+            raise ConfigError(f"unknown {name} {rule!r}, expected one of {M_RULE_KINDS}")
     arms = {
         "budget": (f"m_{budget_rule}", NoiseSchedule(regime=regime, m_kind=budget_rule)),
         "degraded": (f"m_{degraded_rule}", NoiseSchedule(regime=regime, m_kind=degraded_rule)),
@@ -526,7 +531,7 @@ def _timed_call(fn, min_time: float = BENCH_TIMER_WINDOW):
         if elapsed >= min_time or loops >= 1024:
             return elapsed / loops, result
         per_call = max(elapsed / loops, 1e-9)
-        loops = min(1024, max(loops * 2, int(min_time / per_call) + 1))
+        loops = min(1024, max(loops * 2, int(min(min_time / per_call, 1024)) + 1))
 
 
 def runtime_benchmark(
@@ -554,6 +559,8 @@ def runtime_benchmark(
     is not a timeout, and raises. ``cap`` bounds the largest n, keeping the
     ladder at desk scale.
     """
+    if not (isinstance(solver_ids, (tuple, list)) and solver_ids):
+        raise ConfigError(f"`solver_ids` must be a non-empty list of solver ids, got {solver_ids!r}")
     ids = tuple(solver_ids)
     for sid in ids:
         _check_solver(sid, kernel)
@@ -564,7 +571,7 @@ def runtime_benchmark(
     test_points = integer("test_points", test_points, 1)
     timeout_s = real("timeout_s", timeout_s, 0, strict=True)
     timer_window = real("timer_window", timer_window, 0, strict=True)
-    problem = SyntheticProblem(dimension, noise_std, seed=master_seed)
+    problem = SyntheticProblem(dimension, noise_std, seed=integer("master_seed", master_seed))
     test_x = sample_dataset(
         problem, test_points, derive_seed(master_seed, "bench-test")
     ).features

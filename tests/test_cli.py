@@ -1,10 +1,13 @@
 import concurrent.futures
 import ctypes.util
+import dataclasses
 import inspect
+import itertools
 import json
 import math
 import os
 import re
+import typing
 import warnings
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from qlimits import (
     write_dataset_csv,
 )
 from qlimits import NumericalError, blas, scaling
+from qlimits import cli
 from qlimits.cli import cmd_cost, cmd_fit, main
 from qlimits.qmodel import (
     complexity_table,
@@ -684,7 +688,9 @@ def test_gaussian_bandwidth_out_of_float_range_is_a_config_error(tmp_path, capsy
         warnings.simplefilter("error")  # a warning, such as numpy's overflow, fails the run
         assert _run(tmp_path, command, payload) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: gaussian kernel bandwidth {bandwidth} is out of range")
+    # named in the block at construction, and by Kernel.matrix during the fit at 1e-154
+    message = f"gaussian kernel bandwidth {re.escape(str(bandwidth))} is out of range"
+    assert re.match(rf"config error: (`kernel`: )?{message}", err)
     assert len(err.splitlines()) == 1  # the config error alone
     assert not any((tmp_path / name).exists() for name in outputs)
 
@@ -882,12 +888,14 @@ def test_cost_rows_are_direct_formula_calls_in_grid_order(tmp_path, algorithm):
 
 
 def test_cost_keys_are_the_formula_parameter_names():
+    formulas = (cost_log_error_solver, cost_poly_error_solver, cost_matched_precision)
+    assert set(cli._COST_FORMULAS.values()) == set(formulas)
     names = set()
-    for formula in (cost_log_error_solver, cost_poly_error_solver, cost_matched_precision):
+    for formula in formulas:
         names |= set(inspect.signature(formula).parameters)
-    keys = set(inspect.signature(cmd_cost).parameters) - {"algorithm", "out"}
-    assert keys <= names
-    assert names == {"kappa", "frobenius", "n", "gamma", "beta", "c"}
+    # each key a formula reads has a default, and the command's own keys are no input's
+    assert set(cli._COST_DEFAULTS) == names == {"kappa", "frobenius", "n", "gamma", "beta", "c"}
+    assert not names & set(inspect.signature(cmd_cost).parameters)
 
 
 _COST_UNREAD = {  # algorithm -> a payload it runs on, and each key it does not read
@@ -916,7 +924,8 @@ def test_cost_rejects_a_null_input(tmp_path, key, capsys):
     # a read key given as null is not taken for an absent one
     out = tmp_path / "c.csv"
     assert _run(tmp_path, "cost", {"algorithm": "log_error", key: None, "out": str(out)}) == 2
-    assert f"field `{key}` in cost config must be" in capsys.readouterr().err
+    kind = "an integer" if key == "n" else "a finite number"
+    assert f"`{key}` must be {kind}, got None" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1071,3 +1080,102 @@ def test_readme_generate_config_feeds_fit(tmp_path):
     config.update(out=str(tmp_path / "train.csv"))
     assert _run(tmp_path, "generate", config) == 0
     assert _run(tmp_path, "fit", _fit_payload(tmp_path, tmp_path / "train.csv", config["problem"])) == 0
+
+
+# ---------------------------------------------------------------------------
+# every key of every command, given a value of a wrong JSON type
+
+_PATHS = {"out", "out_csv", "out_json", "out_predictor", "out_report", "dataset"}  # any string
+
+
+def _rejected(key, hint, default) -> list:
+    """The walk's values that ``key`` must reject: ``None`` where it is not
+    optional, ``True``, ``"x"``, 2.5 where it takes no float, ``[]`` and
+    ``{}``; a null or empty object is a block's defaults."""
+    kinds = typing.get_args(hint) or (hint,)
+    if any(dataclasses.is_dataclass(k) for k in kinds):
+        return [True, "x", 2.5, []]
+    values = [True, [], {}]
+    if default is not None:
+        values.append(None)
+    if key not in _PATHS:
+        values.append("x")
+    if float not in kinds:
+        values.append(2.5)
+    return values
+
+
+def _walk(target, skip=()):
+    """(key path, value) for each rejected value of each parameter of
+    ``target`` and of each field of a block it takes."""
+    hints = typing.get_type_hints(target)
+    for name, param in inspect.signature(target).parameters.items():
+        if name in skip or param.kind is param.VAR_KEYWORD:
+            continue
+        for value in _rejected(name, hints[name], param.default):
+            yield (name,), value
+        for block in typing.get_args(hints[name]) or (hints[name],):
+            if dataclasses.is_dataclass(block):
+                yield from (((name, *path), value) for path, value in _walk(block))
+
+
+def _key_walk(tmp_path, command):
+    """A small valid config of ``command`` (with its outputs in ``out/``) and
+    the walk over its keys; the moved cases are walked too: an unknown
+    ``mode`` and ``algorithm``, an empty ``n``, ``kappa``, ``gamma`` and
+    ``solver_ids``, and ``n_eval`` and ``eval_seed`` of an exact_ls fit."""
+    out = tmp_path / "out"
+    paths = {key: str(out / key) for key in _PATHS - {"dataset"}}
+    small_sweep = {"n_grid": [8, 16, 32], "trials": 1, "n_eval": 10, "problem": {"dimension": 2},
+                   "workers": 1, "out_csv": paths["out_csv"], "out_json": paths["out_json"]}
+    if command == "generate":
+        return ({"n": 4, "out": paths["out"], "problem": {"dimension": 2}}, _walk(cli.cmd_generate))
+    if command == "fit":
+        data = tmp_path / "walk.csv"
+        write_dataset_csv(sample_dataset(SyntheticProblem(2), 8, seed=1), data)
+        return ({"dataset": str(data), "solver": "exact_ls",  # no problem, so nothing is scored
+                 "out_predictor": paths["out_predictor"], "out_report": paths["out_report"]},
+                _walk(cli.cmd_fit))
+    if command == "sweep":
+        walk = itertools.chain(_walk(cli.cmd_sweep), _walk(scaling.SweepConfig, skip={"workers"}))
+        return {**small_sweep, "noise": {}}, walk
+    if command in ("matching", "measurement"):
+        experiment = cli._PAIRED_MODES[command][0]
+        walk = (((command, *path), value) for path, value in _walk(experiment, skip={"config"}))
+        return {**small_sweep, "mode": command, command: {}}, walk
+    if command == "cost":
+        walk = (((key,), value) for key in cli._COST_DEFAULTS
+                for value in [None, True, "x", [], {}] + ([2.5] if key == "n" else []))
+        return {"algorithm": "log_error", "out": paths["out"]}, itertools.chain(_walk(cmd_cost), walk)
+    bench = {"solver_ids": ["exact_ls"], "n_grid": [16, 32, 64], "reps": 2, "test_points": 4,
+             "timer_window": 1e-4, "out_csv": paths["out_csv"], "out_json": paths["out_json"]}
+    return bench, itertools.chain(_walk(cli.cmd_bench), _walk(scaling.runtime_benchmark))
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "sweep", "matching", "measurement", "cost", "bench"])
+def test_every_command_key_rejects_a_value_of_a_wrong_type(tmp_path, capsys, command):
+    # "matching" and "measurement" are sweeps of that mode, walking their options block
+    base, walk = _key_walk(tmp_path, command)
+    name = command if command in cli.COMMANDS else "sweep"
+    out = tmp_path / "out"
+    out.mkdir()
+    assert _run(tmp_path, name, base) == 0  # the walk starts from a valid config
+    for written in out.iterdir():
+        written.unlink()
+    capsys.readouterr()
+    wrong = []
+    for path, value in walk:
+        payload = json.loads(json.dumps(base))
+        block = payload
+        for key in path[:-1]:
+            block = block.setdefault(key, {})
+        block[path[-1]] = value
+        code = _run(tmp_path, name, payload)
+        err = capsys.readouterr().err
+        # a block's field is named with the block, as `seed` is a field of two
+        # blocks; an experiment's options have names of their own
+        named = re.search(rf"\b{path[-1]}\b", err) and (
+            len(path) == 1 or path[0] in cli._PAIRED_MODES or f"`{path[0]}`: " in err)
+        if code != 2 or not named or any(out.iterdir()):
+            wrong.append((".".join(path), value, code, err))
+    assert not wrong

@@ -303,6 +303,17 @@ def test_excess_risks_calls_a_seed_function_only_when_it_draws():
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n_eval", ["x", 1.5, True, 1])
+def test_excess_risks_checks_n_eval_though_a_linear_predictor_does_not_read_it(n_eval):
+    problem = SyntheticProblem(3, 0.5, seed=20)
+    data = sample_dataset(problem, 16, seed=22)
+    for predictors in ((exact_ls(data),), (krr(data, Kernel("gaussian", 1.0)),)):
+        with pytest.raises(ConfigError, match="`n_eval`"):
+            excess_risks(predictors, problem, n_eval, 0)
+    with pytest.raises(ConfigError, match="`n_eval`"):
+        expected_risk_mc(exact_ls(data), problem, n_eval, 0)
+
+
 KERNEL_SOLVERS = ("krr", "early_stopping_gd", "divide_and_conquer", "nystrom")
 
 

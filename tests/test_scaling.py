@@ -703,12 +703,23 @@ def test_runtime_benchmark_validation():
         ({"timer_window": "1"}, "`timer_window`"),
         ({"cap": 2.5}, "`cap`"),
         ({"n_grid": (64.5, 128, 256)}, "n_grid"),
+        ({"solver_ids": ()}, "`solver_ids`"),
+        ({"solver_ids": "krr"}, "`solver_ids`"),  # not read as ('k', 'r', 'r')
+        ({"master_seed": "a"}, "`master_seed`"),
     ],
 )
 def test_runtime_benchmark_rejects_before_timing(monkeypatch, options, match):
     monkeypatch.setattr("qlimits.scaling.single_blas_thread", None)  # never reached
     with pytest.raises(ConfigError, match=match):
-        runtime_benchmark(solver_ids=("exact_ls",), **options)
+        runtime_benchmark(**{"solver_ids": ("exact_ls",), **options})
+
+
+@pytest.mark.parametrize("min_time", [1e300, 1e308])
+def test_timed_call_stops_at_1024_loops_under_any_window(min_time):
+    # at 1e308, min_time / per_call is infinite, and int() of it would raise
+    calls = []
+    elapsed, result = scaling._timed_call(lambda: calls.append(None), min_time)
+    assert len(calls) == 1 + 1024 and result is None and elapsed >= 0
 
 
 # ---------------------------------------------------------------------------

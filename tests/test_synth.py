@@ -18,7 +18,7 @@ from qlimits import (
     sample_dataset,
     write_dataset_csv,
 )
-from qlimits.rng import child_rng
+from qlimits.rng import child_rng, derive_seed
 from qlimits.synth import NORM_BLOCK_ENTRIES
 
 
@@ -130,6 +130,18 @@ def test_sample_dataset_rejects_empty():
     for n in (2.5, True, "8"):  # a size is an integer
         with pytest.raises(ConfigError, match="`n`"):
             sample_dataset(problem, n, seed=1)
+
+
+@pytest.mark.parametrize("seed", [True, "a", 1.5, None])
+def test_a_master_seed_is_an_integer(seed):
+    # a bool would draw as 1 and a string as its UTF-8 bytes; path tags stay strings or ints
+    with pytest.raises(ConfigError, match="`seed` must be an integer"):
+        sample_dataset(SyntheticProblem(2), 4, seed=seed)
+    with pytest.raises(ConfigError, match="`seed` must be an integer"):
+        derive_seed(seed, "x")
+    with pytest.raises(ConfigError, match="`seed` must be an integer"):
+        child_rng(seed)
+    assert derive_seed(np.int64(3), "x", 4) == derive_seed(3, "x", np.int64(4))
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):

@@ -90,35 +90,9 @@ def _thread_controls(path: str):
     raise QlimitsError(f"{path}: no OpenBLAS thread controls; cannot pin it to one thread")
 
 
-def _loaded_controls() -> list:
-    """(path, get_threads, set_threads) of every loaded BLAS; raises when none is
-    loaded or one has no OpenBLAS thread controls, before any count is changed."""
-    paths = loaded_blas_paths()
-    if not paths:
-        raise QlimitsError("no BLAS library is loaded; one BLAS thread cannot be verified")
-    return [(path, *_thread_controls(path)) for path in paths]
-
-
-def _pin(controls) -> None:
-    for path, get_threads, set_threads in controls:
-        set_threads(1)
-        threads = get_threads()
-        if threads != 1:
-            raise QlimitsError(f"{path}: set to one thread but reports {threads}")
-
-
 def thread_counts() -> dict[str, int]:
     """Path -> thread count of every loaded BLAS."""
     return {path: _thread_controls(path)[0]() for path in loaded_blas_paths()}
-
-
-def pin_single_thread() -> None:
-    """Set every loaded BLAS to one thread for the rest of the process, verified.
-
-    For a process that only computes, such as a sweep's pool worker. Raises
-    QlimitsError like ``single_blas_thread``.
-    """
-    _pin(_loaded_controls())
 
 
 @contextmanager
@@ -126,12 +100,20 @@ def single_blas_thread():
     """Run the body with every loaded BLAS at one thread; restore the counts on exit.
 
     Raises QlimitsError, naming the library, when no BLAS is found or a
-    loaded one cannot be set to one thread and verified there.
+    loaded one cannot be set to one thread and verified there; every
+    library's controls are found before any count is changed.
     """
-    controls = _loaded_controls()
+    paths = loaded_blas_paths()
+    if not paths:
+        raise QlimitsError("no BLAS library is loaded; one BLAS thread cannot be verified")
+    controls = [(path, *_thread_controls(path)) for path in paths]
     previous = [(set_threads, get_threads()) for _, get_threads, set_threads in controls]
     try:
-        _pin(controls)
+        for path, get_threads, set_threads in controls:
+            set_threads(1)
+            threads = get_threads()
+            if threads != 1:
+                raise QlimitsError(f"{path}: set to one thread but reports {threads}")
         yield
     finally:
         for set_threads, threads in previous:

@@ -421,6 +421,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a size this machine cannot allocate; numpy's message names it
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,15 +7,17 @@ and ``np.percentile`` but without the ``numpy.ma`` that those two load.
 Every cell reads the one ``SyntheticProblem`` its config holds. All per-cell
 randomness is derived from the master seed and the cell's (n, trial)
 coordinates, so results are bit-identical across reruns and independent of
-serial vs parallel execution. Only a sweep of more than one worker imports
-the process pool, so ``import qlimits`` and a serial sweep load no
-``multiprocessing``. Both paths run every loaded BLAS at one thread (the
-serial one for the sweep's duration, each pool worker for its lifetime), so
-N workers never start N BLAS threads each and a kernel solve rounds the same
-whatever the core count; where BLAS cannot be pinned, the sweep warns and
-runs with the default threads. A pin covers only the libraries already
-mapped; every solver and scoring path runs in the BLAS that numpy links and
-imports no scipy, so no run maps a library after its pin.
+serial vs parallel execution. A sweep of more than one worker runs its
+cells on a thread pool, which it imports only then, so ``import qlimits``
+and a serial sweep load no ``concurrent.futures``. Each cell owns its arrays
+and random streams, and releases the GIL in its BLAS, LAPACK, ``exp``,
+sort and random draws. Either way the sweep runs inside one pin of every
+loaded BLAS to one thread; a thread count is process-wide, so N workers
+never start N BLAS threads each and a kernel solve rounds the same whatever
+the core count. Where BLAS cannot be pinned, the sweep warns and runs with
+the default threads. A pin covers only the libraries already mapped; every
+solver and scoring path runs in the BLAS that numpy links and imports no
+scipy, so no run maps a library after its pin.
 
 A sweep scores one or more arms, and all of them share each (n, trial)
 cell: one training draw, one solve, one scoring. The exact arm scores the
@@ -43,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .blas import pin_single_thread, single_blas_thread
+from .blas import single_blas_thread
 from .errors import ConfigError, NumericalError, QlimitsError, integer, real
 # quantum_ls_pipeline and expected_risk_mc are not called here since arms
 # share cells and score through excess_risks; they stay importable from this
@@ -272,10 +274,6 @@ def _sweep_row(n: int, outcomes: list[tuple]) -> SweepRow:
     )
 
 
-def _warn_unpinned(exc: QlimitsError) -> None:
-    warnings.warn(f"running with the default BLAS threads: {exc}", RuntimeWarning, stacklevel=3)
-
-
 @contextmanager
 def single_blas_thread_or_warn():
     """Run the body inside ``single_blas_thread``; where BLAS cannot be pinned,
@@ -285,19 +283,8 @@ def single_blas_thread_or_warn():
         try:
             stack.enter_context(single_blas_thread())
         except QlimitsError as exc:
-            _warn_unpinned(exc)
+            warnings.warn(f"running with the default BLAS threads: {exc}", RuntimeWarning, stacklevel=3)
         yield
-
-
-def _pin_worker() -> None:
-    """Pool initializer: every loaded BLAS at one thread for the worker's
-    lifetime. A worker's cells call only numpy's BLAS, which ``import qlimits``
-    has mapped, so a worker that did not fork (a spawn or forkserver pool)
-    pins it too."""
-    try:
-        pin_single_thread()
-    except QlimitsError as exc:
-        _warn_unpinned(exc)
 
 
 def _sweep_arms(
@@ -307,15 +294,14 @@ def _sweep_arms(
     (see _sweep_cell); one table per arm, failed cells flagged, not fatal."""
     schedules = tuple(arm for _, arm in arms)
     tasks = [(config, schedules, n, t) for n in config.n_grid for t in range(config.trials)]
-    if config.workers > 1:
-        # imported here, so a serial sweep loads no multiprocessing machinery
-        from concurrent.futures import ProcessPoolExecutor
+    with single_blas_thread_or_warn():  # BLAS threads are process-wide: this pins every pool thread
+        if config.workers > 1:
+            # imported here, so a serial sweep loads no concurrent.futures or logging
+            from concurrent.futures import ThreadPoolExecutor
 
-        workers = min(config.workers, len(tasks))  # a forked pool starts all its workers at once
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker) as pool:
-            cells = list(pool.map(_sweep_cell, tasks))
-    else:
-        with single_blas_thread_or_warn():
+            with ThreadPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
+                cells = list(pool.map(_sweep_cell, tasks))
+        else:
             cells = [_sweep_cell(t) for t in tasks]
     t = config.trials
     return tuple(

@@ -24,6 +24,8 @@ GAUSSIAN_CLIP_FACTOR = 3.0
 
 # Entries of x squared at a time for the input norms (64 KiB of float64)
 NORM_BLOCK_ENTRIES = 1 << 13
+# The most float64 entries whose bytes numpy can index
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class SyntheticProblem:
         object.__setattr__(self, "target_weights", w)
 
     def __reduce__(self):
-        # a pickled problem (as a pool worker receives) redraws its weights from the fields
+        # a pickled problem redraws its weights from the fields, so they stay read-only
         return SyntheticProblem, (self.dimension, self.noise_std, self.input_law, self.seed)
 
     def build(self) -> SyntheticProblem:
@@ -145,8 +147,16 @@ def _sample_inputs(problem: SyntheticProblem, n: int, rng: np.random.Generator) 
 
 
 def sample_dataset(problem: SyntheticProblem, n: int, seed: int = 0) -> Dataset:
-    """n i.i.d. samples; bit-identical for a fixed (problem, n, seed)."""
+    """n i.i.d. samples; bit-identical for a fixed (problem, n, seed).
+
+    A draw of more float64 entries than numpy can index is a ConfigError, raised
+    before anything is drawn."""
     n = integer("n", n, 1)
+    if n * problem.dimension > _MAX_ENTRIES:
+        raise ConfigError(
+            f"`n` {n} samples of dimension {problem.dimension} need {n * problem.dimension} "
+            f"float64 entries, more than the {_MAX_ENTRIES} an array can hold"
+        )
     rng = child_rng(seed, "dataset")
     x = _sample_inputs(problem, n, rng)
     labels = x @ problem.target_weights

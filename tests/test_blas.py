@@ -1,10 +1,8 @@
 import ctypes.util
 import json
 import os
-import pickle
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -83,84 +81,25 @@ def test_thread_counts_reads_every_loaded_blas(two_threads):
     assert set(counts.values()) == {2}
 
 
-def test_pin_single_thread_pins_every_openblas_for_good(two_threads):
-    blas.pin_single_thread()
-    assert set(blas.thread_counts().values()) == {1}
-
-
-def test_pin_single_thread_changes_nothing_before_an_error(monkeypatch, two_threads):
-    before = blas.thread_counts()
-    monkeypatch.setattr(blas, "loaded_blas_paths", lambda: [*before, LIBC])
-    with pytest.raises(QlimitsError, match="libc"):
-        blas.pin_single_thread()
-    monkeypatch.undo()
-    assert blas.thread_counts() == before
-
-
 GAUSSIAN_KRR = scaling.SweepConfig(
     n_grid=(16, 32, 64), trials=1, solver="krr", kernel=Kernel("gaussian", 1.0), n_eval=64
 )
 
 
-def test_sweep_pool_worker_runs_one_blas_thread(two_threads):
-    with ProcessPoolExecutor(max_workers=1, initializer=scaling._pin_worker) as pool:
-        counts = pool.submit(blas.thread_counts).result()
-    assert len(counts) >= 1
-    assert set(counts.values()) == {1}
-    assert set(blas.thread_counts().values()) == {2}  # the parent keeps its threads
-
-
-def test_sweep_worker_that_cannot_pin_warns_and_runs(monkeypatch):
-    monkeypatch.setattr(blas, "loaded_blas_paths", lambda: [LIBC])
-    with pytest.warns(RuntimeWarning, match="libc"):
-        scaling._pin_worker()
-
-
-def _fresh_python(code: str, *args: str, stdin: bytes = b"") -> dict:
+def _fresh_python(code: str, *args: str) -> dict:
     """Run ``code`` in a new interpreter with OpenBLAS at its default threads;
     return the JSON object on the last line of its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qlimits.__file__)))
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, input=stdin,
-                          capture_output=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     return json.loads(done.stdout.decode().splitlines()[-1])
 
 
-_SPAWNED_WORKER = """
-import json, pickle, sys
-from qlimits import blas, scaling
-config = pickle.loads(sys.stdin.buffer.read())  # as a spawned worker gets its cells, never validated here
-scipy_modules = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-before = scipy_modules()
-scaling._pin_worker()
-((excess, _, error),) = scaling._sweep_cell((config, (None,), config.n_grid[0], 0))
-assert error is None and excess > 0, error
-print(json.dumps({"before": before, "after": scipy_modules(), "counts": blas.thread_counts()}))
-"""
-
-LINEAR_CLIPPED = scaling.SweepConfig(
-    n_grid=(16, 32, 64), trials=1, problem=scaling.SyntheticProblem(dimension=3, input_law="gaussian_clipped")
-)
-
-
-@pytest.mark.parametrize("config", [GAUSSIAN_KRR, LINEAR_CLIPPED], ids=["gaussian_krr", "linear_clipped"])
-def test_worker_that_did_not_fork_pins_numpys_one_blas(config):
-    # a spawn or forkserver worker starts from `import qlimits`, which loads no
-    # scipy; a Gaussian krr cell factors in numpy's own BLAS and a linear cell on
-    # clipped inputs takes its second moment from `math`, so the worker loads
-    # no scipy before or after its pin and pins the one BLAS numpy maps
-    worker = _fresh_python(_SPAWNED_WORKER, stdin=pickle.dumps(config))
-    assert worker["before"] == worker["after"] == []
-    assert len(worker["counts"]) == 1
-    assert set(worker["counts"]) <= set(blas.loaded_blas_paths())
-    assert set(worker["counts"].values()) == {1}
-
-
 _PIN_PROBE = """
-import json, sys
+import json, sys, threading
 from qlimits import Kernel, SweepConfig, SyntheticProblem, blas, cli, runtime_benchmark, scaling
 
 inside = []
@@ -168,31 +107,43 @@ inside = []
 def recording(fit):
     def first_fit_records_the_pin(*args, **kwargs):
         if not inside:
-            inside.append(blas.thread_counts())
+            inside.append((blas.thread_counts(), threading.current_thread() is threading.main_thread()))
         return fit(*args, **kwargs)
     return first_fit_records_the_pin
 
 scaling.fit_solver = recording(scaling.fit_solver)
 cli.fit_solver = recording(cli.fit_solver)
 exec(sys.argv[1])
-print(json.dumps({"inside": inside[0], "after": sorted(blas.thread_counts())}))
+counts, on_main_thread = inside[0]
+print(json.dumps({"inside": counts, "main_thread": on_main_thread, "after": sorted(blas.thread_counts())}))
 """
 
 
-def _assert_pinned_in_the_first_fit(run: str) -> None:
+def _assert_pinned_in_the_first_fit(run: str, main_thread: bool = True) -> None:
     probe = _fresh_python(_PIN_PROBE, run)
     assert set(probe["inside"].values()) == {1}, probe
     # nothing loaded after the pin: every library the run used was pinned
     assert sorted(probe["inside"]) == probe["after"], probe
+    assert probe["main_thread"] is main_thread, probe
 
 
-@pytest.mark.parametrize("input_law", INPUT_LAWS)
-@pytest.mark.parametrize("solver", SOLVER_IDS)
-def test_sweep_pins_every_blas_its_cells_load(solver, input_law):
+# every solver on either input law in a serial sweep, and a linear and a
+# Gaussian solver whose first fit runs in a pool thread of a parallel sweep
+_PIN_SWEEPS = [
+    *(pytest.param(solver, law, 1, id=f"{solver}-{law}") for solver in SOLVER_IDS for law in INPUT_LAWS),
+    *(pytest.param(solver, "unit_sphere_uniform", 2, id=f"{solver}-unit_sphere_uniform-workers2")
+      for solver in ("exact_ls", "krr")),
+]
+
+
+@pytest.mark.parametrize("solver, input_law, workers", _PIN_SWEEPS)
+def test_sweep_pins_every_blas_its_cells_load(solver, input_law, workers):
     kernel = 'Kernel("linear")' if solver == "exact_ls" else 'Kernel("gaussian", 1.0)'
     _assert_pinned_in_the_first_fit(
         f"scaling.sweep_excess_risk(SweepConfig(n_grid=(16, 32, 64), trials=1, solver={solver!r}, "
-        f"kernel={kernel}, problem=SyntheticProblem(dimension=3, input_law={input_law!r}), n_eval=64))"
+        f"kernel={kernel}, problem=SyntheticProblem(dimension=3, input_law={input_law!r}), n_eval=64, "
+        f"workers={workers}))",
+        main_thread=workers == 1,
     )
 
 

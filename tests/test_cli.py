@@ -27,7 +27,7 @@ from qlimits import (
     sample_dataset,
     write_dataset_csv,
 )
-from qlimits import NumericalError, blas, scaling
+from qlimits import NumericalError, blas, scaling, synth
 from qlimits import cli
 from qlimits.cli import cmd_cost, cmd_fit, main
 from qlimits.qmodel import (
@@ -91,6 +91,34 @@ def test_generate_rejects_unknown_keys(tmp_path, capsys):
     payload = {"problem": {"dimension": 2}, "n": 4, "rows": 7, "out": str(tmp_path / "x.csv")}
     assert _run(tmp_path, "generate", payload) == 2
     assert "rows" in capsys.readouterr().err
+
+
+def test_generate_of_more_entries_than_numpy_can_index_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    payload = {"problem": {"dimension": 2}, "n": 10**30, "out": str(out)}
+    assert _run(tmp_path, "generate", payload) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"config error: `n` {10**30} samples of dimension 2")
+    assert not out.exists() and not (tmp_path / "x.csv.config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "message", ["Unable to allocate 72.8 TiB for an array with shape (1000000000000, 10)", ""], ids=["numpy", "bare"]
+)
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_a_draw_that_runs_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch, command, message):
+    # the draw is replaced, so nothing is allocated; a sweep's cell raises in a pool thread
+    def out_of_memory(problem, n, rng):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(synth, "_sample_inputs", out_of_memory)
+    if command == "generate":
+        payload = {"problem": {"dimension": 10}, "n": 10**12, "out": str(tmp_path / "x.csv")}
+    else:
+        payload = _sweep_payload(tmp_path, workers=2)
+    assert _run(tmp_path, command, payload) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message or 'out of memory'}"]
+    assert not [path.name for path in tmp_path.iterdir() if "ncfg" not in path.name]
 
 
 def test_generate_echo_reruns_generate_and_its_problem_feeds_fit(tmp_path):
@@ -698,13 +726,13 @@ def test_gaussian_bandwidth_out_of_float_range_is_a_config_error(tmp_path, capsy
 def test_sweep_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     started = []
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
     # the name a sweep imports when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     payload = _sweep_payload(tmp_path, n_grid=[8, 16, 32], trials=1)
     assert _run(tmp_path, "sweep", payload) == 0
     serial = (tmp_path / "sweep.csv").read_bytes()

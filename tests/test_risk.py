@@ -457,11 +457,11 @@ def _run_in_a_fresh_python(code: str, tmp_path, configs: dict) -> tuple[dict, di
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # import scipy.linalg alone is about half of a kernel run's start-up, a
-    # process pool's machinery (multiprocessing, socket, subprocess, logging)
-    # about 1.8 MB of a serial sweep's peak, and numpy.ma (which np.median and
-    # np.percentile load, and scipy loads too) about 0.75 MB; these runs call
-    # none of them, so they must not load any of it. The kernel solvers'
+    # import scipy.linalg alone is about half of a kernel run's start-up, and
+    # numpy.ma (which np.median and np.percentile load, and scipy loads too)
+    # about 0.75 MB of a serial sweep's peak; these runs call neither, so they
+    # must not load any of it, and a parallel sweep runs its cells on threads,
+    # so it loads no process pool (multiprocessing) either. The kernel solvers'
     # Cholesky and dsymv run in numpy's own BLAS (qlimits.blas), and a linear
     # predictor's closed-form risk on clipped inputs takes its moment from math.
     gaussian = {"n_grid": [16, 32, 64], "trials": 2, "workers": 1, "solver": "nystrom",
@@ -477,6 +477,7 @@ def test_import_loads_no_scipy(tmp_path):
                               "problem": _CLIPPED},
         "sweep-linear": linear,
         "sweep-linearclipped": {**linear, "problem": {"input_law": "gaussian_clipped"}},
+        "sweep-linearparallel": {**linear, "workers": 2},
         "sweep-nystrom": gaussian,
         "sweep-nystromclipped": {**gaussian, "problem": {"input_law": "gaussian_clipped"}},
         "sweep-krr": {**gaussian, "solver": "krr"},

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -229,6 +230,26 @@ def test_parallel_gaussian_krr_sweep_writes_the_serial_csv_bytes(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_sweep_on_more_threads_than_cores_switching_often_writes_the_serial_rows():
+    # the pool threads share the config, its problem and the modules' names; a
+    # cell that wrote into any of them could move a row at 16 threads switching
+    # every microsecond, and one trial per size puts each cell's value in its row
+    grid = tuple(range(16, 216, 2))
+    configs = [
+        SweepConfig(n_grid=grid, trials=1, solver=solver, kernel=Kernel("gaussian", bandwidth=1.0), n_eval=64)
+        for solver in SOLVER_IDS if solver != "exact_ls"
+    ]
+    configs.append(SweepConfig(n_grid=grid, trials=1, noise=MATCHING_ARMS[1][1]))
+    serial = [repr(sweep_csv_rows([sweep_excess_risk(config)])) for config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = [repr(sweep_csv_rows([sweep_excess_risk(dataclasses.replace(c, workers=16))])) for c in configs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+
+
 @pytest.mark.parametrize("threads", [2, 3, 4])
 def test_gaussian_sweep_csv_does_not_depend_on_preset_blas_threads(threads, preset_blas_threads, tmp_path):
     # Unpinned, a GEMM or Cholesky factorisation at 257 and 600 points rounds
@@ -250,8 +271,9 @@ def test_gaussian_sweep_csv_does_not_depend_on_preset_blas_threads(threads, pres
 def test_serial_sweep_that_cannot_pin_blas_warns_and_runs(monkeypatch):
     pinned = sweep_excess_risk(FAST_CONFIG)
     monkeypatch.setattr(blas, "loaded_blas_paths", lambda: [])
-    with pytest.warns(RuntimeWarning, match="no BLAS"):
-        assert sweep_excess_risk(FAST_CONFIG) == pinned
+    for workers in (1, 2):  # a parallel sweep's pool threads run inside the same pin
+        with pytest.warns(RuntimeWarning, match="no BLAS"):
+            assert sweep_excess_risk(dataclasses.replace(FAST_CONFIG, workers=workers)) == pinned
 
 
 def test_noiseless_interpolation_has_negligible_excess():

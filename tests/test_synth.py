@@ -19,7 +19,7 @@ from qlimits import (
     write_dataset_csv,
 )
 from qlimits.rng import child_rng, derive_seed
-from qlimits.synth import NORM_BLOCK_ENTRIES
+from qlimits.synth import _MAX_ENTRIES, NORM_BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("sigma,expected", [(0.0, 0.0), (0.5, 0.25), (2.0, 4.0)])
@@ -130,6 +130,13 @@ def test_sample_dataset_rejects_empty():
     for n in (2.5, True, "8"):  # a size is an integer
         with pytest.raises(ConfigError, match="`n`"):
             sample_dataset(problem, n, seed=1)
+
+
+@pytest.mark.parametrize("n", [10**30, _MAX_ENTRIES // 2 + 1])
+def test_a_draw_numpy_cannot_index_is_a_config_error(n):
+    # raised before anything is drawn, so no size here is allocated
+    with pytest.raises(ConfigError, match=f"`n` {n} samples of dimension 2 need {2 * n} float64 entries"):
+        sample_dataset(SyntheticProblem(2), n)
 
 
 @pytest.mark.parametrize("seed", [True, "a", 1.5, None])

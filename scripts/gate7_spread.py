@@ -25,6 +25,7 @@ import subprocess
 import sys
 
 from qlimits import runtime_benchmark
+from qlimits.errors import write_json
 from qlimits.scaling import GATE7_LADDER, bench_summary
 
 
@@ -82,8 +83,7 @@ def main(argv=None) -> int:
         print(f"{key}: {spread([float(run[key]) for run in runs])}")
     print(f"gate 7 passed in {sum(run['passes'] for run in runs)} of {len(runs)} runs")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(runs, fh, indent=2)
+        write_json(args.json, runs)
     return 0
 
 

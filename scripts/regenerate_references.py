@@ -18,7 +18,6 @@ the old -> new sha256s it prints.
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 import tempfile
@@ -27,6 +26,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import reference_outputs as ref  # noqa: E402
+from qlimits.errors import write_json  # noqa: E402
 from qlimits.scaling import SCHEMA_VERSION  # noqa: E402
 
 
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
         for name in ref.FILES:
             shutil.copyfile(out / name, ref.REFERENCE_DIR / name)
     manifest = {"schema_version": SCHEMA_VERSION, "environment": environment, "files": digests}
-    ref.MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(ref.MANIFEST, manifest)
     print(f"wrote {len(digests)} files and {ref.MANIFEST.name} to {ref.REFERENCE_DIR}")
     return 0
 

@@ -29,7 +29,7 @@ import os
 import sys
 import typing
 
-from .errors import ConfigError, QlimitsError, integer, read_json, real
+from .errors import ConfigError, QlimitsError, integer, read_json, real, write_csv, write_json
 from .qmodel import complexity_table, cost_log_error_solver, cost_matched_precision, cost_poly_error_solver
 from .risk import empirical_risk, excess_risks
 from .scaling import (
@@ -47,7 +47,6 @@ from .scaling import (
     sweep_excess_risk,
     sweep_failures,
     write_bench_csv,
-    write_csv,
     write_sweep_csv,
 )
 from .solvers import LINEAR_KERNEL, Kernel, SolverConfig, save_predictor
@@ -161,12 +160,6 @@ def _load_config(path: str, overrides) -> dict:
     return _apply_overrides(cfg, overrides)
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # commands; each one's parameters are its config keys
 
@@ -174,7 +167,7 @@ def cmd_generate(n: int, out: str, problem: SyntheticProblem = SyntheticProblem(
     """Draw ``n`` samples of ``problem`` with its ``seed``."""
     dataset = sample_dataset(problem, n, problem.seed)
     write_dataset_csv(dataset, out)
-    _write_json(out + ".config.json", {
+    write_json(out + ".config.json", {
         "schema_version": SCHEMA_VERSION,
         "command": "generate",
         "problem": dataclasses.asdict(problem), "n": n, "out": out,
@@ -225,7 +218,7 @@ def cmd_fit(
             report["excess_risk"] = excess
             report["bayes_risk"] = problem.bayes_risk
     save_predictor(predictor, out_predictor)
-    _write_json(out_report, report)
+    write_json(out_report, report)
     print(f"wrote predictor to {out_predictor} and report to {out_report}")
     return EXIT_OK
 
@@ -296,7 +289,7 @@ def cmd_sweep(
         payload["failures"] = _write_tables(out_csv, tables.values())
         payload["summary"] = summary(report)
         payload["ratios"] = {arm: report.ratios(arm) for arm in tables if arm != "exact"}
-    _write_json(out_json, payload)
+    write_json(out_json, payload)
     print(f"wrote {out_csv} and {out_json}")
     return EXIT_OK
 
@@ -364,7 +357,7 @@ def cmd_bench(out_csv: str, out_json: str, **options) -> int:
     if report.reps == 1:
         print("warning: reps=1 gives a single timing sample per cell", file=sys.stderr)
     write_bench_csv(out_csv, report)
-    _write_json(out_json, {
+    write_json(out_json, {
         "schema_version": SCHEMA_VERSION,
         "command": "bench",
         "config": {"out_csv": out_csv, "out_json": out_json, **_echo(runtime_benchmark, arguments)},

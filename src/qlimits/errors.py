@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the checks of outside input that raise it."""
+"""Exception hierarchy shared across the package, the checks of outside input
+that raise it, and the one JSON reader and the JSON and CSV writers of every file."""
 
 import json
 import math
@@ -72,3 +73,28 @@ def read_json(path):
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not UTF-8 JSON text ({exc})") from exc
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as JSON text, indented with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _format_cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` as CSV lines: a float with 17
+    significant digits, so it reads back exactly, and a bool as 1 or 0."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_format_cell(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .blas import single_blas_thread
-from .errors import ConfigError, NumericalError, QlimitsError, integer, real
+from .errors import ConfigError, NumericalError, QlimitsError, integer, real, write_csv
 # quantum_ls_pipeline and expected_risk_mc are not called here since arms
 # share cells and score through excess_risks; they stay importable from this
 # module, whose names perfbench's tracer wraps.
@@ -66,7 +66,7 @@ from .solvers import (  # the five solvers are called by name, through fit_solve
     nystrom,
     predict_batch,
 )
-from .synth import Dataset, SyntheticProblem, sample_dataset
+from .synth import Dataset, SyntheticProblem, check_drawable, sample_dataset
 
 SOLVER_IDS = ("exact_ls", "krr", "early_stopping_gd", "divide_and_conquer", "nystrom")
 BENCH_SOLVER_IDS = ("exact_ls", "krr", "nystrom")  # the runtime ladder's default rows
@@ -131,11 +131,19 @@ class SweepConfig:
         object.__setattr__(self, "n_grid", _check_grid(self.n_grid))
         integer("trials", self.trials, 1)
         integer("n_eval", self.n_eval, 2)
+        check_drawable(f"n_grid[{len(self.n_grid) - 1}]", self.n_grid[-1], self.problem)
+        if self.kernel.kind != "linear":  # only a kernel predictor is scored on drawn points
+            check_drawable("n_eval", self.n_eval, self.problem)
         integer("master_seed", self.master_seed)
         integer("workers", self.workers, 1)
         _check_solver(self.solver, self.kernel)
         if self.noise is not None and self.solver != "exact_ls":
             raise ConfigError("the noisy pipeline composes with exact_ls only")
+
+
+# The sweep that acceptance gates 1, 3 and 4 run.
+ACCEPTANCE_SWEEP = SweepConfig(n_grid=(64, 128, 256, 512, 1024, 2048, 4096, 8192), trials=20,
+                               n_eval=100_000, master_seed=0)
 
 
 @dataclass(frozen=True)
@@ -676,23 +684,7 @@ def bench_summary(report: BenchReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report files
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
+# report files, in errors.write_csv's format
 
 def sweep_csv_rows(tables) -> list[tuple]:
     rows = []

@@ -67,7 +67,6 @@ blocks would change its last bits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -84,6 +83,7 @@ from .errors import (
     integer,
     read_json,
     real,
+    write_json,
 )
 from .rng import child_rng
 from .synth import Dataset
@@ -578,9 +578,7 @@ def predictor_from_json(obj: dict) -> Predictor:
 
 
 def save_predictor(predictor: Predictor, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(predictor_to_json(predictor), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, predictor_to_json(predictor))
 
 
 def load_predictor(path) -> Predictor:

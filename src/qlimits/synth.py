@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, integer, real
+from .errors import ConfigError, integer, real, write_csv
 from .rng import child_rng
 
 INPUT_LAWS = ("unit_sphere_uniform", "gaussian_clipped")
@@ -146,17 +146,21 @@ def _sample_inputs(problem: SyntheticProblem, n: int, rng: np.random.Generator) 
     return x
 
 
+def check_drawable(name: str, n: int, problem: SyntheticProblem) -> None:
+    """Raise a ConfigError that names the size ``name`` where ``n`` samples of
+    ``problem`` need more float64 entries than numpy can index."""
+    if n * problem.dimension > _MAX_ENTRIES:
+        raise ConfigError(f"`{name}` {n} samples of dimension {problem.dimension} need {n * problem.dimension} "
+                          f"float64 entries, more than the {_MAX_ENTRIES} an array can hold")
+
+
 def sample_dataset(problem: SyntheticProblem, n: int, seed: int = 0) -> Dataset:
     """n i.i.d. samples; bit-identical for a fixed (problem, n, seed).
 
     A draw of more float64 entries than numpy can index is a ConfigError, raised
-    before anything is drawn."""
+    before anything is drawn (see ``check_drawable``)."""
     n = integer("n", n, 1)
-    if n * problem.dimension > _MAX_ENTRIES:
-        raise ConfigError(
-            f"`n` {n} samples of dimension {problem.dimension} need {n * problem.dimension} "
-            f"float64 entries, more than the {_MAX_ENTRIES} an array can hold"
-        )
+    check_drawable("n", n, problem)
     rng = child_rng(seed, "dataset")
     x = _sample_inputs(problem, n, rng)
     labels = x @ problem.target_weights
@@ -173,15 +177,8 @@ def sample_dataset(problem: SyntheticProblem, n: int, seed: int = 0) -> Dataset:
 # CSV import/export: header "x0,...,x{d-1},y", one sample per row.
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    d = dataset.dimension
-    header = ",".join([f"x{j}" for j in range(d)] + ["y"])
-    lines = [header]
-    for i in range(dataset.n_samples):
-        row = [f"{v:.17g}" for v in dataset.features[i]]
-        row.append(f"{dataset.labels[i]:.17g}")
-        lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [f"x{j}" for j in range(dataset.dimension)] + ["y"]
+    write_csv(path, header, np.column_stack((dataset.features, dataset.labels)).tolist())
 
 
 def read_dataset_csv(path) -> Dataset:

@@ -1,9 +1,12 @@
 """Acceptance gates for the whole laboratory.
 
 Each test prints one PASS/FAIL line per gate (run with ``pytest -s`` to see
-them all) and then asserts the gate at its pinned tolerance. The thresholds
-live in qlimits.scaling so the CLI summaries and this suite cannot drift
-apart.
+them all) and then asserts the gate. Gates 1, 3 and 4 run
+``qlimits.scaling.ACCEPTANCE_SWEEP`` and assert the verdicts of the summaries
+(``rate_summary``, ``matching_summary``, ``measurement_summary``) that the CLI
+writes and the benchmark checks, and gate 7 those of ``bench_summary``; each
+prints its numbers and thresholds from the summary, so the sweep, the
+thresholds and the verdicts are defined once, in the library.
 
 Gate 4b follows the quadratic readout law. The readout shifts the weights
 by exactly tau(m) in a random direction and the loss is squared, so an arm's
@@ -49,24 +52,17 @@ from qlimits import (
 )
 from qlimits.rng import derive_seed
 from qlimits.scaling import (
-    BUDGET_RATIO_MAX,
-    CONSTANT_RATIO_MIN,
-    DEGRADED_RATIO_EXPONENT_MIN,
+    ACCEPTANCE_SWEEP,
     GATE7_LADDER,
     KRR_TRAIN_EXPONENT_RANGE,
-    MATCHED_RATIO_MAX,
     NYSTROM_EXPONENT_GAP_MIN,
     PRIMAL_TEST_EXPONENT_RANGE,
-    RATE_EXPONENT_RANGE,
-    RATE_R2_MIN,
     bench_summary,
+    matching_summary,
+    measurement_summary,
     rate_summary,
     write_sweep_csv,
 )
-
-ACCEPT_GRID = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
-
-DEFAULT_SWEEP = SweepConfig(n_grid=ACCEPT_GRID, trials=20, n_eval=100_000, master_seed=0)
 
 
 def _gate(name, ok, detail):
@@ -75,24 +71,21 @@ def _gate(name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def measurement_report():
-    return measurement_experiment(DEFAULT_SWEEP, regime="heisenberg")
+def measurement():
+    return measurement_summary(measurement_experiment(ACCEPTANCE_SWEEP))
 
 
 def test_criterion_1_estimation_rate():
     start = time.time()
-    table = sweep_excess_risk(DEFAULT_SWEEP, label="exact_ls")
-    summary = rate_summary(table)
+    summary = rate_summary(sweep_excess_risk(ACCEPTANCE_SWEEP, label="exact_ls"))
     elapsed = time.time() - start
-    exponent = summary["fit"]["exponent"]
-    r_squared = summary["fit"]["r_squared"]
-    lo, hi = RATE_EXPONENT_RANGE
-    ok = lo <= exponent <= hi and r_squared >= RATE_R2_MIN and elapsed < 180
+    fit = summary["fit"]
+    lo, hi = summary["exponent_range"]
     assert _gate(
         "1 estimation rate",
-        ok,
-        f"exponent={exponent:.4f} in [{lo}, {hi}], r2={r_squared:.4f} >= {RATE_R2_MIN}, "
-        f"elapsed={elapsed:.0f}s < 180s",
+        summary["rate_ok"] and elapsed < 180,
+        f"exponent={fit['exponent']:.4f} in [{lo}, {hi}], r2={fit['r_squared']:.4f} >= "
+        f"{summary['r_squared_min']}, elapsed={elapsed:.0f}s < 180s",
     )
 
 
@@ -129,44 +122,34 @@ def test_criterion_2_algorithmic_error_bound():
 
 def test_criterion_3_matching_gamma_schedules():
     start = time.time()
-    report = matching_experiment(DEFAULT_SWEEP, matched_c0=0.1, constant_gamma=0.3)
-    matched = [r for _, r in report.ratios("matched")]
-    constant_at_max = report.ratios("constant")[-1][1]
+    summary = matching_summary(matching_experiment(ACCEPTANCE_SWEEP))
     elapsed = time.time() - start
-    ok = (
-        max(matched) <= MATCHED_RATIO_MAX
-        and constant_at_max >= CONSTANT_RATIO_MIN
-        and elapsed < 180
-    )
     assert _gate(
         "3 matched solver precision",
-        ok,
-        f"matched max ratio={max(matched):.3f} <= {MATCHED_RATIO_MAX}, constant ratio at "
-        f"n={ACCEPT_GRID[-1]} is {constant_at_max:.2f} >= {CONSTANT_RATIO_MIN}, "
-        f"elapsed={elapsed:.0f}s < 180s",
+        summary["matched_ok"] and summary["constant_ok"] and elapsed < 180,
+        f"matched max ratio={summary['max_ratio_matched']:.3f} <= {summary['matched_ratio_max']}, "
+        f"constant ratio at n={ACCEPTANCE_SWEEP.n_grid[-1]} is {summary['ratio_constant_at_n_max']:.2f} "
+        f">= {summary['constant_ratio_min']}, elapsed={elapsed:.0f}s < 180s",
     )
 
 
-def test_criterion_4a_measurement_budget(measurement_report):
-    ratios = [r for _, r in measurement_report.ratios("budget")]
-    ok = max(ratios) <= BUDGET_RATIO_MAX
+def test_criterion_4a_measurement_budget(measurement):
     assert _gate(
         "4a sqrt-n measurement budget",
-        ok,
-        f"budget m=ceil(sqrt(n)) max ratio={max(ratios):.3f} <= {BUDGET_RATIO_MAX}",
+        measurement["budget_ok"],
+        f"budget m=ceil(sqrt(n)) max ratio={measurement['max_ratio_budget']:.3f} <= "
+        f"{measurement['budget_ratio_max']}",
     )
 
 
-def test_criterion_4b_under_budget_degrades_rate(measurement_report):
-    degraded = measurement_report.ratio_fit("degraded").exponent
-    budget = measurement_report.ratio_fit("budget").exponent
-    ok = degraded >= DEGRADED_RATIO_EXPONENT_MIN > budget
+def test_criterion_4b_under_budget_degrades_rate(measurement):
+    floor = measurement["degraded_ratio_exponent_min"]
     assert _gate(
         "4b under-budget degraded rate",
-        ok,
-        f"excess-risk ratio to exact fits n^({degraded:.3f}) at m=ceil(n^(1/4)), "
-        f">= {DEGRADED_RATIO_EXPONENT_MIN}, and n^({budget:.3f}) at m=ceil(sqrt(n)), "
-        f"< {DEGRADED_RATIO_EXPONENT_MIN}",
+        measurement["degraded_ok"],
+        f"excess-risk ratio to exact fits n^({measurement['degraded_ratio_exponent']:.3f}) at "
+        f"m=ceil(n^(1/4)), >= {floor}, and n^({measurement['budget_ratio_exponent']:.3f}) at "
+        f"m=ceil(sqrt(n)), < {floor}",
     )
 
 

@@ -12,6 +12,12 @@ output, fails the benchmark run, so these checks run with the unit tests too.
 import pytest
 
 import reference_outputs as ref
+from qlimits.scaling import ACCEPTANCE_SWEEP
+
+
+def test_the_rate_and_paired_workloads_run_the_acceptance_sweep():
+    # perfbench builds its own copy of the sweep; at seed 0 it is the library's
+    assert ref.perfbench("workloads").acceptance_configs(0) == [ACCEPTANCE_SWEEP]
 
 
 @pytest.fixture(scope="module")

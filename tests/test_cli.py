@@ -102,6 +102,18 @@ def test_generate_of_more_entries_than_numpy_can_index_is_a_config_error(tmp_pat
     assert not out.exists() and not (tmp_path / "x.csv.config.json").exists()
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"n_grid": [8, 16, 10**30]}, "n_grid[2]"),
+    ({"solver": "krr", "kernel": {"kind": "gaussian", "bandwidth": 1.0}, "n_eval": 10**30}, "n_eval"),
+], ids=["n_grid", "n_eval"])
+def test_a_sweep_of_a_size_it_cannot_draw_is_a_config_error(tmp_path, capsys, overrides, field):
+    # rejected when the config is built, so no cell runs and nothing is allocated
+    assert _run(tmp_path, "sweep", _sweep_payload(tmp_path, **overrides)) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"config error: `{field}` {10**30} samples of dimension 10")
+    assert not [path.name for path in tmp_path.iterdir() if "ncfg" not in path.name]
+
+
 @pytest.mark.parametrize(
     "message", ["Unable to allocate 72.8 TiB for an array with shape (1000000000000, 10)", ""], ids=["numpy", "bare"]
 )

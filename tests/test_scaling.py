@@ -165,6 +165,12 @@ def test_sweep_config_validation():
         SweepConfig(n_grid=(32, 64, 128), problem=SyntheticProblem(dimension=0))
     with pytest.raises(ConfigError):
         SweepConfig(n_grid=(32, 64, 128), noise=NoiseSchedule(regime="bogus"))
+    # a size a cell would draw is checked against sample_dataset's bound, so nothing is allocated
+    with pytest.raises(ConfigError, match=rf"`n_grid\[2\]` {10**30} samples of dimension 10 need"):
+        SweepConfig(n_grid=(8, 16, 10**30))
+    with pytest.raises(ConfigError, match=f"`n_eval` {10**30} samples of dimension 10 need"):
+        SweepConfig(n_grid=(8, 16, 32), solver="krr", kernel=Kernel("gaussian", 1.0), n_eval=10**30)
+    assert SweepConfig(n_grid=(8, 16, 32), n_eval=10**30).n_eval == 10**30  # a linear fit is scored undrawn
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +503,7 @@ def test_size_failing_in_every_cell_makes_the_max_ratio_nan(
     assert math.isnan(result[f"max_ratio_{arm}"]) and result[f"{arm}_ok"] is False
 
 
-def test_failed_solve_fails_every_arm_with_its_reason():
+def test_failed_solve_fails_every_arm_with_its_reason(monkeypatch):
     # lam=0 with n < d: the one shared solve is singular at the smallest size
     config = SweepConfig(
         n_grid=(3, 64, 128),
@@ -507,12 +513,20 @@ def test_failed_solve_fails_every_arm_with_its_reason():
         solver_config=SolverConfig(lam=0.0),
         master_seed=6,
     )
-    for table in matching_experiment(config).arm_tables().values():
-        first, *rest = table.rows
-        assert (first.trials_ok, first.trials_failed) == (0, 3)
-        ((kind, count, message),) = first.failures
-        assert (kind, count) == ("SingularSystemError", 3) and message
-        assert all(row.trials_failed == 0 and row.failures == () for row in rest)
+
+    def failed_scoring(*args, **kwargs):
+        raise NumericalError("scoring failed")
+
+    # the arms of a cell share its solve and its scoring, so the second pass, whose scoring
+    # fails, fails every arm at every size that solves
+    for scoring, later in ((excess_risks, ()), (failed_scoring, (("NumericalError", 3, "scoring failed"),))):
+        monkeypatch.setattr(scaling, "excess_risks", scoring)
+        for table in matching_experiment(config).arm_tables().values():
+            first, *rest = table.rows
+            assert (first.trials_ok, first.trials_failed) == (0, 3)
+            ((kind, count, message),) = first.failures
+            assert (kind, count) == ("SingularSystemError", 3) and message
+            assert all(row.trials_failed == 3 * len(later) and row.failures == later for row in rest)
 
 
 def test_closed_form_resolves_what_ten_monte_carlo_points_cannot():

@@ -310,6 +310,7 @@ def test_top_eigenvalue_matches_dense():
     assert top_eigenvalue(spd, seed=1) == pytest.approx(
         np.linalg.eigvalsh(spd)[-1], rel=1e-4
     )
+    assert top_eigenvalue(np.zeros((3, 3))) == 0.0  # its first product is zero: no direction to follow
 
 
 # ---------------------------------------------------------------------------
